@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -116,6 +117,13 @@ def _parse_floats(text: str, n: int, what: str) -> tuple:
     if len(parts) != n:
         raise ValueError(f"{what} must have {n} comma-separated values, got {text!r}")
     return tuple(float(p) for p in parts)
+
+
+def _scale_arg(value: float, flag: str) -> float:
+    """A scale flag's value: a finite nonnegative number, or a ValueError naming the flag."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{flag} must be a finite nonnegative number, got {value}")
+    return value
 
 
 def _load_series_arg(args) -> "ScalarSeries":
@@ -232,14 +240,14 @@ def cmd_complex(args) -> int:
     cloud = load_cloud(args.witnesses)
     lms = load_landmarks(args.landmarks)
     if args.xi is not None:
-        scale = epsilon_from_xi(args.xi, cloud)
+        scale = epsilon_from_xi(_scale_arg(args.xi, "--xi"), cloud)
         eps = scale.epsilon
         scale_params = {"xi": args.xi, "epsilon": eps, "diameter": scale.diameter}
     else:
-        eps = args.epsilon
+        eps = _scale_arg(args.epsilon, "--epsilon")
         scale_params = {"epsilon": eps, "diameter": bbox_diameter(cloud)}
     dm = distance_matrix(cloud, lms)
-    ef = edge_births(dm)
+    ef = edge_births(dm, cap=eps)
     del dm
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
     out = _out_path(args, args.out)
@@ -299,6 +307,7 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_mscan(args) -> int:
+    _scale_arg(args.xi, "--xi")
     series = _load_series_arg(args)
     tau, tau_params = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)

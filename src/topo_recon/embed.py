@@ -137,11 +137,13 @@ def ami_curve(series: ScalarSeries, tau_max: int, bins: int | None = None) -> Am
     if lo == hi:
         raise DegenerateSeriesError("constant series: histogram range is empty")
     edges = np.linspace(lo, hi, bins + 1)
+    # bin of each sample, once; like histogram2d, the last bin is closed on the right
+    idx = np.searchsorted(edges, x, side="right") - 1
+    idx[idx == bins] = bins - 1
     values = np.empty(tau_max + 1, dtype=np.float64)
     for tau in range(tau_max + 1):
-        a = x[: n - tau] if tau else x
-        b = x[tau:]
-        joint, _, _ = np.histogram2d(a, b, bins=(edges, edges))
+        pair = idx[: n - tau] * bins + idx[tau:]
+        joint = np.bincount(pair, minlength=bins * bins).reshape(bins, bins).astype(np.float64)
         total = joint.sum()
         p = joint / total
         px = p.sum(axis=1)
@@ -176,8 +178,8 @@ def bbox_diameter(cloud: PointCloud) -> float:
 
 def epsilon_from_xi(xi: float, cloud: PointCloud) -> ScaleParams:
     """Convert a relative scale xi into an absolute epsilon for this cloud."""
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    if not xi >= 0:
+        raise ValueError(f"xi must be a nonnegative number, got {xi}")
     diam = bbox_diameter(cloud)
     return ScaleParams(xi=xi, epsilon=xi * diam, diameter=diam)
 

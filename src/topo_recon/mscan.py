@@ -22,7 +22,11 @@ from .witness import EdgeFiltration, FlagFiltration, distance_matrix, edge_birth
 
 @dataclass
 class DimensionSweep:
-    """Edge filtrations and existence sets for m = 1..m_max at a fixed xi."""
+    """Edge filtrations and existence sets for m = 1..m_max at a fixed xi.
+
+    per_m[m-1] is the edge filtration of the m-dimensional cloud truncated at
+    epsilons[m-1]: exact at or below that scale, +inf above it.
+    """
 
     m_max: int
     xi: float
@@ -57,13 +61,14 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
     """Run the dimension sweep for m = 1..m_max.
 
     Landmarks are chosen once, evenly spaced on the anchored m_max cloud;
-    their coordinates at lower m are exact prefixes.  For each m the exact
-    edge filtration is computed and thresholded at epsilon(m) = xi * diam(W_m).
+    their coordinates at lower m are exact prefixes.  For each m the edge
+    filtration is computed exactly up to epsilon(m) = xi * diam(W_m) and
+    truncated there (see ``edge_births``'s ``cap``).
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    if xi < 0:
-        raise ValueError("xi must be nonnegative")
+    if not xi >= 0:
+        raise ValueError(f"xi must be a nonnegative number, got {xi}")
     cloud = delay_embed(series, m_max, tau_steps, m_anchor=m_max)
     lms = select_evenly_spaced(cloud, every)
     ell = lms.ell
@@ -74,11 +79,11 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
     existence = np.zeros((ell, ell), dtype=np.uint32)
     for m in range(1, m_max + 1):
         w_m = project(cloud, m)
-        dm = distance_matrix(w_m.points, lms.coords[:, :m])
-        ef = edge_births(dm)
-        del dm
         diam = bbox_diameter(w_m)
         eps = xi * diam
+        dm = distance_matrix(w_m.points, lms.coords[:, :m])
+        ef = edge_births(dm, cap=eps)
+        del dm
         diameters.append(diam)
         epsilons.append(eps)
         per_m.append(ef)

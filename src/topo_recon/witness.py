@@ -62,12 +62,15 @@ class EdgeFiltration:
 
     births is a symmetric (ell, ell) array with +inf on the diagonal and at
     absent edges; witness[i, j] is the index of the lowest witness achieving
-    the birth (-1 where absent or not applicable).
+    the birth (-1 where absent or not applicable).  When ``max_value`` is set
+    the filtration is truncated at that scale: every value <= max_value is
+    exact, and every larger one reads +inf (witness -1).
     """
 
     vertex_birth: np.ndarray
     births: np.ndarray
     witness: np.ndarray | None = None
+    max_value: float | None = None
 
     def __post_init__(self):
         self.vertex_birth = np.asarray(self.vertex_birth, dtype=np.float64)
@@ -136,38 +139,54 @@ def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
     return DistanceMatrix(entries=entries, nearest=entries.min(axis=1))
 
 
-def edge_births(dm: DistanceMatrix, row_block: int = 32) -> EdgeFiltration:
+def edge_births(dm: DistanceMatrix, row_block: int = 32, cap: float | None = None) -> EdgeFiltration:
     """Exact vertex and edge birth scales from a distance matrix.
 
     vertex_birth[j] = min over w of (d(w, j) - n(w)) and
     births[i, j]    = min over w of (max(d(w, i), d(w, j)) - n(w)),
     with the lowest witness index achieving each edge minimum recorded.
     Work is blocked over landmark rows to bound peak memory.
+
+    With ``cap`` set, the result is truncated at that scale: every birth
+    <= cap is bitwise the uncapped value with the same witness, and every
+    larger one is +inf with witness -1.  A witness can give edge {i, j} a
+    birth <= cap only if its excess d(w, j) - n(w) is <= cap, so row j is
+    scanned over those witnesses alone.
     """
-    excess = dm.entries - dm.nearest[:, None]
-    n_l = excess.shape[1]
-    vertex_birth = excess.min(axis=0)
+    if cap is not None and not cap >= 0:
+        raise ValueError(f"cap must be a nonnegative number, got {cap}")
+    # row-major over landmarks: excess_t[j] is contiguous per landmark
+    excess_t = np.subtract(dm.entries.T, dm.nearest, order="C")
+    n_l = excess_t.shape[0]
+    vertex_birth = excess_t.min(axis=1)
 
     births = np.full((n_l, n_l), np.inf)
     witness = np.full((n_l, n_l), -1, dtype=np.int64)
-    if n_l == 1:
-        return EdgeFiltration(vertex_birth, births, witness)
-
-    # row-major over landmarks: excess_t[j] is contiguous per landmark
-    excess_t = np.ascontiguousarray(excess.T)
-    del excess
     for j in range(n_l - 1):
-        base = excess_t[j]
+        if cap is None:
+            cols = slice(None)
+        elif vertex_birth[j] > cap:
+            continue  # no witness within the cap of landmark j
+        else:
+            cols = np.flatnonzero(excess_t[j] <= cap)  # ascending, so argmin ties still pick the lowest
+        base = excess_t[j, cols]
         for start in range(j + 1, n_l, row_block):
             stop = min(start + row_block, n_l)
-            pm = np.maximum(excess_t[start:stop], base)
+            pm = np.maximum(excess_t[start:stop, cols], base)
             w_idx = pm.argmin(axis=1)  # first (lowest) witness achieving the min
             vals = pm[np.arange(stop - start), w_idx]
+            if cap is not None:
+                w_idx = cols[w_idx]
             births[j, start:stop] = vals
             births[start:stop, j] = vals
             witness[j, start:stop] = w_idx
             witness[start:stop, j] = w_idx
-    return EdgeFiltration(vertex_birth, births, witness)
+    if cap is not None:
+        vertex_birth[vertex_birth > cap] = np.inf
+        over = births > cap
+        births[over] = np.inf
+        witness[over] = -1
+    return EdgeFiltration(vertex_birth, births, witness, max_value=cap)
 
 
 def flag_expand(
@@ -180,10 +199,15 @@ def flag_expand(
 
     A clique's value is the largest birth among its edges.  ``max_value``
     truncates the filtration at that scale; ``max_simplices`` bounds the
-    total count and raises ResourceLimitError when exceeded.
+    total count and raises ResourceLimitError when exceeded.  A truncated
+    ``ef`` needs a ``max_value`` no larger than its own.
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
+    if ef.max_value is not None and (max_value is None or max_value > ef.max_value):
+        raise ValueError(
+            f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges"
+        )
     ell = ef.n_vertices
     births = ef.births
     vb = ef.vertex_birth

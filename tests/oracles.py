@@ -1,9 +1,10 @@
 """Independent ground-truth helpers shared by the test suite.
 
 Everything here is deliberately naive and shares no code with the package:
-brute-force clique enumeration plus dense Gaussian elimination over Z/2.
-Slow, but transparently correct on small inputs, which makes it a usable
-referee for the package's persistence pipeline.
+brute-force clique enumeration plus dense Gaussian elimination over Z/2,
+the mutual-information curve by one ``histogram2d`` per delay, and the
+truncation of an uncapped edge filtration at a cap.  Slow, but transparently
+correct on small inputs, which makes them usable referees for the package.
 """
 
 from __future__ import annotations
@@ -118,3 +119,30 @@ def random_edge_filtration(rng: np.random.Generator, n_max: int = 12) -> EdgeFil
                 b = max(round(b, 1), vb[i], vb[j])  # deliberate ties
             births[i, j] = births[j, i] = b
     return EdgeFiltration(vertex_birth=vb, births=births)
+
+
+def truncate_births(ef: EdgeFiltration, cap: float) -> EdgeFiltration:
+    """An uncapped edge filtration cut at ``cap``: larger values become +inf, their witness -1."""
+    over = ef.births > cap
+    return EdgeFiltration(
+        vertex_birth=np.where(ef.vertex_birth > cap, np.inf, ef.vertex_birth),
+        births=np.where(over, np.inf, ef.births),
+        witness=np.where(over, -1, ef.witness),
+        max_value=cap,
+    )
+
+
+def ami_histogram2d(x: np.ndarray, tau_max: int, bins: int) -> np.ndarray:
+    """Average mutual information (bits) for tau = 0..tau_max, one histogram2d per delay."""
+    n = x.size
+    edges = np.linspace(float(x.min()), float(x.max()), bins + 1)
+    values = np.empty(tau_max + 1, dtype=np.float64)
+    for tau in range(tau_max + 1):
+        joint, _, _ = np.histogram2d(x[: n - tau], x[tau:], bins=(edges, edges))
+        p = joint / joint.sum()
+        px = p.sum(axis=1)
+        py = p.sum(axis=0)
+        mask = p > 0
+        denom = px[:, None] * py[None, :]
+        values[tau] = float(np.sum(p[mask] * np.log2(p[mask] / denom[mask])))
+    return values

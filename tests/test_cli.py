@@ -264,7 +264,28 @@ class TestComplexScales:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--epsilon", -1), ("--epsilon", "nan"), ("--epsilon", "inf"), ("--xi", "nan"), ("--xi", -0.1)]
+    )
+    def test_bad_scale_rejected(self, cloud_dir, capsys, flag, value):
+        rc = run(
+            "complex", "--witnesses", cloud_dir / "cloud.csv", "--landmarks", cloud_dir / "lm.csv",
+            flag, value, "--out", "bad_scale.json", "--out-dir", cloud_dir,
+        )
+        assert rc == 1
+        assert f"error: {flag} must be" in capsys.readouterr().err
+        assert not (cloud_dir / "bad_scale.json").exists()
+
+
 class TestMscan:
+    @pytest.mark.parametrize("value", ["nan", -0.05])
+    def test_bad_xi_rejected(self, tmp_path, capsys, value):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", value, "--out-dir", tmp_path)
+        assert rc == 1
+        assert "error: --xi must be" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
     def test_outputs_and_provenance(self, tmp_path):
         sine_series_file(tmp_path / "s.txt")
         assert run(

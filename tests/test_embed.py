@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ami_histogram2d
 from topo_recon.embed import (
     AmiCurve,
     DegenerateSeriesError,
@@ -129,6 +130,26 @@ class TestAmi:
         assert curve.values[period] > curve.values[period // 4] + 1.0
         assert curve.values[period // 2] > curve.values[period // 4] + 1.0
 
+    @given(
+        seed=st.integers(0, 10_000),
+        bins=st.integers(2, 16),
+        on_edges=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_histogram2d_reference(self, seed, bins, on_edges):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 400))
+        lo = float(rng.uniform(-5.0, 5.0))
+        hi = lo + float(rng.choice([rng.uniform(1e-3, 10.0), 1.0, bins]))
+        # a share of the samples sits exactly on bin edges, including the maximum
+        x = rng.uniform(lo, hi, size=n)
+        edge_pick = rng.random(n) < on_edges
+        x[edge_pick] = rng.choice(np.linspace(lo, hi, bins + 1), size=int(edge_pick.sum()))
+        x[rng.integers(0, n, size=2)] = (lo, hi)
+        tau_max = int(rng.integers(1, min(n - 1, 30) + 1))
+        curve = ami_curve(series_of(x), tau_max=tau_max, bins=bins)
+        assert np.array_equal(curve.values, ami_histogram2d(x, tau_max, bins))
+
     def test_constant_series_rejected(self):
         with pytest.raises(DegenerateSeriesError):
             ami_curve(series_of(np.ones(100)), tau_max=5)
@@ -182,6 +203,8 @@ class TestScales:
         assert sp.xi == 0.1
         with pytest.raises(ValueError):
             epsilon_from_xi(-0.01, cloud)
+        with pytest.raises(ValueError):
+            epsilon_from_xi(float("nan"), cloud)
 
     def test_default_bins_rule(self):
         assert default_bins(10_000) == 64

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import truncate_births
 from topo_recon.embed import bbox_diameter, delay_embed, project
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.mscan import (
@@ -158,11 +159,17 @@ class TestSweep:
             assert np.array_equal(got, expected)
 
     def test_per_m_filtration_matches_direct_computation(self, short_lorenz, sw):
+        # each per_m[m-1] is the uncapped filtration truncated at epsilons[m-1], bitwise
         cloud = delay_embed(short_lorenz, 4, 50, m_anchor=4)
-        w2 = project(cloud, 2)
-        direct = edge_births(distance_matrix(w2.points, sw.landmarks.coords[:, :2]))
-        assert np.array_equal(direct.births, sw.per_m[1].births)
-        assert np.array_equal(direct.vertex_birth, sw.per_m[1].vertex_birth)
+        for m in range(1, 5):
+            w_m = project(cloud, m)
+            full = edge_births(distance_matrix(w_m.points, sw.landmarks.coords[:, :m]))
+            direct = truncate_births(full, sw.epsilons[m - 1])
+            got = sw.per_m[m - 1]
+            assert got.max_value == sw.epsilons[m - 1]
+            assert np.array_equal(direct.births, got.births)
+            assert np.array_equal(direct.witness, got.witness)
+            assert np.array_equal(direct.vertex_birth, got.vertex_birth)
 
     def test_vertex_births_are_zero(self, sw):
         for ef in sw.per_m:
@@ -173,6 +180,8 @@ class TestSweep:
             sweep(short_lorenz, tau_steps=50, xi=0.02, every=250, m_max=0)
         with pytest.raises(ValueError):
             sweep(short_lorenz, tau_steps=50, xi=-0.1, every=250, m_max=2)
+        with pytest.raises(ValueError):
+            sweep(short_lorenz, tau_steps=50, xi=float("nan"), every=250, m_max=2)
 
 
 class TestSweepFiles:

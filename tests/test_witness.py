@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_below, random_edge_filtration
+from oracles import complex_below, random_edge_filtration, truncate_births
 from topo_recon.embed import PointCloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks
 from topo_recon.witness import (
@@ -131,6 +131,7 @@ class TestEdgeBirths:
         ef = edge_births(distance_matrix(W, W[::4]))
         assert np.array_equal(ef.births, ef.births.T)
         assert np.isinf(np.diag(ef.births)).all()
+        assert ef.max_value is None
 
     def test_single_landmark(self):
         ef = edge_births(distance_matrix(np.zeros((4, 2)), np.zeros((1, 2))))
@@ -158,6 +159,47 @@ class TestEdgeBirths:
         ef = edge_births(distance_matrix(W, L))
         for i, j, b in ef.edge_list():
             assert b >= max(ef.vertex_birth[i], ef.vertex_birth[j]) - 1e-12
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cap_kind=st.sampled_from(["zero", "attained", "random", "inf"]),
+        duplicated=st.booleans(),
+        gridded=st.booleans(),
+        row_block=st.sampled_from([1, 3, 32]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_capped_births_equal_truncated_uncapped(self, seed, cap_kind, duplicated, gridded, row_block):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(1, 4))
+        W = rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 40)), dim))
+        if gridded:  # coordinates on a coarse grid tie many births
+            W = np.round(W, 1)
+        if duplicated:  # repeated witnesses tie the argmin between their indices
+            W = W[rng.integers(0, len(W), size=2 * len(W))]
+        # landmarks off the cloud give positive vertex births
+        off_cloud = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), dim))
+        L = np.vstack([W[:: int(rng.integers(2, 6))], off_cloud])
+        dm = distance_matrix(W, L)
+        full = edge_births(dm)
+        finite = full.births[np.isfinite(full.births)]
+        cap = {
+            "zero": 0.0,
+            "attained": float(rng.choice(finite)) if finite.size else 0.0,
+            "random": float(rng.uniform(0.0, finite.max() if finite.size else 1.0)),
+            "inf": np.inf,
+        }[cap_kind]
+        got = edge_births(dm, row_block=row_block, cap=cap)
+        want = truncate_births(full, cap)
+        assert got.max_value == cap
+        assert np.array_equal(got.vertex_birth, want.vertex_birth)
+        assert np.array_equal(got.births, want.births)
+        assert np.array_equal(got.witness, want.witness)
+
+    @pytest.mark.parametrize("cap", [np.nan, -0.1, -np.inf])
+    def test_bad_cap_rejected(self, cap):
+        dm = distance_matrix(np.zeros((4, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="cap"):
+            edge_births(dm, cap=cap)
 
 
 def triangle_filtration():
@@ -213,6 +255,23 @@ class TestFlagExpand:
         capped = flag_expand(ef, dim_cap=3, max_value=cap)
         assert capped.simplices == [(s, v) for s, v in full.simplices if v <= cap]
         assert capped.max_value == cap
+
+    def test_truncated_edge_filtration_expands_like_uncapped(self):
+        rng = np.random.default_rng(14)
+        W = rng.uniform(-1.0, 1.0, size=(60, 2))
+        dm = distance_matrix(W, W[::6])
+        full = edge_births(dm)
+        cap = float(np.median(full.births[np.isfinite(full.births)]))
+        truncated = edge_births(dm, cap=cap)
+        for value in (cap, cap / 2, 0.0):
+            got = flag_expand(truncated, dim_cap=2, max_value=value)
+            assert got.simplices == flag_expand(full, dim_cap=2, max_value=value).simplices
+
+    @pytest.mark.parametrize("max_value", [None, 1.5])
+    def test_truncated_edge_filtration_needs_cap_within_its_own(self, max_value):
+        ef = truncate_births(edge_births(distance_matrix(np.eye(3), np.eye(3))), 1.0)
+        with pytest.raises(ValueError, match="truncated"):
+            flag_expand(ef, dim_cap=2, max_value=max_value)
 
     def test_counts_by_dim_complete_graph(self):
         n = 5
