@@ -7,137 +7,3 @@ off persistent homology across every scale at once.
 """
 
 __version__ = "0.1.0"
-
-from .embed import (
-    AmiCurve,
-    DegenerateSeriesError,
-    PointCloud,
-    ScaleParams,
-    ami_curve,
-    bbox_diameter,
-    default_bins,
-    delay_embed,
-    epsilon_from_xi,
-    first_minimum,
-    load_cloud,
-    project,
-    save_cloud,
-)
-from .landmarks import (
-    LandmarkSet,
-    load_landmarks,
-    save_landmarks,
-    select_evenly_spaced,
-    select_maxmin,
-)
-from .mscan import (
-    DimensionSweep,
-    DmFiltration,
-    dimension_barcode,
-    dm_filtration,
-    existence_set,
-    lifespan,
-    lifespan_matrix,
-    sweep,
-)
-from .persistence import (
-    Barcode,
-    ContractViolationError,
-    Interval,
-    betti_at,
-    betti_grid,
-    components_unionfind,
-    load_barcode,
-    persistent_homology,
-    representative_cycles,
-    save_barcode,
-)
-from .signal import (
-    IntegrationError,
-    MeasurementFn,
-    OdeParams,
-    ScalarSeries,
-    SeriesFormatError,
-    Trajectory,
-    add_uniform_noise,
-    integrate_lorenz,
-    load_series,
-    observe,
-    save_series,
-    save_trajectory,
-)
-from .witness import (
-    DistanceMatrix,
-    EdgeFiltration,
-    FlagFiltration,
-    ResourceLimitError,
-    complex_at,
-    distance_matrix,
-    edge_births,
-    flag_expand,
-    load_filtration,
-    save_filtration,
-    skeleton_export,
-)
-
-__all__ = [
-    "AmiCurve",
-    "Barcode",
-    "ContractViolationError",
-    "DegenerateSeriesError",
-    "DimensionSweep",
-    "DistanceMatrix",
-    "DmFiltration",
-    "EdgeFiltration",
-    "FlagFiltration",
-    "IntegrationError",
-    "Interval",
-    "LandmarkSet",
-    "MeasurementFn",
-    "OdeParams",
-    "PointCloud",
-    "ResourceLimitError",
-    "ScalarSeries",
-    "ScaleParams",
-    "SeriesFormatError",
-    "Trajectory",
-    "add_uniform_noise",
-    "ami_curve",
-    "bbox_diameter",
-    "betti_at",
-    "betti_grid",
-    "complex_at",
-    "components_unionfind",
-    "default_bins",
-    "delay_embed",
-    "dimension_barcode",
-    "distance_matrix",
-    "dm_filtration",
-    "edge_births",
-    "epsilon_from_xi",
-    "existence_set",
-    "first_minimum",
-    "flag_expand",
-    "integrate_lorenz",
-    "lifespan",
-    "lifespan_matrix",
-    "load_barcode",
-    "load_cloud",
-    "load_filtration",
-    "load_landmarks",
-    "load_series",
-    "observe",
-    "persistent_homology",
-    "project",
-    "representative_cycles",
-    "save_barcode",
-    "save_cloud",
-    "save_filtration",
-    "save_landmarks",
-    "save_series",
-    "save_trajectory",
-    "select_evenly_spaced",
-    "select_maxmin",
-    "skeleton_export",
-    "sweep",
-]

@@ -20,10 +20,10 @@ import numpy as np
 from . import __version__
 from .embed import (
     DegenerateSeriesError,
+    PointCloud,
     ami_curve,
     bbox_diameter,
     delay_embed,
-    epsilon_from_xi,
     first_minimum,
     load_cloud,
     save_cloud,
@@ -39,7 +39,7 @@ from .mscan import (
 )
 from .persistence import (
     ContractViolationError,
-    betti_grid,
+    betti_at,
     persistent_homology,
     representative_cycles,
     save_barcode,
@@ -54,7 +54,6 @@ from .signal import (
     load_series,
     observe,
     save_series,
-    save_trajectory,
 )
 from .witness import (
     ResourceLimitError,
@@ -98,7 +97,6 @@ def _write_run(args, params: dict, artifacts: list[Path]) -> None:
         "subcommand": args.command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
         "params": params,
         "artifacts": [
             {"path": str(p), "sha256": _sha256(p), "bytes": p.stat().st_size}
@@ -156,7 +154,7 @@ def cmd_generate(args) -> int:
     artifacts = [out]
     if args.traj_out:
         traj_out = _out_path(args, args.traj_out)
-        save_trajectory(traj, traj_out)
+        save_cloud(PointCloud(traj.points, np.arange(len(traj))), traj_out)
         artifacts.append(traj_out)
     _write_run(
         args,
@@ -239,13 +237,13 @@ def cmd_landmarks(args) -> int:
 def cmd_complex(args) -> int:
     cloud = load_cloud(args.witnesses)
     lms = load_landmarks(args.landmarks)
+    diam = bbox_diameter(cloud)
     if args.xi is not None:
-        scale = epsilon_from_xi(_scale_arg(args.xi, "--xi"), cloud)
-        eps = scale.epsilon
-        scale_params = {"xi": args.xi, "epsilon": eps, "diameter": scale.diameter}
+        eps = _scale_arg(args.xi, "--xi") * diam
+        scale_params = {"xi": args.xi, "epsilon": eps, "diameter": diam}
     else:
         eps = _scale_arg(args.epsilon, "--epsilon")
-        scale_params = {"epsilon": eps, "diameter": bbox_diameter(cloud)}
+        scale_params = {"epsilon": eps, "diameter": diam}
     dm = distance_matrix(cloud, lms)
     ef = edge_births(dm, cap=eps)
     del dm
@@ -255,7 +253,7 @@ def cmd_complex(args) -> int:
     artifacts = [out]
     if args.edges_out:
         edges_out = _out_path(args, args.edges_out)
-        skeleton_export(ff, eps, lms, edges_out)
+        skeleton_export(ff, eps, edges_out)
         artifacts.append(edges_out)
     _write_run(
         args,
@@ -282,11 +280,10 @@ def cmd_barcode(args) -> int:
     if args.eps_grid:
         lo, hi, count = _parse_floats(args.eps_grid, 3, "--eps-grid")
         grid_out = _out_path(args, args.grid_out or (Path(args.out).stem + "_grid.csv"))
-        grid = np.linspace(lo, hi, int(count))
         with open(grid_out, "w", encoding="utf-8") as fh:
             fh.write("epsilon," + ",".join(f"beta{k}" for k in range(bc.dim_cap)) + "\n")
-            for eps, betti in betti_grid(bc, grid):
-                fh.write(f"{eps!r}," + ",".join(str(b) for b in betti) + "\n")
+            for eps in np.linspace(lo, hi, int(count)).tolist():
+                fh.write(f"{eps!r}," + ",".join(str(b) for b in betti_at(bc, eps)) + "\n")
         artifacts.append(grid_out)
         params["eps_grid"] = [lo, hi, int(count)]
     if args.cycles_out:
@@ -369,10 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     common.add_argument("--out-dir", default=".", help="directory for outputs and run.json")
-    common.add_argument(
-        "--threads", type=int, default=0,
-        help="0 = auto; accepted for interface stability, results never depend on it",
-    )
 
     series_input = argparse.ArgumentParser(add_help=False)
     series_input.add_argument("--in", dest="input", required=True, help="input series file")

@@ -63,15 +63,6 @@ class AmiCurve:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class ScaleParams:
-    """A relative scale xi together with the absolute epsilon = xi * diameter."""
-
-    xi: float
-    epsilon: float
-    diameter: float
-
-
 def delay_embed(series: ScalarSeries, m: int, tau_steps: int, m_anchor: int | None = None) -> PointCloud:
     """Build the m-dimensional delay reconstruction of a scalar series.
 
@@ -176,14 +167,6 @@ def bbox_diameter(cloud: PointCloud) -> float:
     return float(np.sqrt(np.sum(extents * extents)))
 
 
-def epsilon_from_xi(xi: float, cloud: PointCloud) -> ScaleParams:
-    """Convert a relative scale xi into an absolute epsilon for this cloud."""
-    if not xi >= 0:
-        raise ValueError(f"xi must be a nonnegative number, got {xi}")
-    diam = bbox_diameter(cloud)
-    return ScaleParams(xi=xi, epsilon=xi * diam, diameter=diam)
-
-
 def save_cloud(cloud: PointCloud, path) -> None:
     """Write a point-cloud CSV with header t,c0,...,c{m-1}; floats use repr."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -233,12 +216,10 @@ __all__ = [
     "AmiCurve",
     "DegenerateSeriesError",
     "PointCloud",
-    "ScaleParams",
     "ami_curve",
     "bbox_diameter",
     "default_bins",
     "delay_embed",
-    "epsilon_from_xi",
     "first_minimum",
     "load_cloud",
     "project",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import PointCloud
-from .signal import SeriesFormatError
+from .signal import SeriesFormatError, _read_table
 
 
 @dataclass
@@ -116,46 +116,20 @@ def save_landmarks(landmarks: LandmarkSet, path) -> None:
 
 def load_landmarks(path) -> LandmarkSet:
     """Read a landmark CSV written by :func:`save_landmarks`."""
+    comments, rows = _read_table(path, "idx,t,...", ints=2)
     spacing = 0
-    indices = []
-    times = []
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        line_no = 0
-        header = None
-        for line in fh:
-            line_no += 1
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if "spacing=" in text:
-                    try:
-                        spacing = int(text.split("spacing=")[1])
-                    except ValueError:
-                        raise SeriesFormatError(path, line_no, f"bad spacing comment {text!r}") from None
-                continue
-            if header is None:
-                header = text.split(",")
-                if header[:2] != ["idx", "t"] or len(header) < 3:
-                    raise SeriesFormatError(path, line_no, f"expected header 'idx,t,c0,...', got {text!r}")
-                width = len(header)
-                continue
-            parts = text.split(",")
-            if len(parts) != width:
-                raise SeriesFormatError(path, line_no, f"expected {width} fields, got {len(parts)}")
+    for line_no, text in comments:
+        if "spacing=" in text:
             try:
-                indices.append(int(parts[0]))
-                times.append(int(parts[1]))
-                rows.append([float(p) for p in parts[2:]])
+                spacing = int(text.split("spacing=")[1])
             except ValueError:
-                raise SeriesFormatError(path, line_no, f"bad numeric field in {text!r}") from None
-    if header is None or not rows:
-        raise SeriesFormatError(path, line_no or 1, "no landmark rows")
+                raise SeriesFormatError(path, line_no, f"bad spacing comment {text!r}") from None
+    if not rows:
+        raise SeriesFormatError(path, 1, "no landmark rows")
     return LandmarkSet(
-        indices=np.array(indices, dtype=np.int64),
-        coords=np.array(rows, dtype=np.float64),
-        time_index=np.array(times, dtype=np.int64),
+        indices=np.array([row[0] for _, row in rows], dtype=np.int64),
+        coords=np.array([row[2:] for _, row in rows], dtype=np.float64),
+        time_index=np.array([row[1] for _, row in rows], dtype=np.int64),
         spacing=spacing,
     )
 

@@ -16,7 +16,7 @@ import numpy as np
 from .embed import bbox_diameter, delay_embed, project
 from .landmarks import LandmarkSet, select_evenly_spaced
 from .persistence import Barcode, persistent_homology
-from .signal import ScalarSeries
+from .signal import ScalarSeries, _read_table
 from .witness import EdgeFiltration, FlagFiltration, distance_matrix, edge_births, flag_expand
 
 
@@ -101,24 +101,6 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
     )
 
 
-def lifespan(ms, m_max: int | None = None) -> int:
-    """Length of the longest contiguous run in a set of dimension values.
-
-    An edge alive on {2} has lifespan 1; alive on {2} and {5, 6, 7} it has
-    lifespan 3; never alive, 0.
-    """
-    values = sorted(set(int(m) for m in ms))
-    if m_max is not None and values and values[-1] > m_max:
-        raise ValueError(f"dimension value {values[-1]} exceeds m_max={m_max}")
-    best = run = 0
-    prev = None
-    for m in values:
-        run = run + 1 if prev is not None and m == prev + 1 else 1
-        best = max(best, run)
-        prev = m
-    return best
-
-
 def lifespan_matrix(sw: DimensionSweep) -> np.ndarray:
     """Per-edge lifespans as an (ell, ell) integer matrix (diagonal 0)."""
     run = np.zeros_like(sw.existence, dtype=np.int64)
@@ -129,12 +111,6 @@ def lifespan_matrix(sw: DimensionSweep) -> np.ndarray:
         np.maximum(best, run, out=best)
     np.fill_diagonal(best, 0)
     return best
-
-
-def existence_set(sw: DimensionSweep, i: int, j: int) -> list[int]:
-    """The sorted list of dimensions at which edge (i, j) exists."""
-    mask = int(sw.existence[i, j])
-    return [m for m in range(1, sw.m_max + 1) if mask >> (m - 1) & 1]
 
 
 def _runs(mask: int, m_max: int) -> list[tuple[int, int]]:
@@ -173,9 +149,9 @@ def dimension_barcode(sw: DimensionSweep, landmark: int) -> list[tuple[int, int,
 def dm_filtration(sw: DimensionSweep, dim_cap: int = 2) -> DmFiltration:
     """Filter edges by lifespan: level k keeps edges with lifespan >= k.
 
-    Levels are nested by construction and verified here; reusing
-    value = m_max - lifespan turns the nesting into an ordinary filtration,
-    so the standard reduction applies unchanged.
+    Levels are nested by construction (a lifespan >= k is >= k - 1);
+    reusing value = m_max - lifespan turns the nesting into an ordinary
+    filtration, so the standard reduction applies unchanged.
     """
     ls = lifespan_matrix(sw)
     levels: dict[int, list[tuple[int, int]]] = {}
@@ -184,9 +160,6 @@ def dm_filtration(sw: DimensionSweep, dim_cap: int = 2) -> DmFiltration:
         keep = ls[iu, ju] >= k
         levels[k] = list(zip(iu[keep].tolist(), ju[keep].tolist()))
     levels[sw.m_max + 1] = []
-    for k in range(2, sw.m_max + 2):
-        if not set(levels[k]) <= set(levels[k - 1]):
-            raise AssertionError("lifespan levels failed to nest")
 
     births = np.full((sw.ell, sw.ell), np.inf)
     alive = ls >= 1
@@ -207,13 +180,9 @@ def save_lifespan_csv(matrix: np.ndarray, path) -> None:
 
 
 def load_lifespan_csv(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if text:
-                rows.append([int(v) for v in text.split(",")])
-    return np.array(rows, dtype=np.int64)
+    """Read a lifespan matrix written by :func:`save_lifespan_csv`."""
+    _, rows = _read_table(path, None)
+    return np.array([row for _, row in rows], dtype=np.int64)
 
 
 def save_existence_csv(sw: DimensionSweep, path) -> None:
@@ -239,8 +208,6 @@ __all__ = [
     "DmFiltration",
     "dimension_barcode",
     "dm_filtration",
-    "existence_set",
-    "lifespan",
     "lifespan_matrix",
     "load_lifespan_csv",
     "save_dimension_barcode_csv",

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
-from .witness import EdgeFiltration, FlagFiltration
+from .signal import _read_table
+from .witness import FlagFiltration
 
 
 class ContractViolationError(ValueError):
@@ -51,7 +50,6 @@ class Barcode:
     intervals: list
     dim_cap: int
     filtration: FlagFiltration = field(repr=False)
-    _kernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def by_dim(self, k: int) -> list:
         return [iv for iv in self.intervals if iv.k == k]
@@ -161,46 +159,13 @@ def betti_at(bc: Barcode, epsilon: float) -> list[int]:
     return betti
 
 
-def betti_grid(bc: Barcode, epsilons) -> list[tuple[float, list[int]]]:
-    """Evaluate betti_at over a grid of scales (the sampled-scale mode)."""
-    return [(float(e), betti_at(bc, float(e))) for e in epsilons]
-
-
-def components_unionfind(ef: EdgeFiltration, epsilon: float) -> int:
-    """Connected-component count of the scale-epsilon 1-skeleton via union-find.
-
-    Independent of the reduction path: counts vertices with birth <= epsilon,
-    merged along every edge with birth <= epsilon.
-    """
-    ell = ef.n_vertices
-    parent = list(range(ell))
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    alive = ef.vertex_birth <= epsilon
-    iu, ju = np.nonzero(np.triu(ef.births <= epsilon, k=1))
-    for i, j in zip(iu.tolist(), ju.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    return len({find(v) for v in range(ell) if alive[v]})
-
-
 def _kernel_cycles(bc: Barcode, k: int) -> dict[int, list[tuple]]:
     """Cycle representatives for every dim-k creator, via a V-tracked kernel pass.
 
     Reduces the dim-k boundary columns alone; a column that reduces to zero
     is a creator, and its accumulated V column is a k-cycle whose youngest
-    simplex is that creator.  Results are cached on the barcode.
+    simplex is that creator.
     """
-    if k in bc._kernel_cache:
-        return bc._kernel_cache[k]
     ff = bc.filtration
     index = {verts: pos for pos, (verts, _) in enumerate(ff.simplices)}
     cols = [pos for pos, (verts, _) in enumerate(ff.simplices) if len(verts) == k + 1]
@@ -233,7 +198,6 @@ def _kernel_cycles(bc: Barcode, k: int) -> dict[int, list[tuple]]:
                 members.append(ff.simplices[cols[bit.bit_length() - 1]][0])
                 vec ^= bit
             cycles[g] = members
-    bc._kernel_cache[k] = cycles
     return cycles
 
 
@@ -265,18 +229,8 @@ def save_barcode(bc: Barcode, path) -> None:
 
 def load_barcode(path) -> list[tuple[int, float, float]]:
     """Read a barcode CSV back as (k, birth, death) rows; death may be +inf."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "k,birth,death":
-            raise ValueError(f"{path}: expected header 'k,birth,death', got {header!r}")
-        for line in fh:
-            text = line.strip()
-            if not text:
-                continue
-            k_s, b_s, d_s = text.split(",")
-            rows.append((int(k_s), float(b_s), float(d_s)))
-    return rows
+    _, rows = _read_table(path, "k,birth,death", ints=1)
+    return [tuple(row) for _, row in rows]
 
 
 __all__ = [
@@ -284,8 +238,6 @@ __all__ = [
     "ContractViolationError",
     "Interval",
     "betti_at",
-    "betti_grid",
-    "components_unionfind",
     "load_barcode",
     "persistent_homology",
     "representative_cycles",

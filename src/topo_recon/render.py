@@ -13,6 +13,7 @@ import numpy as np
 from .landmarks import load_landmarks
 from .mscan import load_lifespan_csv
 from .persistence import load_barcode
+from .signal import SeriesFormatError, _read_table
 
 _K_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
@@ -150,17 +151,13 @@ def render_skeleton(edges_path, landmarks_path, view: tuple[float, float] | None
     else:
         coords = coords[:, :2]
 
+    ell = len(coords)
+    _, rows = _read_table(edges_path, "i,j,birth", ints=2)
     edges = []
-    with open(edges_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "i,j,birth":
-            raise ValueError(f"{edges_path}: expected header 'i,j,birth', got {header!r}")
-        for line in fh:
-            text = line.strip()
-            if not text:
-                continue
-            i_s, j_s, _ = text.split(",")
-            edges.append((int(i_s), int(j_s)))
+    for line_no, (i, j, _) in rows:
+        if not (0 <= i < ell and 0 <= j < ell):
+            raise SeriesFormatError(edges_path, line_no, f"edge ({i}, {j}) names a landmark outside [0, {ell})")
+        edges.append((i, j))
 
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

@@ -1,4 +1,5 @@
-"""Lorenz trajectory generation, scalar measurement, noise injection, and series I/O.
+"""Lorenz trajectory generation, scalar measurement, noise injection, series I/O,
+and the row reader shared by the small CSV tables.
 
 The integrator is a classical fixed-step RK4 written in plain Python floats so
 that results are bit-reproducible across platforms.  Noise uses NumPy's PCG64
@@ -30,7 +31,7 @@ class IntegrationError(RuntimeError):
 
 
 class SeriesFormatError(ValueError):
-    """A series or cloud file failed to parse; carries the 1-based line number."""
+    """A series, cloud or table file failed to parse; carries the 1-based line number."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}: line {line_no}: {message}")
@@ -91,24 +92,6 @@ class ScalarSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-@dataclass(frozen=True)
-class MeasurementFn:
-    """Scalar measurement of a trajectory: a coordinate index or a name (x/y/z)."""
-
-    selector: int | str = "x"
-
-    def index_for(self, d: int) -> int:
-        if isinstance(self.selector, str):
-            if self.selector not in _COORD_NAMES:
-                raise ValueError(f"unknown coordinate name {self.selector!r}")
-            idx = _COORD_NAMES[self.selector]
-        else:
-            idx = int(self.selector)
-        if not 0 <= idx < d:
-            raise ValueError(f"coordinate index {idx} out of range for dimension {d}")
-        return idx
 
 
 def integrate_lorenz(
@@ -187,11 +170,16 @@ def integrate_lorenz(
     return Trajectory(out, dt)
 
 
-def observe(traj: Trajectory, h: MeasurementFn | int | str = "x") -> ScalarSeries:
-    """Apply a scalar measurement to a trajectory, preserving the sampling interval."""
-    if not isinstance(h, MeasurementFn):
-        h = MeasurementFn(h)
-    idx = h.index_for(traj.d)
+def observe(traj: Trajectory, h: int | str = "x") -> ScalarSeries:
+    """Record one coordinate of a trajectory, by index or by name (x/y/z), keeping its interval."""
+    if isinstance(h, str):
+        if h not in _COORD_NAMES:
+            raise ValueError(f"unknown coordinate name {h!r}")
+        idx = _COORD_NAMES[h]
+    else:
+        idx = int(h)
+    if not 0 <= idx < traj.d:
+        raise ValueError(f"coordinate index {idx} out of range for dimension {traj.d}")
     return ScalarSeries(traj.points[:, idx].copy(), traj.dt)
 
 
@@ -201,8 +189,8 @@ def add_uniform_noise(series: ScalarSeries, nu: float, seed: int) -> ScalarSerie
     ``nu = 0`` returns an exact copy.  The draw uses PCG64 with the given
     seed, so output is reproducible across runs and platforms.
     """
-    if nu < 0:
-        raise ValueError("nu must be nonnegative")
+    if not (math.isfinite(nu) and nu >= 0):
+        raise ValueError(f"nu must be a finite nonnegative number, got {nu}")
     if nu == 0:
         return ScalarSeries(series.values.copy(), series.sample_interval)
     rng = np.random.default_rng(seed)
@@ -233,23 +221,26 @@ def load_series(path, format: str = "native", sample_interval: float | None = No
     :func:`save_series`.  ``format="csv"`` expects a single ``x`` column and
     takes the sampling interval from ``sample_interval`` (default 1.0).
     """
-    if format == "csv":
-        return _load_series_csv(path, 1.0 if sample_interval is None else sample_interval)
-    if format != "native":
+    if format not in ("native", "csv"):
         raise ValueError(f"unknown series format {format!r}")
 
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first:
-            raise SeriesFormatError(path, 1, "empty file, expected '# T=<float>' header")
-        m = _HEADER_RE.match(first.strip())
-        if m is None:
-            raise SeriesFormatError(path, 1, "expected '# T=<float>' header")
-        try:
-            interval = float(m.group(1))
-        except ValueError:
-            raise SeriesFormatError(path, 1, f"bad sampling interval {m.group(1)!r}") from None
+        header = fh.readline().strip()
+        if format == "csv":
+            if header != "x":
+                raise SeriesFormatError(path, 1, f"expected header 'x', got {header!r}")
+            interval = 1.0 if sample_interval is None else sample_interval
+        else:
+            m = _HEADER_RE.match(header)
+            if m is None:
+                raise SeriesFormatError(path, 1, "expected '# T=<float>' header")
+            try:
+                interval = float(m.group(1))
+            except ValueError:
+                raise SeriesFormatError(path, 1, f"bad sampling interval {m.group(1)!r}") from None
+            if interval <= 0:
+                raise SeriesFormatError(path, 1, f"sampling interval must be positive, got {interval}")
         for line_no, line in enumerate(fh, start=2):
             text = line.strip()
             if not text:
@@ -261,44 +252,51 @@ def load_series(path, format: str = "native", sample_interval: float | None = No
             if not math.isfinite(v):
                 raise SeriesFormatError(path, line_no, f"non-finite value: {text!r}")
             values.append(v)
-    if interval <= 0:
-        raise SeriesFormatError(path, 1, f"sampling interval must be positive, got {interval}")
     return ScalarSeries(np.array(values, dtype=np.float64), interval)
 
 
-def _load_series_csv(path, sample_interval: float) -> ScalarSeries:
-    values = []
+def _read_table(path, header: str | None, ints: int | None = None) -> tuple[list, list]:
+    """Comment lines and numeric rows of a small comma-separated table.
+
+    Blank lines are skipped and lines starting with ``#`` are comments.  The
+    first other line must equal ``header`` (or, for a ``header`` ending in
+    ``,...``, start with the part before the dots); with ``header=None`` the
+    table has no header line.  Every row has the width of the header, or
+    else of the first row; its first ``ints`` fields are integers (``None``:
+    all of them) and the rest floats.  Returns ``(line_no, text)`` comments
+    and ``(line_no, values)`` rows.  A missing header, a ragged row or a bad
+    number raises SeriesFormatError with the path and the line.
+    """
+    comments = []
+    rows = []
+    width = None
+    line_no = 0
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise SeriesFormatError(path, 1, "empty file, expected 'x' header")
-        if header.strip() != "x":
-            raise SeriesFormatError(path, 1, f"expected header 'x', got {header.strip()!r}")
-        for line_no, line in enumerate(fh, start=2):
+        for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
+            if text.startswith("#"):
+                comments.append((line_no, text))
+                continue
+            parts = text.split(",")
+            if width is None:
+                width = len(parts)
+                if header is not None:
+                    prefix = header.removesuffix("...")
+                    if text != header and not (prefix != header and text.startswith(prefix)):
+                        raise SeriesFormatError(path, line_no, f"expected header {header!r}, got {text!r}")
+                    continue
+            if len(parts) != width:
+                raise SeriesFormatError(path, line_no, f"expected {width} fields, got {len(parts)}")
+            n_int = width if ints is None else ints
             try:
-                v = float(text)
+                rows.append((line_no, [int(p) for p in parts[:n_int]] + [float(p) for p in parts[n_int:]]))
             except ValueError:
-                raise SeriesFormatError(path, line_no, f"not a number: {text!r}") from None
-            if not math.isfinite(v):
-                raise SeriesFormatError(path, line_no, f"non-finite value: {text!r}")
-            values.append(v)
-    return ScalarSeries(np.array(values, dtype=np.float64), sample_interval)
-
-
-def save_trajectory(traj: Trajectory, path) -> None:
-    """Write a trajectory as a point-cloud CSV (t, c0, ..., c{d-1})."""
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ",".join(f"c{k}" for k in range(traj.d))
-        fh.write(f"t,{cols}\n")
-        for t, row in enumerate(traj.points):
-            fh.write(str(t))
-            for v in row:
-                fh.write(",")
-                fh.write(repr(float(v)))
-            fh.write("\n")
+                raise SeriesFormatError(path, line_no, f"bad numeric field in {text!r}") from None
+    if header is not None and width is None:
+        raise SeriesFormatError(path, line_no + 1, f"expected header {header!r}, got end of file")
+    return comments, rows
 
 
 __all__ = [
@@ -306,7 +304,6 @@ __all__ = [
     "DEFAULT_IC",
     "DEFAULT_TRANSIENT",
     "IntegrationError",
-    "MeasurementFn",
     "OdeParams",
     "ScalarSeries",
     "SeriesFormatError",
@@ -316,5 +313,4 @@ __all__ = [
     "load_series",
     "observe",
     "save_series",
-    "save_trajectory",
 ]

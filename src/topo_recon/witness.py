@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .embed import PointCloud
-from .landmarks import LandmarkSet, save_landmarks
+from .landmarks import LandmarkSet
 
 
 class ResourceLimitError(RuntimeError):
@@ -46,14 +46,6 @@ class DistanceMatrix:
 
     entries: np.ndarray
     nearest: np.ndarray
-
-    @property
-    def n_witnesses(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_landmarks(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass
@@ -82,11 +74,6 @@ class EdgeFiltration:
     @property
     def n_vertices(self) -> int:
         return self.vertex_birth.size
-
-    def edge_birth(self, i: int, j: int) -> float:
-        if i == j:
-            raise ValueError("an edge needs two distinct vertices")
-        return float(self.births[i, j])
 
     def edge_list(self, max_value: float | None = None):
         """Yield (i, j, birth) with i < j for every present edge, sorted by (i, j)."""
@@ -269,12 +256,11 @@ def complex_at(ff: FlagFiltration, epsilon: float) -> list:
     return ff.simplices[:k]
 
 
-def skeleton_export(ff: FlagFiltration, epsilon: float, landmarks: LandmarkSet, edges_path, landmarks_path=None) -> int:
-    """Write the 1-skeleton at a scale: an edge CSV (i, j, birth) plus the landmark table.
+def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
+    """Write the 1-skeleton at a scale as an edge CSV (i, j, birth).
 
-    Returns the number of edges written; files are header-only when the
-    complex has no edges at this scale.  The landmark table is skipped when
-    ``landmarks_path`` is None (e.g. when the caller already has one).
+    Returns the number of edges written; the file is header-only when the
+    complex has no edges at this scale.
     """
     wrote = 0
     with open(edges_path, "w", encoding="utf-8") as fh:
@@ -283,8 +269,6 @@ def skeleton_export(ff: FlagFiltration, epsilon: float, landmarks: LandmarkSet, 
             if len(verts) == 2:
                 fh.write(f"{verts[0]},{verts[1]},{value!r}\n")
                 wrote += 1
-    if landmarks_path is not None:
-        save_landmarks(landmarks, landmarks_path)
     return wrote
 
 
@@ -307,9 +291,14 @@ def load_filtration(path) -> FlagFiltration:
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of simplices")
     simplices = []
-    for entry in raw:
-        verts = tuple(int(v) for v in entry["vertices"])
-        simplices.append((verts, float(entry["value"])))
+    try:
+        for pos, entry in enumerate(raw):
+            verts = tuple(int(v) for v in entry["vertices"])
+            simplices.append((verts, float(entry["value"])))
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(
+            f"{path}: entry {pos} is not an object with numeric 'vertices' and 'value'"
+        ) from None
     if not simplices:
         raise ValueError(f"{path}: filtration is empty")
     dim_cap = max(1, max(len(v) - 1 for v, _ in simplices))

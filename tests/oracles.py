@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the package:
 brute-force clique enumeration plus dense Gaussian elimination over Z/2,
-the mutual-information curve by one ``histogram2d`` per delay, and the
+a union-find component count, per-edge existence sets and lifespans, the
+mutual-information curve by one ``histogram2d`` per delay, and the
 truncation of an uncapped edge filtration at a cap.  Slow, but transparently
 correct on small inputs, which makes them usable referees for the package.
 """
@@ -13,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from topo_recon.mscan import DimensionSweep
 from topo_recon.witness import EdgeFiltration
 
 
@@ -146,3 +148,53 @@ def ami_histogram2d(x: np.ndarray, tau_max: int, bins: int) -> np.ndarray:
         denom = px[:, None] * py[None, :]
         values[tau] = float(np.sum(p[mask] * np.log2(p[mask] / denom[mask])))
     return values
+
+
+def components_unionfind(ef: EdgeFiltration, epsilon: float) -> int:
+    """Connected-component count of the scale-epsilon 1-skeleton via union-find.
+
+    Independent of the reduction path: counts vertices with birth <= epsilon,
+    merged along every edge with birth <= epsilon.
+    """
+    ell = ef.n_vertices
+    parent = list(range(ell))
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:  # path compression
+            parent[a], a = root, parent[a]
+        return root
+
+    alive = ef.vertex_birth <= epsilon
+    iu, ju = np.nonzero(np.triu(ef.births <= epsilon, k=1))
+    for i, j in zip(iu.tolist(), ju.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    return len({find(v) for v in range(ell) if alive[v]})
+
+
+def lifespan(ms, m_max: int | None = None) -> int:
+    """Length of the longest contiguous run in a set of dimension values.
+
+    An edge alive on {2} has lifespan 1; alive on {2} and {5, 6, 7} it has
+    lifespan 3; never alive, 0.
+    """
+    values = sorted(set(int(m) for m in ms))
+    if m_max is not None and values and values[-1] > m_max:
+        raise ValueError(f"dimension value {values[-1]} exceeds m_max={m_max}")
+    best = run = 0
+    prev = None
+    for m in values:
+        run = run + 1 if prev is not None and m == prev + 1 else 1
+        best = max(best, run)
+        prev = m
+    return best
+
+
+def existence_set(sw: DimensionSweep, i: int, j: int) -> list[int]:
+    """The sorted list of dimensions at which edge (i, j) exists."""
+    mask = int(sw.existence[i, j])
+    return [m for m in range(1, sw.m_max + 1) if mask >> (m - 1) & 1]

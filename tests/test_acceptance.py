@@ -19,7 +19,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import complex_below, dense_betti, euler_characteristic, random_edge_filtration
+from oracles import (
+    complex_below,
+    components_unionfind,
+    dense_betti,
+    euler_characteristic,
+    random_edge_filtration,
+)
 from topo_recon.embed import (
     PointCloud,
     ami_curve,
@@ -29,11 +35,7 @@ from topo_recon.embed import (
 )
 from topo_recon.landmarks import select_evenly_spaced, select_maxmin
 from topo_recon.mscan import dm_filtration, lifespan_matrix, sweep
-from topo_recon.persistence import (
-    betti_at,
-    components_unionfind,
-    persistent_homology,
-)
+from topo_recon.persistence import betti_at, persistent_homology
 from topo_recon.signal import ScalarSeries, add_uniform_noise, integrate_lorenz, observe
 from topo_recon.witness import complex_at, distance_matrix, edge_births, flag_expand
 

@@ -10,9 +10,9 @@ import pytest
 from topo_recon import __version__
 from topo_recon.cli import main
 from topo_recon.embed import load_cloud
-from topo_recon.landmarks import load_landmarks
+from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.persistence import load_barcode
-from topo_recon.signal import ScalarSeries, load_series, save_series
+from topo_recon.signal import ScalarSeries, integrate_lorenz, load_series, save_series
 from topo_recon.witness import load_filtration
 
 
@@ -106,7 +106,7 @@ class TestPipeline:
         record = read_run(out)
         assert record["subcommand"] == "render"
         assert record["version"] == __version__
-        assert {"seed", "threads", "params", "artifacts"} <= set(record)
+        assert {"seed", "params", "artifacts"} <= set(record)
         for artifact in record["artifacts"]:
             digest = hashlib.sha256(open(artifact["path"], "rb").read()).hexdigest()
             assert artifact["sha256"] == digest
@@ -130,6 +130,9 @@ class TestGenerate:
         lines = (tmp_path / "traj.csv").read_text().splitlines()
         assert lines[0] == "t,c0,c1,c2"
         assert len(lines) == 101
+        traj = integrate_lorenz(n_steps=100, transient_steps=10)
+        for t in (0, 99):
+            assert lines[t + 1] == f"{t}," + ",".join(repr(float(v)) for v in traj.points[t])
 
     def test_observe_selector(self, tmp_path):
         assert run(
@@ -177,6 +180,15 @@ class TestNoise:
                  "--out", "x.txt", "--out-dir", tmp_path)
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nu", ["inf", "nan"])
+    def test_non_finite_width_rejected(self, tmp_path, capsys, nu):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("noise", "--in", tmp_path / "s.txt", "--nu", nu,
+                 "--out", "x.txt", "--out-dir", tmp_path)
+        assert rc == 1
+        assert f"error: nu must be a finite nonnegative number, got {nu}" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
 
 
 class TestAmiAndEmbed:
@@ -277,6 +289,15 @@ class TestComplexScales:
         assert not (cloud_dir / "bad_scale.json").exists()
 
 
+class TestBarcode:
+    @pytest.mark.parametrize("entries", ['[{"x": 1}]', "[1, 2]"])
+    def test_malformed_entry_rejected(self, tmp_path, capsys, entries):
+        (tmp_path / "f.json").write_text(entries)
+        rc = run("barcode", "--filtration", tmp_path / "f.json", "--out", "b.csv", "--out-dir", tmp_path)
+        assert rc == 1
+        assert f"error: {tmp_path / 'f.json'}: entry 0 is not an object" in capsys.readouterr().err
+
+
 class TestMscan:
     @pytest.mark.parametrize("value", ["nan", -0.05])
     def test_bad_xi_rejected(self, tmp_path, capsys, value):
@@ -345,3 +366,15 @@ class TestErrorPaths:
             "--out", "skel.svg", "--out-dir", tmp_path,
         ) == 0
         assert (tmp_path / "skel.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("index", [7, -1])
+    def test_render_skeleton_rejects_unknown_landmark(self, tmp_path, capsys, index):
+        lms = LandmarkSet(np.arange(2), np.array([[0.0, 0.0], [1.0, 1.0]]), np.arange(2))
+        save_landmarks(lms, tmp_path / "lm.csv")
+        (tmp_path / "edges.csv").write_text(f"i,j,birth\n0,1,0.5\n{index},1,0.7\n")
+        rc = run("render", "skeleton", "--edges", tmp_path / "edges.csv", "--landmarks", tmp_path / "lm.csv",
+                 "--out", "skel.svg", "--out-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'edges.csv'}: line 3: edge ({index}, 1) names a landmark outside [0, 2)" in err
+        assert not (tmp_path / "skel.svg").exists()

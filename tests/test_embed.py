@@ -16,7 +16,6 @@ from topo_recon.embed import (
     bbox_diameter,
     default_bins,
     delay_embed,
-    epsilon_from_xi,
     first_minimum,
     load_cloud,
     project,
@@ -194,17 +193,6 @@ class TestScales:
 
     def test_single_point_diameter_zero(self):
         assert bbox_diameter(PointCloud(np.array([[2.0, 7.0]]), np.array([0]))) == 0.0
-
-    def test_epsilon_from_xi(self):
-        cloud = PointCloud(np.array([[0.0, 0.0], [3.0, 4.0]]), np.arange(2))
-        sp = epsilon_from_xi(0.1, cloud)
-        assert sp.diameter == 5.0
-        assert sp.epsilon == 0.5
-        assert sp.xi == 0.1
-        with pytest.raises(ValueError):
-            epsilon_from_xi(-0.01, cloud)
-        with pytest.raises(ValueError):
-            epsilon_from_xi(float("nan"), cloud)
 
     def test_default_bins_rule(self):
         assert default_bins(10_000) == 64

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import truncate_births
+from oracles import existence_set, lifespan, truncate_births
 from topo_recon.embed import bbox_diameter, delay_embed, project
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.mscan import (
     DimensionSweep,
     dimension_barcode,
     dm_filtration,
-    existence_set,
-    lifespan,
     lifespan_matrix,
     load_lifespan_csv,
     save_dimension_barcode_csv,

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_below, dense_betti, random_edge_filtration
+from oracles import complex_below, components_unionfind, dense_betti, random_edge_filtration
 from topo_recon.persistence import (
     Barcode,
     ContractViolationError,
     Interval,
     betti_at,
-    betti_grid,
-    components_unionfind,
     load_barcode,
     persistent_homology,
     representative_cycles,
@@ -85,8 +83,8 @@ class TestSmallBarcodes:
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
         assert betti_at(bc, 0.5) == [4, 0]
         assert betti_at(bc, 1.0) == [1, 1]  # birth <= eps < death is inclusive at birth
-        grid = betti_grid(bc, [0.5, 1.0])
-        assert grid == [(0.5, [4, 0]), (1.0, [1, 1])]
+        grid = [betti_at(bc, eps) for eps in (0.5, 1.0, 1.5)]
+        assert grid == [[4, 0], [1, 1], [1, 1]]
 
     def test_betti_at_respects_cap(self):
         ef = square()

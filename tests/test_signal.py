@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
+from topo_recon.mscan import load_lifespan_csv
+from topo_recon.persistence import load_barcode
+from topo_recon.render import render_skeleton
 from topo_recon.signal import (
     DEFAULT_IC,
     IntegrationError,
@@ -19,7 +23,6 @@ from topo_recon.signal import (
     load_series,
     observe,
     save_series,
-    save_trajectory,
 )
 
 
@@ -149,11 +152,14 @@ class TestNoise:
         assert abs(out.values.std() - 4.0 / math.sqrt(12.0)) < 0.01
 
     @given(nu=st.floats(0.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    @example(nu=5.036868055860426e-16, seed=0)  # out - base exceeds nu/2 here: rounding near 5.0
     @settings(max_examples=40, deadline=None)
     def test_deviation_bounded_by_half_width(self, nu, seed):
         base = ScalarSeries(np.linspace(0.0, 5.0, 64), 1.0)
         out = add_uniform_noise(base, nu, seed=seed)
-        assert np.abs(out.values - base.values).max() <= nu / 2.0
+        draws = np.random.default_rng(seed).uniform(-nu / 2.0, nu / 2.0, 64)
+        assert out.values.tobytes() == (base.values + draws).tobytes()
+        assert (np.abs(draws) <= nu / 2.0).all()
 
 
 class TestSeriesFiles:
@@ -227,14 +233,41 @@ class TestSeriesFiles:
         with pytest.raises(ValueError):
             load_series(tmp_path / "s.txt", format="binary")
 
-    def test_save_trajectory_layout(self, tmp_path):
-        traj = Trajectory(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), dt=0.1)
-        path = tmp_path / "traj.csv"
-        save_trajectory(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,c0,c1,c2"
-        assert lines[1] == "0,1.0,2.0,3.0"
-        assert lines[2] == "1,4.0,5.0,6.0"
+
+def _render_edges(path):
+    lm_path = path.with_name("lm.csv")
+    save_landmarks(LandmarkSet(np.arange(3), np.zeros((3, 2)), np.arange(3)), lm_path)
+    return render_skeleton(path, lm_path)
+
+
+# table -> (reader, a valid head, a ragged row, a row with a non-number)
+COLD_TABLES = {
+    "landmarks": (load_landmarks, "# spacing=1\nidx,t,c0\n0,0,1.0\n", "1,1", "1,1,abc"),
+    "barcode": (load_barcode, "k,birth,death\n0,0.0,inf\n", "1,0.5", "1,0.5,abc"),
+    "lifespan": (load_lifespan_csv, "0,1\n1,0\n", "1,0,2", "1,abc"),
+    "edges": (_render_edges, "i,j,birth\n0,1,0.5\n", "1,2", "1,2.0,0.7"),
+}
+
+
+class TestTableRows:
+    @pytest.mark.parametrize("table", sorted(COLD_TABLES))
+    @pytest.mark.parametrize("bad", ["ragged", "non_number"])
+    def test_bad_row_is_located(self, tmp_path, table, bad):
+        reader, head, ragged, non_number = COLD_TABLES[table]
+        path = tmp_path / f"{table}.csv"
+        path.write_text(head + "\n" + (ragged if bad == "ragged" else non_number) + "\n")
+        with pytest.raises(SeriesFormatError) as exc:
+            reader(path)
+        assert exc.value.path == str(path)
+        assert exc.value.line_no == head.count("\n") + 2
+
+    @pytest.mark.parametrize("table", ["barcode", "edges", "landmarks"])
+    def test_missing_header_is_located(self, tmp_path, table):
+        path = tmp_path / f"{table}.csv"
+        path.write_text("")
+        with pytest.raises(SeriesFormatError) as exc:
+            COLD_TABLES[table][0](path)
+        assert exc.value.line_no == 1
 
 
 class TestDataclasses:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import complex_below, random_edge_filtration, truncate_births
 from topo_recon.embed import PointCloud
-from topo_recon.landmarks import LandmarkSet, load_landmarks
+from topo_recon.landmarks import LandmarkSet
 from topo_recon.witness import (
     EdgeFiltration,
     FlagFiltration,
@@ -50,8 +50,6 @@ class TestDistanceMatrix:
         dm = distance_matrix(W, L)
         assert np.allclose(dm.entries, [[0.0, 5.0], [3.0, 4.0], [5.0, 0.0]])
         assert np.allclose(dm.nearest, [0.0, 3.0, 0.0])
-        assert dm.n_witnesses == 3
-        assert dm.n_landmarks == 2
 
     def test_nearest_is_row_minimum(self):
         rng = np.random.default_rng(0)
@@ -89,14 +87,14 @@ class TestEdgeBirths:
         L = np.array([[0.0], [1.0]])
         ef = edge_births(distance_matrix(W, L))
         assert np.array_equal(ef.vertex_birth, [0.0, 0.0])
-        assert ef.edge_birth(0, 1) == pytest.approx(0.2, abs=1e-15)
+        assert ef.births[0, 1] == pytest.approx(0.2, abs=1e-15)
         assert ef.witness[0, 1] == 1
 
     def test_exact_midpoint_gives_zero_birth(self):
         W = np.array([[0.0], [0.5], [1.0]])
         L = np.array([[0.0], [1.0]])
         ef = edge_births(distance_matrix(W, L))
-        assert ef.edge_birth(0, 1) == 0.0
+        assert ef.births[0, 1] == 0.0
 
     def test_landmark_subset_vertex_births_are_exactly_zero(self):
         rng = np.random.default_rng(3)
@@ -137,11 +135,6 @@ class TestEdgeBirths:
         ef = edge_births(distance_matrix(np.zeros((4, 2)), np.zeros((1, 2))))
         assert ef.n_vertices == 1
         assert ef.edge_list() == []
-
-    def test_edge_birth_needs_distinct_vertices(self):
-        ef = edge_births(distance_matrix(np.zeros((4, 2)), np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            ef.edge_birth(1, 1)
 
     def test_edge_list_filter_and_order(self):
         vb = np.zeros(3)
@@ -339,24 +332,21 @@ class TestComplexAt:
 
 
 class TestSkeletonExport:
-    def test_edge_csv_and_landmark_table(self, tmp_path):
+    def test_edge_csv(self, tmp_path):
         ff = flag_expand(triangle_filtration(), dim_cap=2)
-        lms = LandmarkSet(np.array([0, 1, 2]), np.eye(3), np.array([0, 1, 2]))
         edges_path = tmp_path / "edges.csv"
-        lm_path = tmp_path / "lm.csv"
-        wrote = skeleton_export(ff, 2.0, lms, edges_path, lm_path)
+        wrote = skeleton_export(ff, 2.0, edges_path)
         assert wrote == 2
         lines = edges_path.read_text().splitlines()
         assert lines[0] == "i,j,birth"
         assert lines[1] == "0,1,1.0"
         assert lines[2] == "1,2,2.0"
-        assert load_landmarks(lm_path).ell == 3
+        assert len(lines) == 3
 
     def test_header_only_when_no_edges(self, tmp_path):
         ff = flag_expand(triangle_filtration(), dim_cap=2)
-        lms = LandmarkSet(np.array([0, 1, 2]), np.eye(3), np.array([0, 1, 2]))
         edges_path = tmp_path / "edges.csv"
-        assert skeleton_export(ff, 0.5, lms, edges_path) == 0
+        assert skeleton_export(ff, 0.5, edges_path) == 0
         assert edges_path.read_text() == "i,j,birth\n"
 
 
