@@ -148,7 +148,7 @@ def cmd_generate(args) -> int:
     traj = integrate_lorenz(
         params=params, ic=ic, dt=args.dt, n_steps=args.steps, transient_steps=args.transient
     )
-    series = observe(traj, args.observe)
+    series = observe(traj, int(args.observe) if args.observe.isdigit() else args.observe)
     out = _out_path(args, args.out)
     save_series(series, out)
     artifacts = [out]

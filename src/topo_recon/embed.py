@@ -210,18 +210,3 @@ def load_cloud(path) -> PointCloud:
     if not np.isfinite(points).all():
         raise SeriesFormatError(path, 2, "non-finite coordinate in cloud")
     return PointCloud(points, np.array(times, dtype=np.int64))
-
-
-__all__ = [
-    "AmiCurve",
-    "DegenerateSeriesError",
-    "PointCloud",
-    "ami_curve",
-    "bbox_diameter",
-    "default_bins",
-    "delay_embed",
-    "first_minimum",
-    "load_cloud",
-    "project",
-    "save_cloud",
-]

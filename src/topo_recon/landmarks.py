@@ -126,18 +126,13 @@ def load_landmarks(path) -> LandmarkSet:
                 raise SeriesFormatError(path, line_no, f"bad spacing comment {text!r}") from None
     if not rows:
         raise SeriesFormatError(path, 1, "no landmark rows")
+    coords = np.array([row[2:] for _, row in rows], dtype=np.float64)
+    finite = np.isfinite(coords).all(axis=1)
+    if not finite.all():
+        raise SeriesFormatError(path, rows[int(np.argmin(finite))][0], "non-finite landmark coordinate")
     return LandmarkSet(
         indices=np.array([row[0] for _, row in rows], dtype=np.int64),
-        coords=np.array([row[2:] for _, row in rows], dtype=np.float64),
+        coords=coords,
         time_index=np.array([row[1] for _, row in rows], dtype=np.int64),
         spacing=spacing,
     )
-
-
-__all__ = [
-    "LandmarkSet",
-    "load_landmarks",
-    "save_landmarks",
-    "select_evenly_spaced",
-    "select_maxmin",
-]

@@ -201,17 +201,3 @@ def save_dimension_barcode_csv(sw: DimensionSweep, landmark: int, path) -> None:
         fh.write("partner,m_birth,m_death,alive_at_max\n")
         for partner, m_birth, m_death, alive in dimension_barcode(sw, landmark):
             fh.write(f"{partner},{m_birth},{m_death},{int(alive)}\n")
-
-
-__all__ = [
-    "DimensionSweep",
-    "DmFiltration",
-    "dimension_barcode",
-    "dm_filtration",
-    "lifespan_matrix",
-    "load_lifespan_csv",
-    "save_dimension_barcode_csv",
-    "save_existence_csv",
-    "save_lifespan_csv",
-    "sweep",
-]

@@ -1,16 +1,26 @@
-"""Persistent homology over Z/2 by boundary-matrix column reduction.
+"""Persistent homology over Z/2: union-find for H0, coboundary reduction above.
 
-Columns are stored as arbitrary-precision Python integers (one bit per row),
-so a column addition is a single XOR.  Reduction runs a dimension at a time
-from the top down with the clearing optimization: once a column is paired,
-the creator it points at is skipped entirely.  Homology is reported for
-k < dim_cap; intervals with equal birth and death are homologically
-invisible and omitted.
+H0 comes from Kruskal's union-find with the elder rule: edges are taken in
+filtration order, and an edge joining two components kills the younger one
+(the one whose oldest vertex comes later).  H_k for k >= 1 reduces the
+coboundary columns of the k-simplices in reverse filtration order, each the
+set of positions of its (k+1)-cofaces with the smallest one as pivot (de
+Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent (co)homology*,
+2011).  Dimensions run upwards with clearing (Bauer, *Ripser*, 2021): a
+k-simplex that destroyed a (k-1)-class in the pass below is skipped, so most
+columns pair at once with a free pivot (an apparent pair) and need no
+addition.  The pairs are those of the standard boundary reduction, so
+creators and destroyers are positions in the filtration's simplex list.
+Columns are sparse sets and one routine, ``_reduce``, does every reduction,
+representative cycles included.  Homology is reported for k < dim_cap;
+intervals with equal birth and death are homologically invisible and omitted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -55,26 +65,63 @@ class Barcode:
         return [iv for iv in self.intervals if iv.k == k]
 
 
-def _validate(ff: FlagFiltration) -> dict:
-    """Check canonical order and face closure; return the simplex index map."""
+def _validate(ff: FlagFiltration) -> tuple[dict, dict, dict]:
+    """Check canonical order and face closure; return the index map, coface lists and positions by dim.
+
+    ``cofaces[p]`` lists, ascending, the positions of the simplices that have
+    the simplex at position p as a facet; ``by_dim[k]`` lists the positions
+    of the k-simplices, ascending.
+    """
     index: dict[tuple, int] = {}
+    cofaces: defaultdict[int, list[int]] = defaultdict(list)
+    by_dim: defaultdict[int, list[int]] = defaultdict(list)
     prev_value = -math.inf
     for pos, (verts, value) in enumerate(ff.simplices):
-        if not verts or any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
+        n = len(verts)
+        if not n or not all(map(operator.lt, verts, verts[1:])):
             raise ContractViolationError(f"simplex {verts} at position {pos} is not strictly sorted")
         if value < prev_value:
             raise ContractViolationError(
                 f"filtration values decrease at position {pos} ({value} after {prev_value})"
             )
         prev_value = value
-        if verts in index:
+        if index.setdefault(verts, pos) != pos:
             raise ContractViolationError(f"duplicate simplex {verts}")
-        if len(verts) > 1:
-            for f in combinations(verts, len(verts) - 1):
-                if f not in index:
+        by_dim[n - 1].append(pos)
+        if n > 1:
+            for f in combinations(verts, n - 1):
+                fp = index.get(f)
+                if fp is None:
                     raise ContractViolationError(f"face {f} of {verts} missing or out of order")
-        index[verts] = pos
-    return index
+                cofaces[fp].append(pos)
+    return index, cofaces, by_dim
+
+
+def _reduce(columns, pick, track: bool = False):
+    """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v) per column.
+
+    ``columns`` yields (key, set of rows) in reduction order, and ``pick``
+    (min or max) names a nonzero column's pivot row.  While that row is the
+    pivot of an earlier column, the earlier reduced column is added.  The
+    pivot is None for a column that vanishes.  With ``track`` set, ``v`` is
+    the set of keys whose columns sum to the reduced one (its V column);
+    otherwise it is None.
+    """
+    reduced: dict = {}  # pivot row -> (reduced column, its V column)
+    for key, col in columns:
+        v = {key} if track else None
+        while col:
+            low = pick(col)
+            other = reduced.get(low)
+            if other is None:
+                reduced[low] = (col, v)
+                yield key, low, v
+                break
+            col ^= other[0]
+            if track:
+                v ^= other[1]
+        else:
+            yield key, None, v
 
 
 def persistent_homology(ff: FlagFiltration) -> Barcode:
@@ -82,63 +129,51 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
 
     The filtration must be sorted by value with every face preceding its
     cofaces (the canonical (value, dim, lex) order always qualifies), else a
-    ContractViolationError is raised.  Pairing follows standard left-to-right
-    column reduction; the returned multiset of intervals is independent of
-    tie order among equal-valued simplices.
+    ContractViolationError is raised.  The pairs are those of standard
+    left-to-right boundary reduction; the returned multiset of intervals is
+    independent of tie order among equal-valued simplices.
     """
-    index = _validate(ff)
+    index, cofaces, by_dim = _validate(ff)
     sims = ff.simplices
-    n = len(sims)
     values = [v for _, v in sims]
-    dims_of = [len(v) - 1 for v, _ in sims]
-    by_dim: dict[int, list[int]] = {}
-    for pos, d in enumerate(dims_of):
-        by_dim.setdefault(d, []).append(pos)
-    max_dim = max(by_dim) if by_dim else 0
-
-    reduced: dict[int, int] = {}  # destroyer position -> reduced column bits
-    pivot: dict[int, int] = {}  # low row -> destroyer position
-    cleared: set[int] = set()  # creator rows identified by a higher-dim pass
-    pairs: list[tuple[int, int]] = []
-
-    for d in range(max_dim, 0, -1):
-        for j in by_dim.get(d, ()):
-            if j in cleared:
-                continue
-            verts = sims[j][0]
-            col = 0
-            for f in combinations(verts, d):
-                col |= 1 << index[f]
-            while col:
-                low = col.bit_length() - 1
-                other = pivot.get(low)
-                if other is None:
-                    break
-                col ^= reduced[other]
-            if col:
-                low = col.bit_length() - 1
-                pivot[low] = j
-                reduced[j] = col
-                cleared.add(low)
-                pairs.append((low, j))
 
     intervals = []
-    for i, j in pairs:
-        k = dims_of[i]
-        if k >= ff.dim_cap:
-            continue
-        birth, death = values[i], values[j]
-        if death > birth:
-            intervals.append(Interval(k=k, birth=birth, death=death, creator=i, destroyer=j))
 
-    destroyers = set(reduced)
-    for pos in range(n):
-        if pos in cleared or pos in destroyers:
-            continue
-        k = dims_of[pos]
-        if k >= ff.dim_cap:
-            continue
-        intervals.append(Interval(k=k, birth=values[pos], death=math.inf, creator=pos))
+    def pair(k: int, i: int, j: int | None) -> None:
+        death = math.inf if j is None else values[j]
+        if death > values[i] and k < ff.dim_cap:
+            intervals.append(Interval(k=k, birth=values[i], death=death, creator=i, destroyer=j))
+
+    parent = list(range(len(sims)))  # union-find over vertex positions
+
+    def find(a: int) -> int:
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:  # path compression
+            parent[a], a = root, parent[a]
+        return root
+
+    cleared = set()  # destroyers found by the pass one dimension below
+    for j in by_dim.get(1, ()):
+        u, w = sims[j][0]
+        ru, rw = find(index[(u,)]), find(index[(w,)])
+        if ru != rw:
+            young, old = max(ru, rw), min(ru, rw)
+            parent[young] = old
+            cleared.add(j)
+            pair(0, young, j)
+    for i in by_dim.get(0, ()):
+        if find(i) == i:
+            pair(0, i, None)
+
+    for k in range(1, ff.dim_cap):
+        below, cleared = cleared, set()
+        columns = ((i, set(cofaces.get(i, ()))) for i in reversed(by_dim.get(k, ())) if i not in below)
+        for i, j, _ in _reduce(columns, min):
+            if j is not None:
+                cleared.add(j)
+            pair(k, i, j)
 
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
     return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff)
@@ -160,45 +195,22 @@ def betti_at(bc: Barcode, epsilon: float) -> list[int]:
 
 
 def _kernel_cycles(bc: Barcode, k: int) -> dict[int, list[tuple]]:
-    """Cycle representatives for every dim-k creator, via a V-tracked kernel pass.
+    """Cycle representatives for every dim-k creator, via a V-tracked boundary pass.
 
-    Reduces the dim-k boundary columns alone; a column that reduces to zero
-    is a creator, and its accumulated V column is a k-cycle whose youngest
-    simplex is that creator.
+    Reduces the dim-k boundary columns alone, in filtration order with the
+    largest face position as pivot; a column that reduces to zero is a
+    creator, and its V column is a k-cycle whose youngest simplex is that
+    creator.
     """
-    ff = bc.filtration
-    index = {verts: pos for pos, (verts, _) in enumerate(ff.simplices)}
-    cols = [pos for pos, (verts, _) in enumerate(ff.simplices) if len(verts) == k + 1]
-    reduced: dict[int, int] = {}
-    vcols: dict[int, int] = {}
-    pivot: dict[int, int] = {}
-    cycles: dict[int, list[tuple]] = {}
-    for li, g in enumerate(cols):
-        verts = ff.simplices[g][0]
-        col = 0
-        for f in combinations(verts, k):
-            col |= 1 << index[f]
-        vec = 1 << li
-        while col:
-            low = col.bit_length() - 1
-            other = pivot.get(low)
-            if other is None:
-                break
-            col ^= reduced[other]
-            vec ^= vcols[other]
-        if col:
-            low = col.bit_length() - 1
-            pivot[low] = li
-            reduced[li] = col
-            vcols[li] = vec
-        else:
-            members = []
-            while vec:
-                bit = vec & -vec
-                members.append(ff.simplices[cols[bit.bit_length() - 1]][0])
-                vec ^= bit
-            cycles[g] = members
-    return cycles
+    sims = bc.filtration.simplices
+    index = {verts: pos for pos, (verts, _) in enumerate(sims)}
+    columns = (
+        (g, {index[f] for f in combinations(verts, k)})
+        for g, (verts, _) in enumerate(sims)
+        if len(verts) == k + 1
+    )
+    reduction = _reduce(columns, max, track=True)
+    return {g: [sims[p][0] for p in sorted(v)] for g, low, v in reduction if low is None}
 
 
 def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Interval, list[tuple]]]:
@@ -231,15 +243,3 @@ def load_barcode(path) -> list[tuple[int, float, float]]:
     """Read a barcode CSV back as (k, birth, death) rows; death may be +inf."""
     _, rows = _read_table(path, "k,birth,death", ints=1)
     return [tuple(row) for _, row in rows]
-
-
-__all__ = [
-    "Barcode",
-    "ContractViolationError",
-    "Interval",
-    "betti_at",
-    "load_barcode",
-    "persistent_homology",
-    "representative_cycles",
-    "save_barcode",
-]

@@ -183,6 +183,3 @@ def render_skeleton(edges_path, landmarks_path, view: tuple[float, float] | None
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" fill="#d62728"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-__all__ = ["render_barcode", "render_heatmap", "render_skeleton"]

@@ -297,20 +297,3 @@ def _read_table(path, header: str | None, ints: int | None = None) -> tuple[list
     if header is not None and width is None:
         raise SeriesFormatError(path, line_no + 1, f"expected header {header!r}, got end of file")
     return comments, rows
-
-
-__all__ = [
-    "DEFAULT_DT",
-    "DEFAULT_IC",
-    "DEFAULT_TRANSIENT",
-    "IntegrationError",
-    "OdeParams",
-    "ScalarSeries",
-    "SeriesFormatError",
-    "Trajectory",
-    "add_uniform_noise",
-    "integrate_lorenz",
-    "load_series",
-    "observe",
-    "save_series",
-]

@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive and shares no code with the package:
 brute-force clique enumeration plus dense Gaussian elimination over Z/2,
-a union-find component count, per-edge existence sets and lifespans, the
+the bigint boundary-matrix reduction and V-tracked kernel pass that the
+package used before its coboundary reduction, the landmark-row edge-birth
+kernel that the package used before its witness blocks, a union-find
+component count, per-edge existence sets and lifespans, the
 mutual-information curve by one ``histogram2d`` per delay, and the
 truncation of an uncapped edge filtration at a cap.  Slow, but transparently
 correct on small inputs, which makes them usable referees for the package.
@@ -11,11 +14,12 @@ correct on small inputs, which makes them usable referees for the package.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from topo_recon.mscan import DimensionSweep
-from topo_recon.witness import EdgeFiltration
+from topo_recon.witness import DistanceMatrix, EdgeFiltration, FlagFiltration
 
 
 def brute_force_cliques(present_vertices, edge_set, dim_cap):
@@ -198,3 +202,94 @@ def existence_set(sw: DimensionSweep, i: int, j: int) -> list[int]:
     """The sorted list of dimensions at which edge (i, j) exists."""
     mask = int(sw.existence[i, j])
     return [m for m in range(1, sw.m_max + 1) if mask >> (m - 1) & 1]
+
+
+def boundary_reduction(ff: FlagFiltration):
+    """Barcode of a filtration by left-to-right reduction of bigint boundary columns.
+
+    Reduces every dimension from the top down with clearing.  Returns
+    ``(k, birth, death, creator, destroyer)`` for k < dim_cap, positive
+    length only, sorted by (k, birth, death, creator); death is +inf and
+    destroyer None for an open class.  Assumes a valid filtration.
+    """
+    sims = ff.simplices
+    index = {verts: pos for pos, (verts, _) in enumerate(sims)}
+    values = [v for _, v in sims]
+    dims = [len(v) - 1 for v, _ in sims]
+    reduced: dict[int, int] = {}  # destroyer position -> reduced column bits
+    pivot: dict[int, int] = {}  # low row -> destroyer position
+    for d in range(max(dims), 0, -1):
+        for j in (pos for pos in range(len(sims)) if dims[pos] == d and pos not in pivot):
+            col = 0
+            for f in itertools.combinations(sims[j][0], d):
+                col |= 1 << index[f]
+            while col and col.bit_length() - 1 in pivot:
+                col ^= reduced[pivot[col.bit_length() - 1]]
+            if col:
+                pivot[col.bit_length() - 1] = j
+                reduced[j] = col
+    bars = [(dims[i], values[i], values[j], i, j) for i, j in pivot.items()]
+    bars += [(dims[p], values[p], math.inf, p, None) for p in range(len(sims))
+             if p not in pivot and p not in reduced]
+    return sorted(bar for bar in bars if bar[0] < ff.dim_cap and bar[2] > bar[1])
+
+
+def kernel_cycles_bigint(ff: FlagFiltration, k: int) -> dict:
+    """Creator position -> its k-cycle (vertex tuples, ascending position), by a bigint V-tracked pass.
+
+    Reduces the dim-k boundary columns alone in filtration order; a column
+    that reduces to zero is a creator and its V column is the cycle.
+    """
+    sims = ff.simplices
+    index = {verts: pos for pos, (verts, _) in enumerate(sims)}
+    cols = [pos for pos, (verts, _) in enumerate(sims) if len(verts) == k + 1]
+    reduced: dict[int, tuple[int, int]] = {}  # low row -> (column, V column)
+    cycles = {}
+    for li, g in enumerate(cols):
+        col = 0
+        for f in itertools.combinations(sims[g][0], k):
+            col |= 1 << index[f]
+        vec = 1 << li
+        while col and col.bit_length() - 1 in reduced:
+            other, other_vec = reduced[col.bit_length() - 1]
+            col ^= other
+            vec ^= other_vec
+        if col:
+            reduced[col.bit_length() - 1] = (col, vec)
+        else:
+            cycles[g] = [sims[cols[b]][0] for b in range(len(cols)) if vec >> b & 1]
+    return cycles
+
+
+def edge_births_rows(dm: DistanceMatrix, row_block: int = 32, cap: float | None = None) -> EdgeFiltration:
+    """Edge births by landmark rows over one transposed N x ell excess array.
+
+    Row j is scanned over every witness (or, under a cap, over the witnesses
+    whose excess at landmark j is <= cap), ``row_block`` partner rows at a
+    time; values above the cap read +inf with witness -1.
+    """
+    excess_t = np.subtract(dm.entries.T, dm.nearest, order="C")
+    n_l = excess_t.shape[0]
+    vertex_birth = excess_t.min(axis=1)
+    births = np.full((n_l, n_l), np.inf)
+    witness = np.full((n_l, n_l), -1, dtype=np.int64)
+    for j in range(n_l - 1):
+        cols = slice(None) if cap is None else np.flatnonzero(excess_t[j] <= cap)
+        if cap is not None and cols.size == 0:
+            continue
+        base = excess_t[j, cols]
+        for start in range(j + 1, n_l, row_block):
+            stop = min(start + row_block, n_l)
+            pm = np.maximum(excess_t[start:stop, cols], base)
+            w_idx = pm.argmin(axis=1)
+            vals = pm[np.arange(stop - start), w_idx]
+            if cap is not None:
+                w_idx = cols[w_idx]
+            births[j, start:stop] = births[start:stop, j] = vals
+            witness[j, start:stop] = witness[start:stop, j] = w_idx
+    if cap is not None:
+        vertex_birth[vertex_birth > cap] = np.inf
+        over = births > cap
+        births[over] = np.inf
+        witness[over] = -1
+    return EdgeFiltration(vertex_birth, births, witness, max_value=cap)

@@ -142,6 +142,23 @@ class TestGenerate:
         z = load_series(tmp_path / "z.txt")
         assert z.values.min() > 0.0  # the third coordinate stays positive on the attractor
 
+    def test_observe_by_index(self, tmp_path):
+        for flag in ("1", "y"):
+            assert run(
+                "generate", "lorenz", "--steps", 100, "--transient", 10, "--observe", flag,
+                "--out", f"{flag}.txt", "--out-dir", tmp_path,
+            ) == 0
+        assert (tmp_path / "1.txt").read_bytes() == (tmp_path / "y.txt").read_bytes()
+
+    def test_observe_index_out_of_range(self, tmp_path, capsys):
+        rc = run(
+            "generate", "lorenz", "--steps", 100, "--transient", 10, "--observe", 3,
+            "--out", "s.txt", "--out-dir", tmp_path,
+        )
+        assert rc == 1
+        assert "error: coordinate index 3 out of range for dimension 3" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
     def test_custom_ic(self, tmp_path):
         assert run(
             "generate", "lorenz", "--steps", 50, "--transient", 0, "--ic", "5,5,5",
@@ -287,6 +304,17 @@ class TestComplexScales:
         assert rc == 1
         assert f"error: {flag} must be" in capsys.readouterr().err
         assert not (cloud_dir / "bad_scale.json").exists()
+
+    def test_non_finite_landmark_rejected(self, cloud_dir, capsys):
+        (cloud_dir / "nan_lm.csv").write_text("idx,t,c0,c1\n0,0,0.0,0.0\n1,1,nan,1.0\n")
+        rc = run(
+            "complex", "--witnesses", cloud_dir / "cloud.csv", "--landmarks", cloud_dir / "nan_lm.csv",
+            "--epsilon", 0.5, "--out", "nan.json", "--out-dir", cloud_dir,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {cloud_dir / 'nan_lm.csv'}: line 3: non-finite landmark coordinate" in err
+        assert not (cloud_dir / "nan.json").exists()
 
 
 class TestBarcode:

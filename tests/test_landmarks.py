@@ -150,6 +150,15 @@ class TestLandmarkFiles:
         with pytest.raises(SeriesFormatError):
             load_landmarks(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, bad):
+        path = tmp_path / "l.csv"
+        path.write_text(f"# spacing=1\nidx,t,c0,c1\n0,0,0.5,1.0\n\n3,3,{bad},1.0\n")
+        with pytest.raises(SeriesFormatError, match="non-finite") as info:
+            load_landmarks(path)
+        assert info.value.line_no == 5
+        assert info.value.path == str(path)
+
 
 class TestLandmarkSet:
     def test_validation(self):

@@ -1,5 +1,8 @@
 """Barcode reduction, Betti queries, union-find oracle, and cycle extraction."""
 
+import dataclasses
+import itertools
+import json
 import math
 
 import numpy as np
@@ -7,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_below, components_unionfind, dense_betti, random_edge_filtration
+from oracles import (
+    boundary_reduction,
+    complex_below,
+    components_unionfind,
+    dense_betti,
+    kernel_cycles_bigint,
+    random_edge_filtration,
+)
 from topo_recon.persistence import (
     Barcode,
     ContractViolationError,
@@ -18,7 +28,7 @@ from topo_recon.persistence import (
     representative_cycles,
     save_barcode,
 )
-from topo_recon.witness import EdgeFiltration, FlagFiltration, flag_expand
+from topo_recon.witness import EdgeFiltration, FlagFiltration, flag_expand, load_filtration
 
 
 def edge_filtration(n, edges, vertex_birth=None):
@@ -143,6 +153,59 @@ class TestAgainstDenseOracle:
             for iv in persistent_homology(flag_expand(e, dim_cap=3)).intervals
         )
         assert bars(ef) == bars(EdgeFiltration(vb2, births2))
+
+
+def interval_tuples(bc):
+    return [(iv.k, iv.birth, iv.death, iv.creator, iv.destroyer) for iv in bc.intervals]
+
+
+def check_against_referees(ff):
+    """Bars equal the bigint boundary reduction; Betti numbers equal dense rank-nullity
+    at every critical value; representative cycles equal the bigint kernel pass."""
+    bc = persistent_homology(ff)
+    assert interval_tuples(bc) == boundary_reduction(ff)
+    for eps in sorted({v for _, v in ff.simplices}):
+        expected = dense_betti([verts for verts, v in ff.simplices if v <= eps])
+        assert betti_at(bc, eps) == (expected + [0] * ff.dim_cap)[: ff.dim_cap]
+    for k in range(1, ff.dim_cap):
+        want = kernel_cycles_bigint(ff, k)
+        got = representative_cycles(bc, k, top_n=len(bc.by_dim(k)))
+        assert len(got) == len(bc.by_dim(k))
+        for iv, cycle in got:
+            assert cycle == want[iv.creator]
+    return bc
+
+
+class TestAgainstBoundaryReduction:
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3), capped=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_flag_filtrations(self, seed, dim_cap, capped):
+        rng = np.random.default_rng(seed)
+        ef = random_edge_filtration(rng, n_max=9)  # tied values and missing edges
+        max_value = None
+        if capped:
+            finite = np.unique(ef.births[np.isfinite(ef.births)])
+            max_value = float(rng.choice(finite)) if finite.size else 0.5
+        check_against_referees(flag_expand(ef, dim_cap=dim_cap, max_value=max_value))
+
+    def test_loaded_hollow_tetrahedron(self, tmp_path):
+        # all faces of a tetrahedron but not its interior: no flag filtration
+        # has this shape, so cofaces come from the simplex list alone
+        sims = [((v,), 0.0) for v in range(4)]
+        sims += [(e, 1.0 + 0.5 * i) for i, e in enumerate(itertools.combinations(range(4), 2))]
+        sims += [(t, 5.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
+        path = tmp_path / "tetra.json"
+        path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
+        loaded = load_filtration(path)
+        assert loaded.dim_cap == 2
+        bc = check_against_referees(loaded)
+        assert betti_at(bc, 8.0) == [1, 0]
+        sphere = check_against_referees(dataclasses.replace(loaded, dim_cap=3))
+        assert betti_at(sphere, 4.5) == [1, 3, 0]
+        assert betti_at(sphere, 7.9) == [1, 0, 0]
+        assert betti_at(sphere, 8.0) == [1, 0, 1]
+        (h2,) = sphere.by_dim(2)
+        assert (h2.birth, h2.death, h2.creator, h2.destroyer) == (8.0, math.inf, len(sims) - 1, None)
 
 
 def circle_barcode(n_witness=200, stride=10, cap=1.5):

@@ -1,5 +1,6 @@
 """Distance matrices, fuzzy edge births, and flag-filtration expansion."""
 
+import inspect
 import itertools
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_below, random_edge_filtration, truncate_births
+from oracles import complex_below, edge_births_rows, random_edge_filtration, truncate_births
 from topo_recon.embed import PointCloud
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.witness import (
@@ -23,6 +24,8 @@ from topo_recon.witness import (
     save_filtration,
     skeleton_export,
 )
+
+DEFAULT_BLOCK = inspect.signature(edge_births).parameters["block"].default
 
 
 def brute_force_births(W, L):
@@ -113,15 +116,55 @@ class TestEdgeBirths:
         assert np.array_equal(ef.births[iu, ju], births[iu, ju])
         assert np.array_equal(ef.witness[iu, ju], wit[iu, ju])
 
-    @pytest.mark.parametrize("row_block", [1, 3, 32])
-    def test_row_blocking_does_not_change_results(self, row_block):
+    @pytest.mark.parametrize("block", [1, 3, 32])
+    def test_row_blocking_does_not_change_results(self, block):
         rng = np.random.default_rng(5)
         W = rng.standard_normal((25, 2))
         dm = distance_matrix(W, W[::3])
         base = edge_births(dm)
-        blocked = edge_births(dm, row_block=row_block)
+        blocked = edge_births(dm, block=block)
         assert np.array_equal(base.births, blocked.births)
         assert np.array_equal(base.witness, blocked.witness)
+
+    @pytest.mark.parametrize("cap_kind", [None, "zero", "attained", "inf"])
+    @pytest.mark.parametrize("n_kind", ["below", "equal", "ragged"])
+    @pytest.mark.parametrize("block", [1, 3, DEFAULT_BLOCK])
+    def test_witness_blocks_match_row_kernel(self, block, n_kind, cap_kind):
+        # witnesses on a coarse grid tie many births, and every block boundary
+        # splits a pair of equal witnesses, so the lower index must win there
+        n = {"below": max(block - 1, 1), "equal": block, "ragged": 2 * block + 1}[n_kind]
+        rng = np.random.default_rng(block + n)
+        W = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)), 1)
+        for s in range(block, n, block):
+            W[s] = W[s - 1]
+        L = np.vstack([W[:: max(n // 6, 1)][:8], [[0.05, 0.05]]])  # one landmark off the grid
+        dm = distance_matrix(W, L)
+        full = edge_births_rows(dm)
+        finite = full.births[np.isfinite(full.births)]
+        attained = float(np.sort(finite)[finite.size // 2])
+        cap = {None: None, "zero": 0.0, "attained": attained, "inf": np.inf}[cap_kind]
+        got = edge_births(dm, block=block, cap=cap)
+        want = edge_births_rows(dm, cap=cap)
+        assert got.max_value == want.max_value
+        assert np.array_equal(got.vertex_birth, want.vertex_birth)
+        assert np.array_equal(got.births, want.births)
+        assert np.array_equal(got.witness, want.witness)
+
+    @pytest.mark.parametrize("cap", [None, 0.0])
+    @pytest.mark.parametrize("block", [1, 3, DEFAULT_BLOCK])
+    def test_tie_across_block_boundary_keeps_lowest_witness(self, block, cap):
+        # the midpoint 0.5 gives edge {0, 1} birth 0, at the last witness of
+        # the first block and again at the first witness of the second
+        W = np.full((2 * block + 1, 1), 0.9)
+        W[block - 1] = W[block] = 0.5
+        ef = edge_births(distance_matrix(W, np.array([[0.0], [1.0]])), block=block, cap=cap)
+        assert ef.births[0, 1] == 0.0
+        assert ef.witness[0, 1] == ef.witness[1, 0] == block - 1
+
+    def test_bad_block_rejected(self):
+        dm = distance_matrix(np.zeros((4, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="block"):
+            edge_births(dm, block=0)
 
     def test_symmetry_and_diagonal(self):
         rng = np.random.default_rng(6)
@@ -158,10 +201,10 @@ class TestEdgeBirths:
         cap_kind=st.sampled_from(["zero", "attained", "random", "inf"]),
         duplicated=st.booleans(),
         gridded=st.booleans(),
-        row_block=st.sampled_from([1, 3, 32]),
+        block=st.sampled_from([1, 3, DEFAULT_BLOCK]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_capped_births_equal_truncated_uncapped(self, seed, cap_kind, duplicated, gridded, row_block):
+    def test_capped_births_equal_truncated_uncapped(self, seed, cap_kind, duplicated, gridded, block):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(1, 4))
         W = rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 40)), dim))
@@ -181,7 +224,7 @@ class TestEdgeBirths:
             "random": float(rng.uniform(0.0, finite.max() if finite.size else 1.0)),
             "inf": np.inf,
         }[cap_kind]
-        got = edge_births(dm, row_block=row_block, cap=cap)
+        got = edge_births(dm, block=block, cap=cap)
         want = truncate_births(full, cap)
         assert got.max_value == cap
         assert np.array_equal(got.vertex_birth, want.vertex_birth)
@@ -389,6 +432,9 @@ class TestFiltrationFiles:
 
 class TestFlagFiltrationDataclass:
     def test_len_and_values_cache(self):
+        # no cached value array: complex_at bisects the simplex values themselves
         ff = FlagFiltration(simplices=[((0,), 0.0), ((1,), 0.5)], dim_cap=1)
         assert len(ff) == 2
-        assert np.array_equal(ff._values, [0.0, 0.5])
+        assert [complex_at(ff, eps) for eps in (-1.0, 0.0, 0.4, 0.5)] == [
+            [], [((0,), 0.0)], [((0,), 0.0)], ff.simplices
+        ]
