@@ -122,30 +122,24 @@ def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
     return DistanceMatrix(entries=entries, nearest=entries.min(axis=1))
 
 
-def _fold_rows(excess, near, s, births, witness) -> None:
+def _fold_rows(excess, s, births, witness) -> None:
     """Fold one block of witnesses into the running minima, landmark row by landmark row.
 
     ``excess[j]`` is landmark j's excess over the block's witnesses, which
-    start at index ``s``.  Under a cap, ``near`` marks the excesses <= cap
-    and row j is scanned over those witnesses alone.
+    start at index ``s``.
     """
     n_l, width = excess.shape
     ids = np.arange(s, s + width)
     buf = np.empty(excess.size)  # reused by every row: fresh temporaries ran ~20 % slower
     for j in range(n_l - 1):
-        base, rest, cols = excess[j], excess[j + 1 :], ids
-        if near is not None and not near[j].all():  # the plain slice is much faster when all qualify
-            keep = near[j]
-            if not keep.any():
-                continue
-            base, rest, cols = base[keep], rest[:, keep], ids[keep]
-        pm = np.maximum(rest, base, out=buf[: rest.size].reshape(rest.shape))
+        rest = excess[j + 1 :]
+        pm = np.maximum(rest, excess[j], out=buf[: rest.size].reshape(rest.shape))
         w_idx = pm.argmin(axis=1)  # first (lowest) witness of the block achieving the min
         vals = pm[np.arange(n_l - j - 1), w_idx]
         row, wrow = births[j, j + 1 :], witness[j, j + 1 :]
         better = vals < row  # strict: an earlier block keeps its tie
         np.copyto(row, vals, where=better)
-        np.copyto(wrow, cols[w_idx], where=better)
+        np.copyto(wrow, ids[w_idx], where=better)
 
 
 def _fold_pairs(excess, near, s, births, witness) -> None:
@@ -188,9 +182,9 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     <= cap is bitwise the uncapped value with the same witness, and every
     larger one is +inf with witness -1.  A witness can give edge {i, j} a
     birth <= cap only if its excesses d(w, i) - n(w) and d(w, j) - n(w) are
-    both <= cap.  A block whose witnesses have few such pairs (no more than
-    the block has excesses) is folded in pair by pair; a denser one landmark
-    row by row, each row over the witnesses within the cap of its landmark.
+    both <= cap.  A block whose witnesses have few such pairs is folded in
+    pair by pair; a denser one goes through the uncapped row fold, whose
+    births above the cap the truncation drops.
     """
     if cap is not None and not cap >= 0:
         raise ValueError(f"cap must be a nonnegative number, got {cap}")
@@ -205,15 +199,14 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
         # excess[j] is landmark j's row over this block's witnesses, contiguous
         excess = np.subtract(dm.entries[s:e].T, dm.nearest[s:e], order="C")
         np.minimum(vertex_birth, excess.min(axis=1), out=vertex_birth)
-        if cap is None:
-            _fold_rows(excess, None, s, births, witness)
-            continue
-        near = excess <= cap
-        per_witness = near.sum(axis=0)
-        if int(per_witness @ (per_witness - 1)) // 2 <= excess.size:
-            _fold_pairs(excess, near, s, births, witness)
-        else:
-            _fold_rows(excess, near, s, births, witness)
+        if cap is not None:
+            near = excess <= cap
+            per_witness = near.sum(axis=0)
+            # the measured crossover (ell ~ 200, 512 rows): pairs win below ~0.6 pairs per excess
+            if 5 * (int(per_witness @ (per_witness - 1)) // 2) <= 3 * excess.size:
+                _fold_pairs(excess, near, s, births, witness)
+                continue
+        _fold_rows(excess, s, births, witness)
     lower = np.tril_indices(n_l, k=-1)
     births[lower] = births.T[lower]
     witness[lower] = witness.T[lower]
