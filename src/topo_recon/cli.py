@@ -272,11 +272,18 @@ def cmd_complex(args) -> int:
 
 def cmd_barcode(args) -> int:
     ff = load_filtration(args.filtration)
+    if args.dim_cap is not None:
+        top = max(len(verts) for verts, _ in ff.simplices)  # one above the top simplex dimension
+        if not 1 <= args.dim_cap <= top:
+            raise ValueError(f"--dim-cap must be in 1..{top} for this filtration, got {args.dim_cap}")
+        ff.dim_cap = args.dim_cap
     bc = persistent_homology(ff)
     out = _out_path(args, args.out)
     save_barcode(bc, out)
     artifacts = [out]
     params = {"filtration": args.filtration, "intervals": len(bc.intervals)}
+    if args.dim_cap is not None:
+        params["dim_cap"] = args.dim_cap
     if args.eps_grid:
         lo, hi, count = _parse_floats(args.eps_grid, 3, "--eps-grid")
         grid_out = _out_path(args, args.grid_out or (Path(args.out).stem + "_grid.csv"))
@@ -438,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barcode", parents=[common], help="persistent homology of a filtration")
     p.add_argument("--filtration", required=True, help="filtration JSON input")
     p.add_argument("--out", required=True, help="barcode CSV output")
+    p.add_argument("--dim-cap", type=int, default=None, help="report H_k for k < this (default: top dim)")
     p.add_argument("--eps-grid", default=None, help="min,max,count for a sampled Betti table")
     p.add_argument("--grid-out", default=None, help="output CSV for --eps-grid")
     p.add_argument("--cycles-out", default=None, help="output CSV of representative cycles")

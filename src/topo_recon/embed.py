@@ -208,5 +208,8 @@ def load_cloud(path) -> PointCloud:
         raise SeriesFormatError(path, 2, "no data rows")
     points = np.array(rows, dtype=np.float64)
     if not np.isfinite(points).all():
-        raise SeriesFormatError(path, 2, "non-finite coordinate in cloud")
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        with open(path, "r", encoding="utf-8") as fh:  # read again: a good cloud pays nothing for this
+            data_lines = [n for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
+        raise SeriesFormatError(path, data_lines[bad], "non-finite coordinate in cloud")
     return PointCloud(points, np.array(times, dtype=np.int64))

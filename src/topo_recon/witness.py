@@ -122,24 +122,24 @@ def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
     return DistanceMatrix(entries=entries, nearest=entries.min(axis=1))
 
 
-def _fold_rows(excess, s, births, witness) -> None:
-    """Fold one block of witnesses into the running minima, landmark row by landmark row.
+def _fold_rows(excess, s, births, witness, iu, ju, key) -> None:
+    """Fold one block into the minima of pairs iu < ju (flat keys ``key``), a run of 64 witnesses at a time.
 
-    ``excess[j]`` is landmark j's excess over the block's witnesses, which
-    start at index ``s``.
+    ``excess[j]`` is landmark j's excess over the witnesses from index ``s``.  No witness of a run
+    gives {i, j} less than max(low[i], low[j]), so a pair whose bound is not below its birth is skipped.
     """
-    n_l, width = excess.shape
-    ids = np.arange(s, s + width)
-    buf = np.empty(excess.size)  # reused by every row: fresh temporaries ran ~20 % slower
-    for j in range(n_l - 1):
-        rest = excess[j + 1 :]
-        pm = np.maximum(rest, excess[j], out=buf[: rest.size].reshape(rest.shape))
-        w_idx = pm.argmin(axis=1)  # first (lowest) witness of the block achieving the min
-        vals = pm[np.arange(n_l - j - 1), w_idx]
-        row, wrow = births[j, j + 1 :], witness[j, j + 1 :]
-        better = vals < row  # strict: an earlier block keeps its tie
-        np.copyto(row, vals, where=better)
-        np.copyto(wrow, ids[w_idx], where=better)
+    births, witness = births.reshape(-1), witness.reshape(-1)
+    for r in range(0, excess.shape[1], 64):  # runs of 32/64/128/256, 3-d trajectory: 0.83/0.47-0.69/1.0/1.8 s
+        run = excess[:, r : r + 64]
+        low = run.min(axis=1)  # the run's smallest excess per landmark
+        cand = np.flatnonzero(np.maximum(low[iu], low[ju]) < births[key])
+        for c in range(0, cand.size, 512):  # chunks bound the temporaries of a run that folds most pairs
+            pick = cand[c : c + 512]
+            pm = np.maximum(run[iu[pick]], run[ju[pick]])
+            w_idx = pm.argmin(axis=1)  # first (lowest) witness of the run achieving the min
+            vals, k = pm[np.arange(pick.size), w_idx], key[pick]
+            better = vals < births[k]  # strict: an earlier run keeps its tie
+            births[k[better]], witness[k[better]] = vals[better], s + r + w_idx[better]
 
 
 def _fold_pairs(excess, near, s, births, witness) -> None:
@@ -173,18 +173,18 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     births[i, j]    = min over w of (max(d(w, i), d(w, j)) - n(w)),
     with the lowest witness index achieving each edge minimum recorded.
     Witnesses are scanned in blocks of ``block`` rows of ``dm.entries``, so
-    no temporary is larger than ell x block (at ell ~ 200, 512 rows keep
-    them in cache; larger blocks ran slower); a later block replaces a
-    running minimum only when strictly smaller, so ties still go to the
-    lowest witness.
+    no temporary is larger than ell x block.  The row fold skips the pairs a
+    run of 64 witnesses cannot lower, which pays when consecutive witnesses
+    lie close together, as along a trajectory.  A later run or block replaces
+    a running minimum only when strictly smaller, so ties go to the lowest witness.
 
     With ``cap`` set, the result is truncated at that scale: every birth
     <= cap is bitwise the uncapped value with the same witness, and every
     larger one is +inf with witness -1.  A witness can give edge {i, j} a
     birth <= cap only if its excesses d(w, i) - n(w) and d(w, j) - n(w) are
     both <= cap.  A block whose witnesses have few such pairs is folded in
-    pair by pair; a denser one goes through the uncapped row fold, whose
-    births above the cap the truncation drops.
+    pair by pair; a denser one goes through the row fold, whose births above
+    the cap the truncation drops.
     """
     if cap is not None and not cap >= 0:
         raise ValueError(f"cap must be a nonnegative number, got {cap}")
@@ -194,6 +194,7 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     vertex_birth = np.full(n_l, np.inf)
     births = np.full((n_l, n_l), np.inf)
     witness = np.full((n_l, n_l), -1, dtype=np.int64)
+    pairs = None  # landmark pairs i < j and flat keys, made only once a block takes the row fold
     for s in range(0, n_w, block):
         e = min(s + block, n_w)
         # excess[j] is landmark j's row over this block's witnesses, contiguous
@@ -202,11 +203,14 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
         if cap is not None:
             near = excess <= cap
             per_witness = near.sum(axis=0)
-            # the measured crossover (ell ~ 200, 512 rows): pairs win below ~0.6 pairs per excess
-            if 5 * (int(per_witness @ (per_witness - 1)) // 2) <= 3 * excess.size:
+            # the measured crossover (ell ~ 200, 512 rows): pairs win below ~0.4 pairs per excess
+            if 5 * (int(per_witness @ (per_witness - 1)) // 2) <= 2 * excess.size:
                 _fold_pairs(excess, near, s, births, witness)
                 continue
-        _fold_rows(excess, s, births, witness)
+        if pairs is None:
+            iu, ju = np.triu_indices(n_l, k=1)
+            pairs = (iu, ju, iu * n_l + ju)
+        _fold_rows(excess, s, births, witness, *pairs)
     lower = np.tril_indices(n_l, k=-1)
     births[lower] = births.T[lower]
     witness[lower] = witness.T[lower]

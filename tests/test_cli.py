@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: pipelines, provenance, and error paths."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -317,7 +318,33 @@ class TestComplexScales:
         assert not (cloud_dir / "nan.json").exists()
 
 
+def hollow_tetrahedron_file(path):
+    """All faces of a tetrahedron but not its interior: H2 is born with the last triangle."""
+    sims = [((v,), 0.0) for v in range(4)]
+    sims += [(e, 1.0) for e in itertools.combinations(range(4), 2)]
+    sims += [(t, 2.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
+    path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
+    return path
+
+
 class TestBarcode:
+    def test_dim_cap_reports_top_dimension(self, tmp_path):
+        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
+        assert run("barcode", "--filtration", tetra, "--out", "default.csv", "--out-dir", tmp_path) == 0
+        assert [k for k, _, _ in load_barcode(tmp_path / "default.csv")] == [0, 0, 0, 0, 1, 1, 1]
+        assert "dim_cap" not in read_run(tmp_path)["params"]
+        assert run("barcode", "--filtration", tetra, "--out", "b.csv", "--dim-cap", 3, "--out-dir", tmp_path) == 0
+        assert [row for row in load_barcode(tmp_path / "b.csv") if row[0] == 2] == [(2, 5.0, math.inf)]
+        assert read_run(tmp_path)["params"]["dim_cap"] == 3
+
+    @pytest.mark.parametrize("value", [0, 4, -1])
+    def test_dim_cap_out_of_range_rejected(self, tmp_path, capsys, value):
+        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
+        rc = run("barcode", "--filtration", tetra, "--out", "b.csv", "--dim-cap", value, "--out-dir", tmp_path)
+        assert rc == 1
+        assert f"error: --dim-cap must be in 1..3 for this filtration, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
     @pytest.mark.parametrize("entries", ['[{"x": 1}]', "[1, 2]"])
     def test_malformed_entry_rejected(self, tmp_path, capsys, entries):
         (tmp_path / "f.json").write_text(entries)

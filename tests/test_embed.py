@@ -231,6 +231,15 @@ class TestCloudFiles:
             load_cloud(path)
         assert exc.value.line_no == 3
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_its_line(self, tmp_path, bad):
+        # the blank line 3 counts, so the bad row (the third data row) is on line 5
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"t,c0,c1\n0,1.0,2.0\n\n1,3.0,4.0\n2,5.0,{bad}\n3,7.0,8.0\n")
+        with pytest.raises(SeriesFormatError, match="line 5: non-finite coordinate") as exc:
+            load_cloud(path)
+        assert exc.value.line_no == 5
+
     def test_no_rows_rejected(self, tmp_path):
         path = tmp_path / "cloud.csv"
         path.write_text("t,c0\n")

@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import complex_below, edge_births_rows, random_edge_filtration, truncate_births
 from topo_recon.embed import PointCloud
+from topo_recon import witness as witness_module
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.witness import (
     EdgeFiltration,
@@ -236,6 +238,95 @@ class TestEdgeBirths:
         dm = distance_matrix(np.zeros((4, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="cap"):
             edge_births(dm, cap=cap)
+
+
+class _FoldCounter:
+    """Forwards to numpy, counting the rows of every 2-d maximum: the (pair, run) terms the row fold takes."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, *args, **kwargs):
+        out = np.maximum(*args, **kwargs)
+        self.rows += out.shape[0] if out.ndim == 2 else 0
+        return out
+
+
+class TestBoundedRowFold:
+    """The row fold skips the pairs a run of 64 witnesses cannot improve; referee: the landmark-row kernel."""
+
+    @pytest.mark.parametrize("cap_kind", [None, "attained"])
+    @pytest.mark.parametrize("ell", [1, 2, 9, 40])
+    @pytest.mark.parametrize("n", [63, 64, 65, 577])
+    def test_matches_row_kernel(self, n, ell, cap_kind):
+        # a coarse grid ties many births, and equal witnesses straddle the run
+        # boundaries 64, 128, 576 and the block boundary 512; at ell = 40 the
+        # first run folds its 780 pairs as a full chunk and a tail
+        rng = np.random.default_rng(1000 * n + ell)
+        W = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)), 1)
+        for s in range(64, n, 64):
+            W[s] = W[s - 1]
+        L = np.vstack([W[rng.choice(n, size=ell - 1, replace=False)], [[0.05, 0.05]]])  # one landmark off the grid
+        dm = distance_matrix(W, L)
+        full = edge_births_rows(dm)
+        finite = full.births[np.isfinite(full.births)]
+        # the largest birth leaves every pair within the cap: capped blocks of 9 or 40 landmarks are too dense for pairs
+        cap = None if cap_kind is None else float(finite.max(initial=0.0))
+        got = edge_births(dm, cap=cap)
+        want = edge_births_rows(dm, cap=cap)
+        assert got.max_value == want.max_value
+        assert np.array_equal(got.vertex_birth, want.vertex_birth)
+        assert np.array_equal(got.births, want.births)
+        assert np.array_equal(got.witness, want.witness)
+
+    @pytest.mark.parametrize("cap", [None, 4.0])
+    @pytest.mark.parametrize("pos", [63, 127])
+    def test_tie_across_run_boundary_keeps_lowest_witness(self, pos, cap):
+        # witnesses at 0.0625 and 0.9375 put the lows of landmarks 0 and 1 at 0
+        # in every run, so each run folds edge {0, 1}; 0.375 gives it birth 0.25
+        # at pos, the last witness of one run, and again at pos + 1, the first
+        # of the next.  Cap 4 leaves every pair within it: a block too dense for pairs
+        W = np.tile([[0.0625], [0.9375]], (100, 1))
+        W[pos] = W[pos + 1] = 0.375
+        ef = edge_births(distance_matrix(W, np.array([[0.0], [1.0], [2.0]])), cap=cap)
+        assert ef.births[0, 1] == 0.25
+        assert ef.witness[0, 1] == ef.witness[1, 0] == pos
+
+    def test_run_that_cannot_improve_folds_nothing(self, monkeypatch):
+        # 128 copies of one witness: each pair's running birth after the first
+        # run equals the second run's bound, so only the first run is folded
+        rng = np.random.default_rng(8)
+        W = np.repeat(rng.uniform(-1.0, 1.0, size=(1, 2)), 128, axis=0)
+        dm = distance_matrix(W, rng.uniform(-1.0, 1.0, size=(5, 2)))
+        counter = _FoldCounter()
+        monkeypatch.setattr(witness_module, "np", counter)
+        got = edge_births(dm)
+        monkeypatch.undo()
+        assert counter.rows == 10  # the 10 landmark pairs, once
+        want = edge_births_rows(dm)
+        assert np.array_equal(got.births, want.births)
+        assert np.array_equal(got.witness, want.witness)
+
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_uncapped_peak_memory_is_independent_of_witness_count(self, n):
+        # a noisy helix in time order, 200 landmarks; the fold holds about four
+        # ell x block buffers (a block's excesses, the pair indices with the
+        # running births, one chunk's temporaries), an n x ell temporary 39 or more
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 20.0 * np.pi, n)
+        W = np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + 0.01 * rng.standard_normal((n, 3))
+        dm = distance_matrix(W, W[:: n // 200])
+        ell = dm.entries.shape[1]
+        tracemalloc.start()
+        try:
+            edge_births(dm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * ell * DEFAULT_BLOCK * 8
 
 
 def triangle_filtration():
