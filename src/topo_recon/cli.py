@@ -54,6 +54,7 @@ from .signal import (
     load_series,
     observe,
     save_series,
+    _write_table,
 )
 from .witness import (
     ResourceLimitError,
@@ -111,10 +112,13 @@ def _write_run(args, params: dict, artifacts: list[Path]) -> None:
 
 
 def _parse_floats(text: str, n: int, what: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != n:
+    try:
+        values = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != n:
         raise ValueError(f"{what} must have {n} comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    return values
 
 
 def _scale_arg(value: float, flag: str) -> float:
@@ -187,10 +191,8 @@ def cmd_ami(args) -> int:
     series = _load_series_arg(args)
     curve = ami_curve(series, tau_max=args.tau_max, bins=args.bins)
     out = _out_path(args, args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("tau,ami_bits\n")
-        for tau, v in enumerate(curve.values):
-            fh.write(f"{tau},{v!r}\n")
+    # values stay NumPy-scalar reprs, np.float64(...), until perfbench/reference.json recounts ami.csv
+    _write_table(out, ["tau,ami_bits"], np.arange(len(curve.values)), [repr(v) for v in curve.values])
     tau_min = first_minimum(curve)
     _write_run(
         args,
@@ -271,6 +273,12 @@ def cmd_complex(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    if args.eps_grid:
+        lo, hi, count = _parse_floats(args.eps_grid, 3, "--eps-grid")
+        if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1 and count.is_integer()):
+            raise ValueError(
+                f"--eps-grid needs a finite lo, a finite hi and a positive integral count, got {args.eps_grid!r}"
+            )
     ff = load_filtration(args.filtration)
     if args.dim_cap is not None:
         top = max(len(verts) for verts, _ in ff.simplices)  # one above the top simplex dimension
@@ -285,24 +293,21 @@ def cmd_barcode(args) -> int:
     if args.dim_cap is not None:
         params["dim_cap"] = args.dim_cap
     if args.eps_grid:
-        lo, hi, count = _parse_floats(args.eps_grid, 3, "--eps-grid")
         grid_out = _out_path(args, args.grid_out or (Path(args.out).stem + "_grid.csv"))
-        with open(grid_out, "w", encoding="utf-8") as fh:
-            fh.write("epsilon," + ",".join(f"beta{k}" for k in range(bc.dim_cap)) + "\n")
-            for eps in np.linspace(lo, hi, int(count)).tolist():
-                fh.write(f"{eps!r}," + ",".join(str(b) for b in betti_at(bc, eps)) + "\n")
+        grid = np.linspace(lo, hi, int(count))
+        betti = np.array([betti_at(bc, eps) for eps in grid.tolist()])
+        _write_table(grid_out, ["epsilon," + ",".join(f"beta{k}" for k in range(bc.dim_cap))], grid, *betti.T)
         artifacts.append(grid_out)
         params["eps_grid"] = [lo, hi, int(count)]
     if args.cycles_out:
         cycles_out = _out_path(args, args.cycles_out)
         reps = representative_cycles(bc, args.cycles_k, args.cycles_top)
-        with open(cycles_out, "w", encoding="utf-8") as fh:
-            fh.write("cycle,k,birth,death,simplex\n")
-            for ci, (iv, simplices) in enumerate(reps):
-                death = "inf" if iv.death == float("inf") else repr(iv.death)
-                for verts in simplices:
-                    label = "-".join(str(v) for v in verts)
-                    fh.write(f"{ci},{iv.k},{iv.birth!r},{death},{label}\n")
+        rows = [
+            (ci, iv.k, iv.birth, iv.death, "-".join(map(str, verts)))
+            for ci, (iv, simplices) in enumerate(reps)
+            for verts in simplices
+        ]
+        _write_table(cycles_out, ["cycle,k,birth,death,simplex"], *zip(*rows))
         artifacts.append(cycles_out)
         params["cycles_k"] = args.cycles_k
         params["cycles_top"] = args.cycles_top

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import ScalarSeries, SeriesFormatError
+from .signal import ScalarSeries, SeriesFormatError, _read_table, _write_table
 
 
 class DegenerateSeriesError(ValueError):
@@ -169,47 +169,13 @@ def bbox_diameter(cloud: PointCloud) -> float:
 
 def save_cloud(cloud: PointCloud, path) -> None:
     """Write a point-cloud CSV with header t,c0,...,c{m-1}; floats use repr."""
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ",".join(f"c{k}" for k in range(cloud.m))
-        fh.write(f"t,{cols}\n")
-        for t, row in zip(cloud.time_index, cloud.points):
-            fh.write(str(int(t)))
-            for v in row:
-                fh.write(",")
-                fh.write(repr(float(v)))
-            fh.write("\n")
+    cols = ",".join(f"c{k}" for k in range(cloud.m))
+    _write_table(path, [f"t,{cols}"], cloud.time_index, *cloud.points.T)
 
 
 def load_cloud(path) -> PointCloud:
     """Read a point-cloud CSV written by :func:`save_cloud`."""
-    times = []
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise SeriesFormatError(path, 1, "empty file, expected point-cloud header")
-        names = header.strip().split(",")
-        if names[0] != "t" or names[1:] != [f"c{k}" for k in range(len(names) - 1)] or len(names) < 2:
-            raise SeriesFormatError(path, 1, f"expected header 't,c0,...', got {header.strip()!r}")
-        width = len(names) - 1
-        for line_no, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != width + 1:
-                raise SeriesFormatError(path, line_no, f"expected {width + 1} fields, got {len(parts)}")
-            try:
-                times.append(int(parts[0]))
-                rows.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise SeriesFormatError(path, line_no, f"bad numeric field in {text!r}") from None
-    if not rows:
+    table = _read_table(path, "t,c0,...", ints=1, finite="coordinate in cloud")
+    if not len(table.ints):
         raise SeriesFormatError(path, 2, "no data rows")
-    points = np.array(rows, dtype=np.float64)
-    if not np.isfinite(points).all():
-        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        with open(path, "r", encoding="utf-8") as fh:  # read again: a good cloud pays nothing for this
-            data_lines = [n for n, line in enumerate(fh, start=1) if n > 1 and line.strip()]
-        raise SeriesFormatError(path, data_lines[bad], "non-finite coordinate in cloud")
-    return PointCloud(points, np.array(times, dtype=np.int64))
+    return PointCloud(table.floats, table.ints[:, 0])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embed import PointCloud
-from .signal import SeriesFormatError, _read_table
+from .signal import SeriesFormatError, _read_table, _write_table
 
 
 @dataclass
@@ -102,37 +102,26 @@ def select_maxmin(cloud: PointCloud, ell: int, seed: int) -> LandmarkSet:
 
 def save_landmarks(landmarks: LandmarkSet, path) -> None:
     """Write landmarks as CSV: a '# spacing=' comment, then idx,t,c0,...,c{m-1}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# spacing={landmarks.spacing}\n")
-        cols = ",".join(f"c{k}" for k in range(landmarks.m))
-        fh.write(f"idx,t,{cols}\n")
-        for i in range(landmarks.ell):
-            fh.write(f"{int(landmarks.indices[i])},{int(landmarks.time_index[i])}")
-            for v in landmarks.coords[i]:
-                fh.write(",")
-                fh.write(repr(float(v)))
-            fh.write("\n")
+    cols = ",".join(f"c{k}" for k in range(landmarks.m))
+    head = [f"# spacing={landmarks.spacing}", f"idx,t,{cols}"]
+    _write_table(path, head, landmarks.indices, landmarks.time_index, *landmarks.coords.T)
 
 
 def load_landmarks(path) -> LandmarkSet:
     """Read a landmark CSV written by :func:`save_landmarks`."""
-    comments, rows = _read_table(path, "idx,t,...", ints=2)
+    table = _read_table(path, "idx,t,c0,...", ints=2, finite="landmark coordinate")
     spacing = 0
-    for line_no, text in comments:
-        if "spacing=" in text:
+    for line_no, text in enumerate(table.lines, start=1):
+        if text.lstrip().startswith("#") and "spacing=" in text:
             try:
                 spacing = int(text.split("spacing=")[1])
             except ValueError:
-                raise SeriesFormatError(path, line_no, f"bad spacing comment {text!r}") from None
-    if not rows:
+                raise SeriesFormatError(path, line_no, f"bad spacing comment {text.strip()!r}") from None
+    if not len(table.ints):
         raise SeriesFormatError(path, 1, "no landmark rows")
-    coords = np.array([row[2:] for _, row in rows], dtype=np.float64)
-    finite = np.isfinite(coords).all(axis=1)
-    if not finite.all():
-        raise SeriesFormatError(path, rows[int(np.argmin(finite))][0], "non-finite landmark coordinate")
     return LandmarkSet(
-        indices=np.array([row[0] for _, row in rows], dtype=np.int64),
-        coords=coords,
-        time_index=np.array([row[1] for _, row in rows], dtype=np.int64),
+        indices=table.ints[:, 0],
+        coords=table.floats,
+        time_index=table.ints[:, 1],
         spacing=spacing,
     )

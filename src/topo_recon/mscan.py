@@ -16,7 +16,7 @@ import numpy as np
 from .embed import bbox_diameter, delay_embed, project
 from .landmarks import LandmarkSet, select_evenly_spaced
 from .persistence import Barcode, persistent_homology
-from .signal import ScalarSeries, _read_table
+from .signal import ScalarSeries, _read_table, _write_table
 from .witness import EdgeFiltration, FlagFiltration, distance_matrix, edge_births, flag_expand
 
 
@@ -173,31 +173,19 @@ def dm_filtration(sw: DimensionSweep, dim_cap: int = 2) -> DmFiltration:
 
 def save_lifespan_csv(matrix: np.ndarray, path) -> None:
     """Write the lifespan matrix as plain comma-separated integer rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    _write_table(path, [], *matrix.T)
 
 
 def load_lifespan_csv(path) -> np.ndarray:
     """Read a lifespan matrix written by :func:`save_lifespan_csv`."""
-    _, rows = _read_table(path, None)
-    return np.array([row for _, row in rows], dtype=np.int64)
+    return _read_table(path, None, ints=None).ints
 
 
 def save_existence_csv(sw: DimensionSweep, path) -> None:
     """Write edge existence bitmasks as CSV i,j,mask (i < j, nonzero masks only)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,mask\n")
-        iu, ju = np.triu_indices(sw.ell, k=1)
-        masks = sw.existence[iu, ju]
-        for i, j, mask in zip(iu.tolist(), ju.tolist(), masks.tolist()):
-            if mask:
-                fh.write(f"{i},{j},{mask}\n")
+    i, j = np.nonzero(np.triu(sw.existence, k=1))
+    _write_table(path, ["i,j,mask"], i, j, sw.existence[i, j])
 
 
 def save_dimension_barcode_csv(sw: DimensionSweep, landmark: int, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("partner,m_birth,m_death,alive_at_max\n")
-        for partner, m_birth, m_death, alive in dimension_barcode(sw, landmark):
-            fh.write(f"{partner},{m_birth},{m_death},{int(alive)}\n")
+    _write_table(path, ["partner,m_birth,m_death,alive_at_max"], *zip(*dimension_barcode(sw, landmark)))

@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .signal import _read_table
+from .signal import _read_table, _write_table
 from .witness import FlagFiltration
 
 
@@ -80,9 +80,9 @@ def _validate(ff: FlagFiltration) -> tuple[dict, dict, dict]:
         n = len(verts)
         if not n or not all(map(operator.lt, verts, verts[1:])):
             raise ContractViolationError(f"simplex {verts} at position {pos} is not strictly sorted")
-        if value < prev_value:
+        if not value >= prev_value:
             raise ContractViolationError(
-                f"filtration values decrease at position {pos} ({value} after {prev_value})"
+                f"filtration value {value} at position {pos} is NaN or below {prev_value} before it"
             )
         prev_value = value
         if index.setdefault(verts, pos) != pos:
@@ -232,14 +232,10 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
 
 def save_barcode(bc: Barcode, path) -> None:
     """Write bars as CSV k,birth,death with 'inf' for open deaths."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,birth,death\n")
-        for iv in bc.intervals:
-            death = "inf" if math.isinf(iv.death) else repr(iv.death)
-            fh.write(f"{iv.k},{iv.birth!r},{death}\n")
+    _write_table(path, ["k,birth,death"], *zip(*((iv.k, iv.birth, iv.death) for iv in bc.intervals)))
 
 
 def load_barcode(path) -> list[tuple[int, float, float]]:
     """Read a barcode CSV back as (k, birth, death) rows; death may be +inf."""
-    _, rows = _read_table(path, "k,birth,death", ints=1)
-    return [tuple(row) for _, row in rows]
+    table = _read_table(path, "k,birth,death", ints=1)
+    return list(zip(table.ints[:, 0].tolist(), *table.floats.T.tolist()))

@@ -13,7 +13,7 @@ import numpy as np
 from .landmarks import load_landmarks
 from .mscan import load_lifespan_csv
 from .persistence import load_barcode
-from .signal import SeriesFormatError, _read_table
+from .signal import _read_table
 
 _K_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
@@ -152,12 +152,11 @@ def render_skeleton(edges_path, landmarks_path, view: tuple[float, float] | None
         coords = coords[:, :2]
 
     ell = len(coords)
-    _, rows = _read_table(edges_path, "i,j,birth", ints=2)
-    edges = []
-    for line_no, (i, j, _) in rows:
+    table = _read_table(edges_path, "i,j,birth", ints=2)
+    edges = table.ints.tolist()
+    for row, (i, j) in enumerate(edges):
         if not (0 <= i < ell and 0 <= j < ell):
-            raise SeriesFormatError(edges_path, line_no, f"edge ({i}, {j}) names a landmark outside [0, {ell})")
-        edges.append((i, j))
+            raise table.error(row, f"edge ({i}, {j}) names a landmark outside [0, {ell})")
 
     lo = coords.min(axis=0)
     hi = coords.max(axis=0)

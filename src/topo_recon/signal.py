@@ -1,5 +1,5 @@
 """Lorenz trajectory generation, scalar measurement, noise injection, series I/O,
-and the row reader shared by the small CSV tables.
+and the one reader and writer of every CSV table.
 
 The integrator is a classical fixed-step RK4 written in plain Python floats so
 that results are bit-reproducible across platforms.  Noise uses NumPy's PCG64
@@ -198,7 +198,7 @@ def add_uniform_noise(series: ScalarSeries, nu: float, seed: int) -> ScalarSerie
     return ScalarSeries(series.values + noise, series.sample_interval)
 
 
-_HEADER_RE = re.compile(r"^#\s*T=([^\s]+)\s*$")
+_HEADER_RE = re.compile(r"^#\s*T=([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)\s*$")
 
 
 def save_series(series: ScalarSeries, path) -> None:
@@ -207,11 +207,7 @@ def save_series(series: ScalarSeries, path) -> None:
     Values are written with ``repr`` (shortest round-trip form), so a
     save/load cycle reproduces every float bit-exactly.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# T={series.sample_interval!r}\n")
-        for v in series.values:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+    _write_table(path, [f"# T={series.sample_interval!r}"], series.values)
 
 
 def load_series(path, format: str = "native", sample_interval: float | None = None) -> ScalarSeries:
@@ -223,77 +219,98 @@ def load_series(path, format: str = "native", sample_interval: float | None = No
     """
     if format not in ("native", "csv"):
         raise ValueError(f"unknown series format {format!r}")
-
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if format == "csv":
-            if header != "x":
-                raise SeriesFormatError(path, 1, f"expected header 'x', got {header!r}")
-            interval = 1.0 if sample_interval is None else sample_interval
-        else:
-            m = _HEADER_RE.match(header)
-            if m is None:
-                raise SeriesFormatError(path, 1, "expected '# T=<float>' header")
-            try:
-                interval = float(m.group(1))
-            except ValueError:
-                raise SeriesFormatError(path, 1, f"bad sampling interval {m.group(1)!r}") from None
-            if interval <= 0:
-                raise SeriesFormatError(path, 1, f"sampling interval must be positive, got {interval}")
-        for line_no, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise SeriesFormatError(path, line_no, f"not a number: {text!r}") from None
-            if not math.isfinite(v):
-                raise SeriesFormatError(path, line_no, f"non-finite value: {text!r}")
-            values.append(v)
-    return ScalarSeries(np.array(values, dtype=np.float64), interval)
+    table = _read_table(path, "x" if format == "csv" else None, finite="value")
+    if format == "csv":
+        return ScalarSeries(table.floats.reshape(-1), 1.0 if sample_interval is None else sample_interval)
+    m = _HEADER_RE.match(table.lines[0]) if table.lines else None
+    interval = float(m.group(1)) if m else 0.0
+    if not 0 < interval < math.inf:
+        raise SeriesFormatError(path, 1, "expected a '# T=<positive number>' header")
+    if table.floats.shape[1] > 1:
+        raise table.error(0, f"expected 1 field, got {table.floats.shape[1]}")
+    return ScalarSeries(table.floats.reshape(-1), interval)
 
 
-def _read_table(path, header: str | None, ints: int | None = None) -> tuple[list, list]:
-    """Comment lines and numeric rows of a small comma-separated table.
+def _write_table(path, head: list, *columns) -> None:
+    """Write the ``head`` lines (comments, header), then one comma-separated line per row.
 
-    Blank lines are skipped and lines starting with ``#`` are comments.  The
-    first other line must equal ``header`` (or, for a ``header`` ending in
-    ``,...``, start with the part before the dots); with ``header=None`` the
-    table has no header line.  Every row has the width of the header, or
-    else of the first row; its first ``ints`` fields are integers (``None``:
-    all of them) and the rest floats.  Returns ``(line_no, text)`` comments
-    and ``(line_no, values)`` rows.  A missing header, a ragged row or a bad
-    number raises SeriesFormatError with the path and the line.
+    Each column is a 1-d sequence of one kind: integers (and bools) are
+    written with ``%d``, floats with ``%r`` (so that ``inf`` is 'inf' and
+    every float reads back bit-exactly) and anything else with ``%s``.
     """
-    comments = []
-    rows = []
-    width = None
-    line_no = 0
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "biu" else "%r" if c.dtype.kind == "f" else "%s" for c in columns)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in head)
+        fh.writelines(row % values + "\n" for values in zip(*(c.tolist() for c in columns)))
+
+
+def _data_lines(lines: list, start: int):
+    """(line_no, text) of each row in ``lines[start:]``: the text before any '#', when not blank."""
+    for line_no in range(start + 1, len(lines) + 1):
+        text = lines[line_no - 1].split("#", 1)[0].strip()
+        if text:
+            yield line_no, text
+
+
+@dataclass
+class _Table:
+    """A table read by :func:`_read_table`: its rows as an int and a float array, and its lines."""
+
+    path: str
+    ints: np.ndarray  # (rows, leading integer fields)
+    floats: np.ndarray  # (rows, the other fields)
+    lines: list
+    start: int  # index of the first line after the header
+
+    def error(self, row: int, message: str) -> SeriesFormatError:
+        """A SeriesFormatError located at the line of data row ``row`` (0-based)."""
+        line_no = list(_data_lines(self.lines, self.start))[row][0]
+        return SeriesFormatError(self.path, line_no, message)
+
+
+def _read_table(path, header: str | None, ints: int | None = 0, finite: str | None = None) -> _Table:
+    """Read a comma-separated table with NumPy, locating any bad line.
+
+    Blank lines are skipped and a '#' starts a comment.  The first other line
+    must equal ``header``, in which a trailing ``c0,...`` stands for the
+    columns c0, c1, ..., c{m-1}; with ``header=None`` there is no header
+    line.  Rows are as wide as the header, or else as the first row: their
+    first ``ints`` fields are integers (``None``: all of them) and the rest
+    floats, which must be finite when ``finite`` names them.  A missing
+    header, a ragged row, a bad number or a non-finite value raises
+    SeriesFormatError with the path and the line; only then are the lines
+    walked one by one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                comments.append((line_no, text))
-                continue
-            parts = text.split(",")
-            if width is None:
-                width = len(parts)
-                if header is not None:
-                    prefix = header.removesuffix("...")
-                    if text != header and not (prefix != header and text.startswith(prefix)):
-                        raise SeriesFormatError(path, line_no, f"expected header {header!r}, got {text!r}")
-                    continue
-            if len(parts) != width:
-                raise SeriesFormatError(path, line_no, f"expected {width} fields, got {len(parts)}")
-            n_int = width if ints is None else ints
+        lines = fh.readlines()
+    first = next(_data_lines(lines, 0), None)
+    start = first[0] - 1 if first else len(lines)
+    width = first[1].count(",") + 1 if first else 0
+    if header is not None:
+        text = first[1] if first else "end of file"
+        fixed = header.removesuffix("c0,...")
+        numbered = fixed + ",".join(f"c{k}" for k in range(width - fixed.count(",")))
+        if text != (header if fixed == header else numbered):
+            raise SeriesFormatError(path, start + 1, f"expected header {header!r}, got {text!r}")
+        start += 1
+        first = next(_data_lines(lines, start), None)
+    n_int = width if ints is None else ints
+    dtype = np.dtype([("i", np.int64, (n_int,)), ("f", np.float64, (width - n_int,))])
+    try:
+        data = np.loadtxt(lines[start:], dtype=dtype, delimiter=",", ndmin=1) if first else np.empty(0, dtype)
+    except ValueError:  # walk the rows; np.loadtxt also refuses a line of blanks, which is skipped here
+        rows = []
+        fields = f"{n_int} integer and {width - n_int} float fields"
+        for line_no, text in _data_lines(lines, start):
             try:
-                rows.append((line_no, [int(p) for p in parts[:n_int]] + [float(p) for p in parts[n_int:]]))
+                rows.append(np.loadtxt([text], dtype=dtype, delimiter=",", ndmin=1))
             except ValueError:
-                raise SeriesFormatError(path, line_no, f"bad numeric field in {text!r}") from None
-    if header is not None and width is None:
-        raise SeriesFormatError(path, line_no + 1, f"expected header {header!r}, got end of file")
-    return comments, rows
+                raise SeriesFormatError(path, line_no, f"expected {fields}, got {text!r}") from None
+        data = np.concatenate(rows)
+    table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), lines, start)
+    if finite is not None:
+        good = np.isfinite(table.floats).all(axis=1)
+        if not good.all():
+            raise table.error(int(np.argmin(good)), f"non-finite {finite}")
+    return table

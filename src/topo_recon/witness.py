@@ -24,6 +24,7 @@ from scipy.spatial.distance import cdist
 
 from .embed import PointCloud
 from .landmarks import LandmarkSet
+from .signal import SeriesFormatError, _write_table
 
 
 class ResourceLimitError(RuntimeError):
@@ -307,14 +308,9 @@ def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
     Returns the number of edges written; the file is header-only when the
     complex has no edges at this scale.
     """
-    wrote = 0
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,birth\n")
-        for verts, value in complex_at(ff, epsilon):
-            if len(verts) == 2:
-                fh.write(f"{verts[0]},{verts[1]},{value!r}\n")
-                wrote += 1
-    return wrote
+    edges = [(*verts, value) for verts, value in complex_at(ff, epsilon) if len(verts) == 2]
+    _write_table(edges_path, ["i,j,birth"], *zip(*edges))
+    return len(edges)
 
 
 def save_filtration(ff: FlagFiltration, path) -> None:
@@ -332,7 +328,10 @@ def save_filtration(ff: FlagFiltration, path) -> None:
 def load_filtration(path) -> FlagFiltration:
     """Read a filtration JSON array; dim_cap is inferred from the largest simplex."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SeriesFormatError(path, exc.lineno, exc.msg) from None
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of simplices")
     simplices = []

@@ -352,6 +352,32 @@ class TestBarcode:
         assert rc == 1
         assert f"error: {tmp_path / 'f.json'}: entry 0 is not an object" in capsys.readouterr().err
 
+    def test_nan_value_rejected(self, tmp_path, capsys):
+        entries = [{"vertices": [v], "value": value} for v, value in enumerate([0.0, math.nan, 1.0])]
+        (tmp_path / "f.json").write_text(json.dumps(entries))
+        rc = run("barcode", "--filtration", tmp_path / "f.json", "--out", "b.csv", "--out-dir", tmp_path)
+        assert rc == 1
+        assert "error: filtration value nan at position 1 is NaN or below 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_truncated_filtration_is_located(self, tmp_path, capsys):
+        (tmp_path / "f.json").write_text('[\n{"vertices": [0], "value": 0.0},\n{"vertices": [1], "val')
+        rc = run("barcode", "--filtration", tmp_path / "f.json", "--out", "b.csv", "--out-dir", tmp_path)
+        assert rc == 1
+        assert f"error: {tmp_path / 'f.json'}: line 3: Unterminated string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid", ["0,nan,3", "nan,1,3", "0,inf,3", "0,0.25,2.5", "0,0.25,-1", "0,0.25,0", "0,1,inf", "0,abc,3", "0,1"]
+    )
+    def test_bad_eps_grid_rejected_before_reading(self, tmp_path, capsys, grid):
+        # the filtration does not exist: the grid must be refused first
+        rc = run("barcode", "--filtration", tmp_path / "missing.json", "--out", "b.csv",
+                 "--eps-grid", grid, "--grid-out", "grid.csv", "--out-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --eps-grid ") and grid in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestMscan:
     @pytest.mark.parametrize("value", ["nan", -0.05])

@@ -270,6 +270,11 @@ class TestContractValidation:
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
 
+    def test_nan_value_rejected(self):
+        ff = FlagFiltration(simplices=[((0,), 0.0), ((1,), math.nan), ((2,), 1.0)], dim_cap=1)
+        with pytest.raises(ContractViolationError, match="at position 1 is NaN or below 0.0"):
+            persistent_homology(ff)
+
     def test_missing_face_rejected(self):
         ff = FlagFiltration(simplices=[((0,), 0.0), ((0, 1), 1.0)], dim_cap=1)
         with pytest.raises(ContractViolationError):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topo_recon.embed import PointCloud, load_cloud, save_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
-from topo_recon.mscan import load_lifespan_csv
-from topo_recon.persistence import load_barcode
+from topo_recon.mscan import load_lifespan_csv, save_lifespan_csv
+from topo_recon.persistence import Barcode, Interval, load_barcode, save_barcode
 from topo_recon.render import render_skeleton
 from topo_recon.signal import (
     DEFAULT_IC,
@@ -18,12 +19,14 @@ from topo_recon.signal import (
     ScalarSeries,
     SeriesFormatError,
     Trajectory,
+    _read_table,
     add_uniform_noise,
     integrate_lorenz,
     load_series,
     observe,
     save_series,
 )
+from topo_recon.witness import FlagFiltration, skeleton_export
 
 
 def final_state(dt, n_steps):
@@ -242,6 +245,8 @@ def _render_edges(path):
 
 # table -> (reader, a valid head, a ragged row, a row with a non-number)
 COLD_TABLES = {
+    "series": (load_series, "# T=0.5\n1.0\n# a comment\n-2.5\n", "1.0,2.0", "1.0x"),
+    "cloud": (load_cloud, "t,c0,c1\n0,1.0,2.0\n", "1,3.0", "1,abc,2.0"),
     "landmarks": (load_landmarks, "# spacing=1\nidx,t,c0\n0,0,1.0\n", "1,1", "1,1,abc"),
     "barcode": (load_barcode, "k,birth,death\n0,0.0,inf\n", "1,0.5", "1,0.5,abc"),
     "lifespan": (load_lifespan_csv, "0,1\n1,0\n", "1,0,2", "1,abc"),
@@ -261,13 +266,82 @@ class TestTableRows:
         assert exc.value.path == str(path)
         assert exc.value.line_no == head.count("\n") + 2
 
-    @pytest.mark.parametrize("table", ["barcode", "edges", "landmarks"])
+    @pytest.mark.parametrize("table", ["barcode", "cloud", "edges", "landmarks", "series"])
     def test_missing_header_is_located(self, tmp_path, table):
         path = tmp_path / f"{table}.csv"
         path.write_text("")
         with pytest.raises(SeriesFormatError) as exc:
             COLD_TABLES[table][0](path)
         assert exc.value.line_no == 1
+
+
+# ±0, the smallest subnormals, a subnormal in the middle of the range and ±1e308, besides any float
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308]
+_TIMES = st.lists(st.integers(1, 10**12), min_size=1, max_size=6).map(lambda steps: np.cumsum(steps) - 10**12)
+
+
+def _floats(n: int, inf: bool):
+    """n floats, NaN excluded and infinities only when ``inf``."""
+    edge = _EDGE_FLOATS + ([math.inf, -math.inf] if inf else [])
+    value = st.one_of(st.sampled_from(edge), st.floats(allow_nan=False, allow_infinity=inf))
+    return st.lists(value, min_size=n, max_size=n)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _round_trip(table: str, data, path) -> tuple:
+    """Write drawn values with a table's writer, read them back with its reader: (ints, floats) both ways."""
+    times = data.draw(_TIMES)
+    n = times.size
+    if table == "series":
+        values = data.draw(_floats(n, inf=False))
+        interval = data.draw(st.floats(min_value=5e-324, max_value=1e308))
+        save_series(ScalarSeries(values, interval), path)
+        back = load_series(path)
+        return ([], values + [interval]), ([], back.values.tolist() + [back.sample_interval])
+    if table in ("cloud", "landmarks"):
+        m = data.draw(st.integers(1, 3))
+        points = np.array(data.draw(_floats(n * m, inf=False))).reshape(n, m)
+        if table == "cloud":
+            save_cloud(PointCloud(points, times), path)
+            back = load_cloud(path)
+            return (times.tolist(), points), (back.time_index.tolist(), back.points)
+        spacing = data.draw(st.integers(0, 10**6))
+        save_landmarks(LandmarkSet(times, points, times[::-1], spacing), path)
+        back = load_landmarks(path)
+        written = (times.tolist() + times[::-1].tolist() + [spacing], points)
+        return written, (back.indices.tolist() + back.time_index.tolist() + [back.spacing], back.coords)
+    if table == "barcode":
+        ks = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        births, deaths = data.draw(_floats(n, inf=True)), data.draw(_floats(n, inf=True))
+        intervals = [Interval(k, b, d, creator=0) for k, b, d in zip(ks, births, deaths)]
+        save_barcode(Barcode(intervals=intervals, dim_cap=4, filtration=None), path)
+        back_ks, back_births, back_deaths = zip(*load_barcode(path))
+        return (ks, births + deaths), (list(back_ks), back_births + back_deaths)
+    if table == "lifespan":
+        matrix = np.array(data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n * n, max_size=n * n)))
+        save_lifespan_csv(matrix.reshape(n, n), path)
+        return (matrix.tolist(), []), (load_lifespan_csv(path).ravel().tolist(), [])
+    # skeleton edges: births in filtration order, read back as render_skeleton reads them
+    births = sorted(data.draw(_floats(n, inf=True)))
+    edges = [((i, t), b) for i, (t, b) in enumerate(zip(times.tolist(), births))]
+    ff = FlagFiltration(simplices=edges, dim_cap=1)
+    assert skeleton_export(ff, math.inf, path) == n
+    back = _read_table(path, "i,j,birth", ints=2)
+    return ([v for verts, _ in edges for v in verts], births), (back.ints.ravel().tolist(), back.floats)
+
+
+class TestTableRoundTrip:
+    @pytest.mark.parametrize("table", sorted(COLD_TABLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_values_come_back_bitwise(self, tmp_path_factory, table, data):
+        path = tmp_path_factory.getbasetemp() / f"round_trip_{table}.csv"
+        (ints, floats), (back_ints, back_floats) = _round_trip(table, data, path)
+        assert back_ints == ints
+        assert _bits(back_floats) == _bits(floats)
 
 
 class TestDataclasses:

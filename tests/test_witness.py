@@ -14,6 +14,7 @@ from oracles import complex_below, edge_births_rows, random_edge_filtration, tru
 from topo_recon.embed import PointCloud
 from topo_recon import witness as witness_module
 from topo_recon.landmarks import LandmarkSet
+from topo_recon.signal import SeriesFormatError
 from topo_recon.witness import (
     EdgeFiltration,
     FlagFiltration,
@@ -507,6 +508,18 @@ class TestFiltrationFiles:
         path.write_text('{"vertices": [0], "value": 0.0}')
         with pytest.raises(ValueError):
             load_filtration(path)
+
+    def test_truncated_file_is_located(self, tmp_path):
+        ff = flag_expand(triangle_filtration(), dim_cap=2)
+        path = tmp_path / "f.json"
+        save_filtration(ff, path)
+        text = path.read_text()
+        cut = text.index('"value"', text.index("[0, 1]"))  # mid-entry, inside a key
+        path.write_text(text[: cut + 3])
+        with pytest.raises(SeriesFormatError, match="Unterminated string") as exc:
+            load_filtration(path)
+        assert exc.value.path == str(path)
+        assert exc.value.line_no == text[:cut].count("\n") + 1
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "f.json"
