@@ -281,7 +281,7 @@ def cmd_barcode(args) -> int:
             )
     ff = load_filtration(args.filtration)
     if args.dim_cap is not None:
-        top = max(len(verts) for verts, _ in ff.simplices)  # one above the top simplex dimension
+        top = int(ff.dims.max()) + 1  # one above the top simplex dimension
         if not 1 <= args.dim_cap <= top:
             raise ValueError(f"--dim-cap must be in 1..{top} for this filtration, got {args.dim_cap}")
         ff.dim_cap = args.dim_cap

@@ -177,8 +177,12 @@ def save_lifespan_csv(matrix: np.ndarray, path) -> None:
 
 
 def load_lifespan_csv(path) -> np.ndarray:
-    """Read a lifespan matrix written by :func:`save_lifespan_csv`."""
-    return _read_table(path, None, ints=None).ints
+    """Read a lifespan matrix written by :func:`save_lifespan_csv`; a non-square one fails at its first extra row."""
+    table = _read_table(path, None, ints=None)
+    rows, cols = table.ints.shape
+    if rows != cols:
+        raise table.error(cols if rows > cols else 0, f"lifespan matrix has {rows} rows of {cols} fields, not square")
+    return table.ints
 
 
 def save_existence_csv(sw: DimensionSweep, path) -> None:

@@ -11,18 +11,21 @@ k-simplex that destroyed a (k-1)-class in the pass below is skipped, so most
 columns pair at once with a free pivot (an apparent pair) and need no
 addition.  The pairs are those of the standard boundary reduction, so
 creators and destroyers are positions in the filtration's simplex list.
-Columns are sparse sets and one routine, ``_reduce``, does every reduction,
-representative cycles included.  Homology is reported for k < dim_cap;
-intervals with equal birth and death are homologically invisible and omitted.
+The filtration's arrays are checked all at once, and each simplex's facets
+are found by ``np.searchsorted`` over sorted integer keys; one CSR array of
+cofaces built from them feeds the columns.  Columns are sparse sets and one
+routine, ``_reduce``, does every reduction, representative cycles included;
+an H1 cycle is its creator edge closed through the H0 spanning forest.
+Homology is reported for k < dim_cap; intervals with equal birth and death
+are homologically invisible and omitted.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+
+import numpy as np
 
 from .signal import _read_table, _write_table
 from .witness import FlagFiltration
@@ -60,41 +63,73 @@ class Barcode:
     intervals: list
     dim_cap: int
     filtration: FlagFiltration = field(repr=False)
+    forest: frozenset = field(default=frozenset(), repr=False)  # positions of the H0 spanning forest's edges
 
     def by_dim(self, k: int) -> list:
         return [iv for iv in self.intervals if iv.k == k]
 
 
-def _validate(ff: FlagFiltration) -> tuple[dict, dict, dict]:
-    """Check canonical order and face closure; return the index map, coface lists and positions by dim.
+def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The index of each entry of ``x`` in the sorted array ``table``, or -1 where absent."""
+    at = np.searchsorted(table, x).clip(max=max(table.size - 1, 0))
+    return np.where(table[at] == x, at, -1) if table.size else np.full(x.shape, -1)
 
-    ``cofaces[p]`` lists, ascending, the positions of the simplices that have
-    the simplex at position p as a facet; ``by_dim[k]`` lists the positions
-    of the k-simplices, ascending.
+
+def _validate(ff: FlagFiltration) -> tuple[list, list]:
+    """Check canonical order and face closure; return the positions and the facet positions by dim.
+
+    ``by_dim[k]`` lists the positions of the k-simplices, ascending;
+    ``facets[k][r, i]`` is the position of the i-th facet (in
+    ``itertools.combinations`` order) of the simplex at ``by_dim[k][r]``.
+    A k-simplex's key is the index of its first k vertices' key among the
+    (k-1)-simplex keys, times the vertex count, plus its last vertex's rank,
+    so keys stay below n * ell.  Every check runs on all positions at once;
+    the first failing position raises (order, value, duplicate, then faces).
     """
-    index: dict[tuple, int] = {}
-    cofaces: defaultdict[int, list[int]] = defaultdict(list)
-    by_dim: defaultdict[int, list[int]] = defaultdict(list)
-    prev_value = -math.inf
-    for pos, (verts, value) in enumerate(ff.simplices):
-        n = len(verts)
-        if not n or not all(map(operator.lt, verts, verts[1:])):
-            raise ContractViolationError(f"simplex {verts} at position {pos} is not strictly sorted")
-        if not value >= prev_value:
-            raise ContractViolationError(
-                f"filtration value {value} at position {pos} is NaN or below {prev_value} before it"
-            )
-        prev_value = value
-        if index.setdefault(verts, pos) != pos:
-            raise ContractViolationError(f"duplicate simplex {verts}")
-        by_dim[n - 1].append(pos)
-        if n > 1:
-            for f in combinations(verts, n - 1):
-                fp = index.get(f)
-                if fp is None:
-                    raise ContractViolationError(f"face {f} of {verts} missing or out of order")
-                cofaces[fp].append(pos)
-    return index, cofaces, by_dim
+    verts, dims, values = ff.vertices, ff.dims, ff.values
+    n = values.size
+    live = np.arange(1, verts.shape[1]) <= dims[:, None]
+    unsorted = (dims < 0) | ((verts[:, 1:] <= verts[:, :-1]) & live).any(axis=1)
+    low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
+    dup, missing = np.zeros(n, dtype=bool), np.full(n, -1)
+    ids = np.unique(verts[dims == 0, 0])
+    tables, by_dim, facets = [], [], []  # tables[k]: the k-simplex keys, sorted, and the first position of each
+
+    def key(ranks):
+        out = ranks[:, 0]
+        for c in range(1, ranks.shape[1]):
+            prefix = _find(tables[c - 1][0], out)
+            out = np.where((prefix >= 0) & (ranks[:, c] >= 0), prefix * ids.size + ranks[:, c], -1)
+        return out
+
+    for d in range(max(ff.dim_cap, int(dims.max(initial=0))) + 1):
+        pos = np.flatnonzero(dims == d)
+        ranks = _find(ids, verts[pos, : d + 1]).reshape(pos.size, d + 1)  # without d-simplices, verts may be narrower
+        keys, first = np.unique(key(ranks), return_index=True)
+        dup[np.delete(pos, first)] = True
+        tables.append((keys[keys >= 0], pos[first[keys >= 0]]))
+        by_dim.append(pos)
+        facets.append(None)
+        if d:  # facet i drops vertex d - i; an absent facet reads position n
+            first = np.append(tables[d - 1][1], n)
+            facets[d] = np.column_stack([first[_find(tables[d - 1][0], key(np.delete(ranks, d - i, axis=1)))]
+                                         for i in range(d + 1)])
+            late = facets[d] > pos[:, None]
+            missing[pos] = np.where(late.any(axis=1), late.argmax(axis=1), -1)
+    failed = np.flatnonzero(unsorted | low | dup | (missing >= 0))
+    if not failed.size:
+        return by_dim, facets
+    p = int(failed[0])
+    simplex = tuple(verts[p, : dims[p] + 1].tolist())
+    if unsorted[p]:
+        raise ContractViolationError(f"simplex {simplex} at position {p} is not strictly sorted")
+    if low[p]:
+        prev = values[p - 1] if p else -math.inf
+        raise ContractViolationError(f"filtration value {values[p]} at position {p} is NaN or below {prev} before it")
+    if dup[p]:
+        raise ContractViolationError(f"duplicate simplex {simplex}")
+    drop = dims[p] - missing[p]  # the vertex that the first missing facet leaves out
+    raise ContractViolationError(f"face {simplex[:drop] + simplex[drop + 1:]} of {simplex} missing or out of order")
 
 
 def _reduce(columns, pick, track: bool = False):
@@ -133,18 +168,17 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     left-to-right boundary reduction; the returned multiset of intervals is
     independent of tie order among equal-valued simplices.
     """
-    index, cofaces, by_dim = _validate(ff)
-    sims = ff.simplices
-    values = [v for _, v in sims]
+    by_dim, facets = _validate(ff)
+    values = ff.values
 
     intervals = []
 
     def pair(k: int, i: int, j: int | None) -> None:
-        death = math.inf if j is None else values[j]
-        if death > values[i] and k < ff.dim_cap:
-            intervals.append(Interval(k=k, birth=values[i], death=death, creator=i, destroyer=j))
+        birth, death = float(values[i]), math.inf if j is None else float(values[j])
+        if death > birth and k < ff.dim_cap:
+            intervals.append(Interval(k=k, birth=birth, death=death, creator=i, destroyer=j))
 
-    parent = list(range(len(sims)))  # union-find over vertex positions
+    parent = {i: i for i in by_dim[0].tolist()}  # union-find over vertex positions
 
     def find(a: int) -> int:
         root = a
@@ -155,28 +189,36 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
         return root
 
     cleared = set()  # destroyers found by the pass one dimension below
-    for j in by_dim.get(1, ()):
-        u, w = sims[j][0]
-        ru, rw = find(index[(u,)]), find(index[(w,)])
+    for j, u, w in zip(by_dim[1].tolist(), *facets[1].T.tolist()):
+        ru, rw = find(u), find(w)
         if ru != rw:
             young, old = max(ru, rw), min(ru, rw)
             parent[young] = old
             cleared.add(j)
             pair(0, young, j)
-    for i in by_dim.get(0, ()):
+    for i in by_dim[0].tolist():
         if find(i) == i:
             pair(0, i, None)
+    forest = frozenset(cleared)
 
+    # cofaces[ptr[i]:ptr[i + 1]] are the positions of the simplices with facet i
+    face = np.concatenate([facets[d].ravel() for d in range(2, ff.dim_cap + 1)] + [np.empty(0, np.int64)])
+    coface = np.concatenate([np.repeat(by_dim[d], d + 1) for d in range(2, ff.dim_cap + 1)] + [face[:0]])
+    cofaces = coface[np.argsort(face, kind="stable")]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(face, minlength=values.size))))
+    del face, coface
     for k in range(1, ff.dim_cap):
         below, cleared = cleared, set()
-        columns = ((i, set(cofaces.get(i, ()))) for i in reversed(by_dim.get(k, ())) if i not in below)
+        columns = (
+            (i, set(cofaces[ptr[i] : ptr[i + 1]].tolist())) for i in reversed(by_dim[k].tolist()) if i not in below
+        )
         for i, j, _ in _reduce(columns, min):
             if j is not None:
                 cleared.add(j)
             pair(k, i, j)
 
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
-    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff)
+    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, forest=forest)
 
 
 def betti_at(bc: Barcode, epsilon: float) -> list[int]:
@@ -194,40 +236,32 @@ def betti_at(bc: Barcode, epsilon: float) -> list[int]:
     return betti
 
 
-def _kernel_cycles(bc: Barcode, k: int) -> dict[int, list[tuple]]:
-    """Cycle representatives for every dim-k creator, via a V-tracked boundary pass.
-
-    Reduces the dim-k boundary columns alone, in filtration order with the
-    largest face position as pivot; a column that reduces to zero is a
-    creator, and its V column is a k-cycle whose youngest simplex is that
-    creator.
-    """
-    sims = bc.filtration.simplices
-    index = {verts: pos for pos, (verts, _) in enumerate(sims)}
-    columns = (
-        (g, {index[f] for f in combinations(verts, k)})
-        for g, (verts, _) in enumerate(sims)
-        if len(verts) == k + 1
-    )
-    reduction = _reduce(columns, max, track=True)
-    return {g: [sims[p][0] for p in sorted(v)] for g, low, v in reduction if low is None}
-
-
 def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Interval, list[tuple]]]:
     """One representative k-cycle for each of the top_n longest k-intervals.
 
     Representatives are non-canonical: each is a single valid choice among
     homologous cycles born with its bar, returned as a list of k-simplex
-    vertex tuples.
+    vertex tuples in filtration order.  A V-tracked pass reduces boundary
+    columns in filtration order with the largest row as pivot; a column that
+    reduces to zero is a creator, and its V column is a k-cycle whose
+    youngest simplex is that creator.  For k = 1 only the H0 spanning
+    forest's edges come before the creators: their boundaries are
+    independent, so each V column is the creator plus the one forest path
+    between its ends, the same cycle as a pass over every edge finds.
     """
     if k < 1:
         raise ValueError("representative cycles need k >= 1")
-    bars = sorted(bc.by_dim(k), key=lambda iv: (-iv.length, iv.birth, iv.creator))
-    cycles = _kernel_cycles(bc, k)
-    out = []
-    for iv in bars[:top_n]:
-        out.append((iv, cycles[iv.creator]))
-    return out
+    bars = sorted(bc.by_dim(k), key=lambda iv: (-iv.length, iv.birth, iv.creator))[:top_n]
+    if not bars:  # no reduction: for k >= 2 it would reduce every k-simplex
+        return []
+    verts = bc.filtration.vertices
+    if k == 1:  # rows are vertex ids
+        columns = ((e, set(verts[e, :2].tolist())) for e in [*sorted(bc.forest), *(iv.creator for iv in bars)])
+    else:  # rows are facet positions
+        by_dim, facets = _validate(bc.filtration)
+        columns = zip(by_dim[k].tolist(), map(set, facets[k].tolist()))
+    cycles = {g: sorted(v) for g, low, v in _reduce(columns, max, track=True) if low is None}
+    return [(iv, [tuple(row[: k + 1]) for row in verts[cycles[iv.creator]].tolist()]) for iv in bars]
 
 
 def save_barcode(bc: Barcode, path) -> None:

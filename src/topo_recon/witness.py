@@ -10,13 +10,16 @@ closed-form birth value
 
 Higher simplices are filled in flag-style: a simplex is present exactly when
 all its edges are, with filtration value the largest edge birth.  Computing
-births exactly makes every epsilon queryable instead of sampling a grid.
+births exactly makes every epsilon queryable instead of sampling a grid.  A
+flag filtration is held as NumPy arrays (padded vertex ids, dimensions,
+values), expanded a dimension at a time from the boolean adjacency and put
+in (value, dim, vertices) order by one ``np.lexsort``, as Ripser keeps its
+simplices as arrays (Bauer, *Ripser*, 2021).
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,42 +76,47 @@ class EdgeFiltration:
         if self.births.shape != (ell, ell):
             raise ValueError("births must be square and match vertex_birth")
 
-    @property
-    def n_vertices(self) -> int:
-        return self.vertex_birth.size
 
-    def edge_list(self, max_value: float | None = None):
-        """Yield (i, j, birth) with i < j for every present edge, sorted by (i, j)."""
-        iu, ju = np.triu_indices(self.n_vertices, k=1)
-        vals = self.births[iu, ju]
-        keep = np.isfinite(vals)
-        if max_value is not None:
-            keep &= vals <= max_value
-        return list(zip(iu[keep].tolist(), ju[keep].tolist(), vals[keep].tolist()))
-
-
-@dataclass
+@dataclass(init=False, eq=False)
 class FlagFiltration:
     """Simplices up to dim_cap with filtration values, sorted by (value, dim, vertices).
 
-    When built with ``max_value`` set, the filtration is truncated at that
-    scale: barcode queries at epsilon <= max_value are exact, and intervals
-    still open there report death = +inf.
+    Stored as arrays: simplex p has dimension ``dims[p]``, vertex ids
+    ``vertices[p, :dims[p] + 1]`` (the rest of the row is -1) and value
+    ``values[p]``.  It can also be built from a list of (vertex tuple, value)
+    pairs, which ``simplices`` lists back.  When built with ``max_value`` set,
+    the filtration is truncated at that scale: barcode queries at epsilon <=
+    max_value are exact, and intervals still open there report death = +inf.
     """
 
-    simplices: list
+    vertices: np.ndarray
+    dims: np.ndarray
+    values: np.ndarray
     dim_cap: int
     max_value: float | None = None
 
+    def __init__(self, simplices=None, dim_cap: int = 1, max_value=None, *, vertices=None, dims=None, values=None):
+        if simplices is not None:
+            dims = np.array([len(verts) - 1 for verts, _ in simplices], dtype=np.int64)
+            vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
+            for row, (verts, _) in zip(vertices, simplices):
+                row[: len(verts)] = verts
+            values = np.array([value for _, value in simplices], dtype=np.float64)
+        self.vertices, self.dims, self.values = vertices, dims, values
+        self.dim_cap, self.max_value = dim_cap, max_value
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return self.values.size
+
+    def _pairs(self, stop: int | None = None) -> list:
+        rows = zip(self.vertices[:stop].tolist(), self.dims[:stop].tolist(), self.values[:stop].tolist())
+        return [(tuple(verts[: d + 1]), value) for verts, d, value in rows]
+
+    simplices = property(_pairs, doc="The (vertex tuple, value) pairs in order, built on each access.")
 
     def counts_by_dim(self) -> dict:
-        out: dict[int, int] = {}
-        for verts, _ in self.simplices:
-            d = len(verts) - 1
-            out[d] = out.get(d, 0) + 1
-        return out
+        dims, counts = np.unique(self.dims, return_counts=True)
+        return dict(zip(dims.tolist(), counts.tolist()))
 
 
 def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
@@ -223,6 +231,9 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     return EdgeFiltration(vertex_birth, births, witness, max_value=cap)
 
 
+_MASK_CELLS = 1 << 20  # the largest candidate mask flag_expand holds, in cells
+
+
 def flag_expand(
     ef: EdgeFiltration,
     dim_cap: int = 3,
@@ -235,6 +246,12 @@ def flag_expand(
     truncates the filtration at that scale; ``max_simplices`` bounds the
     total count and raises ResourceLimitError when exceeded.  A truncated
     ``ef`` needs a ``max_value`` no larger than its own.
+
+    A k-simplex's cofaces are its common upper neighbours: the AND of its
+    vertices' rows of the upper-triangular adjacency below the cap, in
+    chunks of at most ``_MASK_CELLS`` cells.  Each dimension is counted
+    before its arrays are made, so the budget fires before that memory is
+    spent.  A child's value is the max of its parent's and its new edges'.
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
@@ -242,64 +259,56 @@ def flag_expand(
         raise ValueError(
             f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges"
         )
-    ell = ef.n_vertices
-    births = ef.births
-    vb = ef.vertex_birth
+    births, vb, top = ef.births, ef.vertex_birth, np.inf if max_value is None else max_value
+    adj = np.triu(np.isfinite(births) & (births <= top), k=1)
 
-    simplices: list[tuple[tuple[int, ...], float]] = []
-    for v in range(ell):
-        value = float(vb[v])
-        if max_value is not None and value > max_value:
-            continue
-        simplices.append(((v,), value))
+    def pad(*cols):  # vertex rows padded with -1 to dim_cap + 1 columns
+        return np.column_stack(cols + (np.full(cols[0].size, -1),) * (dim_cap + 1 - len(cols)))
 
-    edges = ef.edge_list(max_value)
-    if len(simplices) + len(edges) > max_simplices:
-        raise ResourceLimitError(
-            f"vertex and edge count {len(simplices) + len(edges)} exceeds budget {max_simplices}"
-        )
+    kept, (iu, ju) = np.flatnonzero(~(vb > top)), np.nonzero(adj)
+    levels = [(pad(kept), vb[kept]), (pad(iu, ju), births[iu, ju])]
+    total = kept.size + iu.size
+    if total > max_simplices:
+        raise ResourceLimitError(f"vertex and edge count {total} exceeds budget {max_simplices}")
+    step = max(1, _MASK_CELLS // max(1, vb.size))
 
-    # neighbors with higher index, as bitmasks, over edges below the cap
-    nbr = [0] * ell
-    for i, j, _ in edges:
-        nbr[i] |= 1 << j
+    def masks(rows, k):  # (first row, candidate mask) per chunk of the k-vertex rows
+        for s in range(0, len(rows), step):
+            mask = adj[rows[s : s + step, 0]]
+            for c in range(1, k):
+                mask &= adj[rows[s : s + step, c]]
+            yield s, mask
 
-    count = len(simplices) + len(edges)
-    births_rows = [births[v] for v in range(ell)]
+    for k in range(2, dim_cap + 1):
+        rows, vals = levels[-1]
+        count = sum(int(np.count_nonzero(mask)) for _, mask in masks(rows, k))
+        total += count
+        if total > max_simplices:
+            raise ResourceLimitError(f"simplex count {total} through dimension {k} exceeds budget {max_simplices}")
+        child_rows, child_vals, at = np.empty((count, dim_cap + 1), dtype=np.int64), np.empty(count), 0
+        for s, mask in masks(rows, k):
+            r, u = np.nonzero(mask)
+            r, new = r + s, slice(at, at + r.size)
+            child_rows[new], child_vals[new] = rows[r], vals[r]
+            child_rows[new, k] = u
+            for c in range(k):
+                np.maximum(child_vals[new], births[rows[r, c], u], out=child_vals[new])
+            at += r.size
+        levels.append((child_rows, child_vals))
 
-    def grow(simplex: tuple, value: float, cand: int):
-        nonlocal count
-        while cand:
-            lowbit = cand & -cand
-            u = lowbit.bit_length() - 1
-            cand ^= lowbit
-            val = value
-            for w in simplex:
-                b = births_rows[w][u]
-                if b > val:
-                    val = b
-            child = simplex + (u,)
-            count += 1
-            if count > max_simplices:
-                raise ResourceLimitError(f"simplex count exceeds budget {max_simplices}")
-            simplices.append((child, float(val)))
-            if len(child) <= dim_cap:
-                grow(child, val, cand & nbr[u])
-
-    for i, j, bij in edges:
-        simplices.append(((i, j), float(bij)))
-        if dim_cap >= 2:
-            grow((i, j), float(bij), nbr[i] & nbr[j])
-
-    simplices.sort(key=lambda sv: (sv[1], len(sv[0]), sv[0]))
-    return FlagFiltration(simplices=simplices, dim_cap=dim_cap, max_value=max_value)
+    vertices, values = (np.concatenate(arrays) for arrays in zip(*levels))
+    dims = np.repeat(np.arange(len(levels)), [len(vals) for _, vals in levels])
+    order = np.lexsort((*vertices.T[::-1], dims, values))
+    return FlagFiltration(
+        dim_cap=dim_cap, max_value=max_value, vertices=vertices[order], dims=dims[order], values=values[order]
+    )
 
 
 def complex_at(ff: FlagFiltration, epsilon: float) -> list:
     """The simplex list at a fixed scale: every simplex with value <= epsilon."""
     if ff.max_value is not None and epsilon > ff.max_value:
         raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {ff.max_value}")
-    return ff.simplices[: bisect_right(ff.simplices, epsilon, key=lambda sv: sv[1])]
+    return ff._pairs(int(np.searchsorted(ff.values, epsilon, side="right")))
 
 
 def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
@@ -308,25 +317,28 @@ def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
     Returns the number of edges written; the file is header-only when the
     complex has no edges at this scale.
     """
-    edges = [(*verts, value) for verts, value in complex_at(ff, epsilon) if len(verts) == 2]
-    _write_table(edges_path, ["i,j,birth"], *zip(*edges))
-    return len(edges)
+    if ff.max_value is not None and epsilon > ff.max_value:
+        raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {ff.max_value}")
+    edges = np.flatnonzero(ff.dims[: np.searchsorted(ff.values, epsilon, side="right")] == 1)
+    _write_table(edges_path, ["i,j,birth"], *ff.vertices[edges, :2].T, ff.values[edges])
+    return edges.size
 
 
 def save_filtration(ff: FlagFiltration, path) -> None:
     """Write the filtration as a JSON array of {vertices, value}, canonically sorted."""
+    rows = zip(ff.vertices.tolist(), ff.dims.tolist(), ff.values.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
-        last = len(ff.simplices) - 1
-        for pos, (verts, value) in enumerate(ff.simplices):
-            row = json.dumps({"vertices": list(verts), "value": value})
-            fh.write(row)
-            fh.write(",\n" if pos != last else "\n")
-        fh.write("]\n")
+        fh.write(",\n".join(json.dumps({"vertices": verts[: d + 1], "value": value}) for verts, d, value in rows))
+        fh.write("\n]\n" if len(ff) else "]\n")
 
 
 def load_filtration(path) -> FlagFiltration:
-    """Read a filtration JSON array; dim_cap is inferred from the largest simplex."""
+    """Read a filtration JSON array; dim_cap is inferred from the largest simplex.
+
+    Each entry must hold a list of integer vertex ids (int64) and a number;
+    order and face closure are checked by the barcode.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -334,16 +346,15 @@ def load_filtration(path) -> FlagFiltration:
             raise SeriesFormatError(path, exc.lineno, exc.msg) from None
     if not isinstance(raw, list):
         raise ValueError(f"{path}: expected a JSON array of simplices")
-    simplices = []
-    try:
-        for pos, entry in enumerate(raw):
-            verts = tuple(int(v) for v in entry["vertices"])
-            simplices.append((verts, float(entry["value"])))
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(
-            f"{path}: entry {pos} is not an object with numeric 'vertices' and 'value'"
-        ) from None
-    if not simplices:
+    if not raw:
         raise ValueError(f"{path}: filtration is empty")
-    dim_cap = max(1, max(len(v) - 1 for v, _ in simplices))
-    return FlagFiltration(simplices=simplices, dim_cap=dim_cap, max_value=None)
+    for pos, entry in enumerate(raw):
+        verts, value = (entry.get("vertices"), entry.get("value")) if isinstance(entry, dict) else (None, None)
+        if not (
+            isinstance(verts, list)
+            and all(type(v) is int and -(2**63) <= v < 2**63 for v in verts)
+            and (type(value) is float or type(value) is int and abs(value) < 2**1023)
+        ):
+            raise ValueError(f"{path}: entry {pos} is not an object with integer 'vertices' and a numeric 'value'")
+    sims = [(entry["vertices"], float(entry["value"])) for entry in raw]
+    return FlagFiltration(sims, dim_cap=max(1, max(len(verts) - 1 for verts, _ in sims)))

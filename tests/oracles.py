@@ -1,7 +1,9 @@
 """Independent ground-truth helpers shared by the test suite.
 
 Everything here is deliberately naive and shares no code with the package:
-brute-force clique enumeration plus dense Gaussian elimination over Z/2,
+brute-force clique enumeration, the tuple-based flag expansion and
+dict-based filtration checks that the package used before its arrays,
+dense Gaussian elimination over Z/2,
 the bigint boundary-matrix reduction and V-tracked kernel pass that the
 package used before its coboundary reduction, the landmark-row edge-birth
 kernel that the package used before its witness blocks, a union-find
@@ -92,9 +94,73 @@ def euler_characteristic(simplices):
     return chi
 
 
+def edge_list(ef: EdgeFiltration, max_value: float | None = None):
+    """(i, j, birth) with i < j for every present edge, sorted by (i, j)."""
+    iu, ju = np.triu_indices(ef.vertex_birth.size, k=1)
+    vals = ef.births[iu, ju]
+    keep = np.isfinite(vals)
+    if max_value is not None:
+        keep &= vals <= max_value
+    return list(zip(iu[keep].tolist(), ju[keep].tolist(), vals[keep].tolist()))
+
+
+def flag_expand_tuples(ef: EdgeFiltration, dim_cap: int, max_value: float | None = None):
+    """The flag filtration as (vertex tuple, value) pairs, by growing cliques from bitmasks.
+
+    The tuple-based expansion the package used before its NumPy one: each
+    edge grows into the cliques of its common upper neighbours, a clique's
+    value is the largest of its edges' births, and one Python sort puts the
+    list in (value, dim, vertices) order.
+    """
+    sims = [((v,), float(b)) for v, b in enumerate(ef.vertex_birth) if max_value is None or not b > max_value]
+    edges = edge_list(ef, max_value)
+    nbr = [0] * ef.vertex_birth.size  # upper neighbours as bitmasks
+    for i, j, _ in edges:
+        nbr[i] |= 1 << j
+
+    def grow(simplex, value, cand):
+        while cand:
+            low = cand & -cand
+            u, cand = low.bit_length() - 1, cand ^ low
+            child = simplex + (u,)
+            val = max([value] + [ef.births[w, u] for w in simplex])
+            sims.append((child, float(val)))
+            if len(child) <= dim_cap:
+                grow(child, val, cand & nbr[u])
+
+    for i, j, b in edges:
+        sims.append(((i, j), float(b)))
+        if dim_cap >= 2:
+            grow((i, j), b, nbr[i] & nbr[j])
+    return sorted(sims, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
+
+
+def first_violation(simplices):
+    """The message of the first broken filtration contract, by one pass over a tuple dict; None if valid.
+
+    The checks the package ran position by position before its array
+    validator: strictly sorted vertices, nondecreasing non-NaN values, no
+    duplicates, and every facet at an earlier position.
+    """
+    index = {}
+    prev = -math.inf
+    for pos, (verts, value) in enumerate(simplices):
+        if not verts or any(a >= b for a, b in zip(verts, verts[1:])):
+            return f"simplex {verts} at position {pos} is not strictly sorted"
+        if not value >= prev:
+            return f"filtration value {value} at position {pos} is NaN or below {prev} before it"
+        prev = value
+        if index.setdefault(verts, pos) != pos:
+            return f"duplicate simplex {verts}"
+        for f in itertools.combinations(verts, len(verts) - 1) if len(verts) > 1 else ():
+            if f not in index:
+                return f"face {f} of {verts} missing or out of order"
+    return None
+
+
 def complex_below(ef: EdgeFiltration, epsilon: float, dim_cap: int):
     """Brute-force scale-epsilon clique complex of an edge filtration."""
-    n = ef.n_vertices
+    n = ef.vertex_birth.size
     present = [v for v in range(n) if ef.vertex_birth[v] <= epsilon]
     edge_set = {
         (i, j)
@@ -160,7 +226,7 @@ def components_unionfind(ef: EdgeFiltration, epsilon: float) -> int:
     Independent of the reduction path: counts vertices with birth <= epsilon,
     merged along every edge with birth <= epsilon.
     """
-    ell = ef.n_vertices
+    ell = ef.vertex_birth.size
     parent = list(range(ell))
 
     def find(a: int) -> int:

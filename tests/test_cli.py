@@ -411,6 +411,14 @@ class TestMscan:
 
 
 class TestErrorPaths:
+    def test_render_heatmap_non_square_matrix(self, tmp_path, capsys):
+        (tmp_path / "lifespan.csv").write_text("0,1\n1,0\n2,2\n")
+        rc = run("render", "heatmap", "--in", tmp_path / "lifespan.csv", "--out", "heat.svg", "--out-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lifespan.csv" in err and "line 3" in err and "not square" in err
+        assert not (tmp_path / "heat.svg").exists()
+
     def test_version_flag(self, capsys):
         assert run("--version") == 0
         assert __version__ in capsys.readouterr().out

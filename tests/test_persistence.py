@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     complex_below,
     components_unionfind,
     dense_betti,
+    first_violation,
     kernel_cycles_bigint,
     random_edge_filtration,
 )
@@ -28,7 +30,9 @@ from topo_recon.persistence import (
     representative_cycles,
     save_barcode,
 )
-from topo_recon.witness import EdgeFiltration, FlagFiltration, flag_expand, load_filtration
+from topo_recon import persistence as persistence_module
+from topo_recon.signal import SeriesFormatError
+from topo_recon.witness import EdgeFiltration, FlagFiltration, flag_expand, load_filtration, save_filtration
 
 
 def edge_filtration(n, edges, vertex_birth=None):
@@ -144,7 +148,7 @@ class TestAgainstDenseOracle:
     def test_relabeling_leaves_barcode_invariant(self):
         rng = np.random.default_rng(21)
         ef = random_edge_filtration(rng, n_max=8)
-        n = ef.n_vertices
+        n = ef.vertex_birth.size
         perm = rng.permutation(n)
         vb2 = ef.vertex_birth[perm]
         births2 = ef.births[np.ix_(perm, perm)]
@@ -245,6 +249,17 @@ class TestRepresentativeCycles:
         got = representative_cycles(bc, k=1, top_n=5)
         assert len(got) == 1
 
+    def test_no_bar_no_reduction(self, monkeypatch):
+        # dim_cap 2 reports no H2 bar, so no reduction of the triangles may run
+        bc = circle_barcode()
+        assert bc.filtration.counts_by_dim()[2] > 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("reduction run without a bar")
+
+        monkeypatch.setattr(persistence_module, "_reduce", refuse)
+        assert representative_cycles(bc, k=2, top_n=5) == []
+
     def test_k_zero_rejected(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
         with pytest.raises(ValueError):
@@ -291,6 +306,98 @@ class TestContractValidation:
         )
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
+
+
+def mutated(data, sims):
+    """A valid simplex list with one random defect, or none."""
+    sims = list(sims)
+    p = data.draw(st.integers(0, len(sims) - 1))
+    verts, value = sims[p]
+    how = data.draw(st.sampled_from(["none", "drop", "copy", "swap", "nan", "reverse", "extend", "value", "empty"]))
+    if how == "drop":
+        del sims[p]
+    elif how == "copy":
+        sims.insert(data.draw(st.integers(p, len(sims))), sims[p])
+    elif how == "swap":
+        q = data.draw(st.integers(0, len(sims) - 1))
+        sims[p], sims[q] = sims[q], sims[p]
+    elif how == "nan":
+        sims[p] = (verts, math.nan)
+    elif how == "reverse":
+        sims[p] = (verts[::-1], value)
+    elif how == "extend":
+        sims[p] = (verts + (data.draw(st.integers(-2, 12)),), value)
+    elif how == "value":
+        sims[p] = (verts, data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, math.inf])))
+    elif how == "empty":
+        sims[p] = ((), value)
+    return sims
+
+
+class TestContractReferee:
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_first_violation_as_tuple_checks(self, seed, dim_cap, data):
+        ef = random_edge_filtration(np.random.default_rng(seed), n_max=7)
+        sims = mutated(data, flag_expand(ef, dim_cap=dim_cap).simplices)
+        want = first_violation(sims)
+        ff = FlagFiltration(simplices=sims, dim_cap=dim_cap)
+        if want is None:
+            assert interval_tuples(persistent_homology(ff)) == boundary_reduction(ff)
+        else:
+            with pytest.raises(ContractViolationError) as exc:
+                persistent_homology(ff)
+            assert str(exc.value) == want
+
+
+def fuzz_filtration_file(data, path):
+    """Write a saved flag filtration with one defect that must make loading or the barcode fail."""
+    ef = random_edge_filtration(np.random.default_rng(data.draw(st.integers(0, 10_000))), n_max=6)
+    ff = flag_expand(ef, dim_cap=2)
+    save_filtration(ff, path)
+    text = path.read_text()
+    entries = json.loads(text)
+    edges = [p for p, e in enumerate(entries) if len(e["vertices"]) == 2]
+    how = data.draw(st.sampled_from(
+        ["truncate", "nan", "infinity", "ragged", "non_integer", "unsorted", "missing_face", "duplicate", "order"]
+    ))
+    if how == "truncate":
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 3))])
+        return
+    if how in ("nan", "infinity"):  # a NaN anywhere, or Infinity before a finite value
+        p = data.draw(st.integers(0, len(entries) - (1 if how == "nan" else 2)))
+        entries[p]["value"] = math.nan if how == "nan" else math.inf
+    elif how == "ragged":
+        entries[data.draw(st.integers(0, len(entries) - 1))]["vertices"] = data.draw(
+            st.sampled_from([[[0], [1]], "0,1", 3, None, {"0": 1}])
+        )
+    elif how == "non_integer":
+        verts = entries[data.draw(st.integers(0, len(entries) - 1))]["vertices"]
+        verts[0] = data.draw(st.sampled_from([0.5, 1.0, "1", True, 2**64, None]))
+    elif how == "unsorted" and edges:
+        entries[data.draw(st.sampled_from(edges))]["vertices"].reverse()
+    elif how == "missing_face" and edges:  # drop a vertex of some edge
+        u = entries[data.draw(st.sampled_from(edges))]["vertices"][0]
+        del entries[[e["vertices"] for e in entries].index([u])]
+    elif how == "order" and edges:  # an edge valued below everything before it
+        entries[data.draw(st.sampled_from(edges))]["value"] = -1.0
+    else:  # duplicate, and the cases above when there is no edge
+        p = data.draw(st.integers(0, len(entries) - 1))
+        entries.insert(p + 1, dict(entries[p]))
+    path.write_text(json.dumps(entries))
+
+
+class TestFiltrationFileFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_filtration_file_fails_with_a_located_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "filtration.json"
+        fuzz_filtration_file(data, path)
+        with pytest.raises(ValueError) as exc:  # SeriesFormatError and ContractViolationError are ValueErrors
+            persistent_homology(load_filtration(path))
+        assert isinstance(exc.value, (SeriesFormatError, ContractViolationError)) or str(path) in str(exc.value)
+        if isinstance(exc.value, ContractViolationError):  # names the position or the simplex
+            assert re.search(r"at position \d+|^duplicate simplex \(|^face \(.* of \(", str(exc.value))
 
 
 class TestBarcodeFiles:

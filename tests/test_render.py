@@ -8,6 +8,7 @@ import pytest
 from topo_recon.landmarks import LandmarkSet, save_landmarks
 from topo_recon.mscan import save_lifespan_csv
 from topo_recon.render import render_barcode, render_heatmap, render_skeleton
+from topo_recon.signal import SeriesFormatError
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -99,6 +100,14 @@ class TestRenderHeatmap:
         save_lifespan_csv(np.array([[40]]), b)
         color = lambda p: [r.get("fill") for r in tags(parse(render_heatmap(p)), "rect")][1]
         assert color(a) == color(b)
+
+    @pytest.mark.parametrize("text, line", [("0,1\n1,0\n2,2\n", 3), ("0,1,2\n1,0,2\n", 1)])
+    def test_non_square_matrix_is_located(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(SeriesFormatError, match="not square") as exc:
+            render_heatmap(path)
+        assert (exc.value.path, exc.value.line_no) == (str(path), line)
 
     def test_cell_size_respects_limit(self, tmp_path):
         path = tmp_path / "m.csv"

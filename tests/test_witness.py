@@ -3,14 +3,23 @@
 import inspect
 import itertools
 import json
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_below, edge_births_rows, random_edge_filtration, truncate_births
+from oracles import (
+    complex_below,
+    edge_births_rows,
+    edge_list,
+    flag_expand_tuples,
+    random_edge_filtration,
+    truncate_births,
+)
 from topo_recon.embed import PointCloud
 from topo_recon import witness as witness_module
 from topo_recon.landmarks import LandmarkSet
@@ -179,15 +188,15 @@ class TestEdgeBirths:
 
     def test_single_landmark(self):
         ef = edge_births(distance_matrix(np.zeros((4, 2)), np.zeros((1, 2))))
-        assert ef.n_vertices == 1
-        assert ef.edge_list() == []
+        assert ef.vertex_birth.size == 1
+        assert edge_list(ef) == []
 
     def test_edge_list_filter_and_order(self):
         vb = np.zeros(3)
         births = np.array([[np.inf, 0.5, 2.0], [0.5, np.inf, np.inf], [2.0, np.inf, np.inf]])
         ef = EdgeFiltration(vb, births)
-        assert ef.edge_list() == [(0, 1, 0.5), (0, 2, 2.0)]
-        assert ef.edge_list(max_value=1.0) == [(0, 1, 0.5)]
+        assert edge_list(ef) == [(0, 1, 0.5), (0, 2, 2.0)]
+        assert edge_list(ef, max_value=1.0) == [(0, 1, 0.5)]
 
     @given(seed=st.integers(0, 500))
     @settings(max_examples=25, deadline=None)
@@ -196,7 +205,7 @@ class TestEdgeBirths:
         W = rng.uniform(-1.0, 1.0, size=(20, 2))
         L = W[:: int(rng.integers(2, 5))]
         ef = edge_births(distance_matrix(W, L))
-        for i, j, b in ef.edge_list():
+        for i, j, b in edge_list(ef):
             assert b >= max(ef.vertex_birth[i], ef.vertex_birth[j]) - 1e-12
 
     @given(
@@ -431,6 +440,47 @@ class TestFlagExpand:
         np.fill_diagonal(births, np.inf)
         with pytest.raises(ResourceLimitError, match="budget"):
             flag_expand(EdgeFiltration(np.zeros(n), births), dim_cap=2, max_simplices=25)
+
+    @pytest.mark.parametrize("n, dim_cap", [(200, 2), (100, 3)])
+    def test_budget_fires_before_the_top_dimension_is_allocated(self, n, dim_cap):
+        # a complete graph: the top dimension alone holds C(n, dim_cap + 1) simplices
+        births = np.full((n, n), 1.0)
+        np.fill_diagonal(births, np.inf)
+        ef = EdgeFiltration(np.zeros(n), births)
+        below = sum(math.comb(n, d + 1) for d in range(dim_cap))
+        top_bytes = math.comb(n, dim_cap + 1) * (dim_cap + 2) * 8  # its vertex rows and values
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"through dimension {dim_cap}"):
+                flag_expand(ef, dim_cap=dim_cap, max_simplices=below + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < top_bytes / 8
+
+    @given(data=st.data(), n=st.integers(1, 8), dim_cap=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tuple_referee_bitwise(self, data, n, dim_cap):
+        # few distinct births, so ties are common; caps 0.0 and 0.25 lie below every edge
+        vb = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=n, max_size=n)))
+        births = np.full((n, n), np.inf)
+        birth = st.one_of(st.sampled_from([0.5, 1.0, 1.5, np.inf]), st.floats(0.5, 2.0))
+        for i, j in itertools.combinations(range(n), 2):
+            births[i, j] = births[j, i] = max(data.draw(birth), vb[i], vb[j])
+        ef = EdgeFiltration(vb, births)
+        cap = data.draw(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5]))
+        ff = flag_expand(ef, dim_cap=dim_cap, max_value=cap)
+        want = flag_expand_tuples(ef, dim_cap, cap)
+        assert ff.simplices == want
+        assert ff.values.tobytes() == np.array([v for _, v in want], dtype=np.float64).tobytes()
+        assert ff.counts_by_dim() == {d: c for d, c in Counter(len(s) - 1 for s, _ in want).items()}
+
+    def test_single_vertex_and_edge_free(self):
+        single = flag_expand(EdgeFiltration(np.zeros(1), np.full((1, 1), np.inf)), dim_cap=3)
+        assert single.simplices == [((0,), 0.0)]
+        bare = flag_expand(EdgeFiltration(np.array([0.5, 0.0, 0.5]), np.full((3, 3), np.inf)), dim_cap=2)
+        assert bare.simplices == [((1,), 0.0), ((0,), 0.5), ((2,), 0.5)]
+        assert bare.counts_by_dim() == {0: 3}
 
 
 class TestComplexAt:
