@@ -273,6 +273,10 @@ def cmd_complex(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    if args.cycles_k < 1:
+        raise ValueError(f"--cycles-k must be at least 1, got {args.cycles_k}")
+    if args.cycles_top < 0:
+        raise ValueError(f"--cycles-top must be nonnegative, got {args.cycles_top}")
     if args.eps_grid:
         lo, hi, count = _parse_floats(args.eps_grid, 3, "--eps-grid")
         if not (math.isfinite(lo) and math.isfinite(hi) and count >= 1 and count.is_integer()):
@@ -317,9 +321,13 @@ def cmd_barcode(args) -> int:
 
 def cmd_mscan(args) -> int:
     _scale_arg(args.xi, "--xi")
+    if args.barcode_landmark < 0:
+        raise ValueError(f"--barcode-landmark must be nonnegative, got {args.barcode_landmark}")
     series = _load_series_arg(args)
     tau, tau_params = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)
+    if args.barcode_landmark >= sw.ell:
+        raise ValueError(f"--barcode-landmark must be below the {sw.ell} landmarks, got {args.barcode_landmark}")
     matrix = lifespan_matrix(sw)
 
     lifespan_out = _out_path(args, "lifespan.csv")

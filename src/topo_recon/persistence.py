@@ -249,8 +249,8 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
     independent, so each V column is the creator plus the one forest path
     between its ends, the same cycle as a pass over every edge finds.
     """
-    if k < 1:
-        raise ValueError("representative cycles need k >= 1")
+    if k < 1 or top_n < 0:
+        raise ValueError(f"representative cycles need k >= 1 and top_n >= 0, got k={k}, top_n={top_n}")
     bars = sorted(bc.by_dim(k), key=lambda iv: (-iv.length, iv.birth, iv.creator))[:top_n]
     if not bars:  # no reduction: for k >= 2 it would reduce every k-simplex
         return []

@@ -23,7 +23,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .embed import PointCloud
 from .landmarks import LandmarkSet
@@ -108,11 +107,11 @@ class FlagFiltration:
     def __len__(self) -> int:
         return self.values.size
 
-    def _pairs(self, stop: int | None = None) -> list:
-        rows = zip(self.vertices[:stop].tolist(), self.dims[:stop].tolist(), self.values[:stop].tolist())
+    @property
+    def simplices(self) -> list:
+        """The (vertex tuple, value) pairs in order, built on each access."""
+        rows = zip(self.vertices.tolist(), self.dims.tolist(), self.values.tolist())
         return [(tuple(verts[: d + 1]), value) for verts, d, value in rows]
-
-    simplices = property(_pairs, doc="The (vertex tuple, value) pairs in order, built on each access.")
 
     def counts_by_dim(self) -> dict:
         dims, counts = np.unique(self.dims, return_counts=True)
@@ -120,15 +119,23 @@ class FlagFiltration:
 
 
 def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
-    """Euclidean distances from every witness to every landmark."""
-    W = _as_points(witnesses)
-    L = _as_points(landmarks)
+    """Euclidean distances from every witness to every landmark, bitwise equal to SciPy's ``cdist``.
+
+    Landmark-major: each row of the (ell, N) array sums one landmark's squared coordinate differences in
+    coordinate order from 0.0, SciPy's euclidean order, then takes the square root in place.  ``entries``
+    is the (N, ell) transpose view, so ``edge_births`` reads each landmark's excesses contiguously.
+    """
+    W, L = _as_points(witnesses), _as_points(landmarks)
     if W.shape[1] != L.shape[1]:
         raise ValueError(f"dimension mismatch: witnesses are {W.shape[1]}-d, landmarks {L.shape[1]}-d")
     if W.shape[0] == 0 or L.shape[0] == 0:
         raise ValueError("witnesses and landmarks must be nonempty")
-    entries = cdist(W, L)
-    return DistanceMatrix(entries=entries, nearest=entries.min(axis=1))
+    rows, coords, sq = np.zeros((len(L), len(W))), np.ascontiguousarray(W.T), np.empty(len(W))
+    for row, landmark in zip(rows, L.tolist()):
+        for column, value in zip(coords, landmark):
+            row += np.square(np.subtract(column, value, out=sq), out=sq)
+        np.sqrt(row, out=row)
+    return DistanceMatrix(entries=rows.T, nearest=rows.min(axis=0))
 
 
 def _fold_rows(excess, s, births, witness, iu, ju, key) -> None:
@@ -302,13 +309,6 @@ def flag_expand(
     return FlagFiltration(
         dim_cap=dim_cap, max_value=max_value, vertices=vertices[order], dims=dims[order], values=values[order]
     )
-
-
-def complex_at(ff: FlagFiltration, epsilon: float) -> list:
-    """The simplex list at a fixed scale: every simplex with value <= epsilon."""
-    if ff.max_value is not None and epsilon > ff.max_value:
-        raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {ff.max_value}")
-    return ff._pairs(int(np.searchsorted(ff.values, epsilon, side="right")))
 
 
 def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:

@@ -1,8 +1,10 @@
 """Independent ground-truth helpers shared by the test suite.
 
 Everything here is deliberately naive and shares no code with the package:
+SciPy's ``cdist`` (the package itself does not import SciPy),
 brute-force clique enumeration, the tuple-based flag expansion and
 dict-based filtration checks that the package used before its arrays,
+the fixed-scale simplex list ``complex_at``,
 dense Gaussian elimination over Z/2,
 the bigint boundary-matrix reduction and V-tracked kernel pass that the
 package used before its coboundary reduction, the landmark-row edge-birth
@@ -19,6 +21,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist  # the bitwise referee for witness.distance_matrix
 
 from topo_recon.mscan import DimensionSweep
 from topo_recon.witness import DistanceMatrix, EdgeFiltration, FlagFiltration
@@ -171,6 +174,13 @@ def complex_below(ef: EdgeFiltration, epsilon: float, dim_cap: int):
         and ef.births[i, j] <= epsilon
     }
     return brute_force_cliques(present, edge_set, dim_cap)
+
+
+def complex_at(ff: FlagFiltration, epsilon: float) -> list:
+    """The simplex list at a fixed scale: every (vertex tuple, value) pair with value <= epsilon."""
+    if ff.max_value is not None and epsilon > ff.max_value:
+        raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {ff.max_value}")
+    return [(verts, value) for verts, value in ff.simplices if value <= epsilon]
 
 
 def random_edge_filtration(rng: np.random.Generator, n_max: int = 12) -> EdgeFiltration:

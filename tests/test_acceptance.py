@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    complex_at,
     complex_below,
     components_unionfind,
     dense_betti,
@@ -37,7 +38,7 @@ from topo_recon.landmarks import select_evenly_spaced, select_maxmin
 from topo_recon.mscan import dm_filtration, lifespan_matrix, sweep
 from topo_recon.persistence import betti_at, persistent_homology
 from topo_recon.signal import ScalarSeries, add_uniform_noise, integrate_lorenz, observe
-from topo_recon.witness import complex_at, distance_matrix, edge_births, flag_expand
+from topo_recon.witness import distance_matrix, edge_births, flag_expand
 
 IC = (5.0, 5.0, 5.0)
 TRANSIENT = 10_000

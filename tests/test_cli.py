@@ -378,8 +378,30 @@ class TestBarcode:
         assert err.startswith("error: --eps-grid ") and grid in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags, message", [(("--cycles-top", -1), "--cycles-top must be nonnegative, got -1"),
+                           (("--cycles-k", 0), "--cycles-k must be at least 1, got 0")]
+    )
+    def test_bad_cycle_flags_rejected_before_writing(self, tmp_path, capsys, flags, message):
+        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
+        rc = run("barcode", "--filtration", tetra, "--out", "b.csv", "--cycles-out", "c.csv", *flags,
+                 "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMscan:
+    @pytest.mark.parametrize("value, message", [(-1, "must be nonnegative"), (999, "must be below the ")])
+    def test_bad_barcode_landmark_rejected_before_writing(self, tmp_path, capsys, value, message):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 2,
+                 "--barcode-landmark", value, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --barcode-landmark ") and message in err and f"got {value}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["nan", -0.05])
     def test_bad_xi_rejected(self, tmp_path, capsys, value):
         sine_series_file(tmp_path / "s.txt")

@@ -265,6 +265,13 @@ class TestRepresentativeCycles:
         with pytest.raises(ValueError):
             representative_cycles(bc, k=0)
 
+    def test_negative_top_n_rejected(self):
+        # a negative count must not slice off the last bars
+        bc = persistent_homology(flag_expand(square(), dim_cap=2))
+        with pytest.raises(ValueError, match="top_n >= 0"):
+            representative_cycles(bc, k=1, top_n=-1)
+        assert representative_cycles(bc, k=1, top_n=0) == []
+
     def test_every_reported_cycle_is_a_cycle(self):
         rng = np.random.default_rng(22)
         ef = random_edge_filtration(rng, n_max=10)

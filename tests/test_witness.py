@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    cdist,
+    complex_at,
     complex_below,
     edge_births_rows,
     edge_list,
@@ -28,7 +30,6 @@ from topo_recon.witness import (
     EdgeFiltration,
     FlagFiltration,
     ResourceLimitError,
-    complex_at,
     distance_matrix,
     edge_births,
     flag_expand,
@@ -92,6 +93,43 @@ class TestDistanceMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             distance_matrix(np.zeros((0, 2)), np.zeros((2, 2)))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.integers(0, 64),
+        gridded=st.booleans(),
+        duplicated=st.booleans(),
+        subset=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_cdist(self, seed, dim, gridded, duplicated, subset):
+        rng = np.random.default_rng(seed)
+        n, ell = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        # each coordinate at its own magnitude, 1e-3..1e3
+        W = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+        if gridded:
+            W = np.round(W, int(rng.integers(0, 3)))
+        if duplicated:
+            W[rng.integers(0, n, size=n // 2)] = W[0]
+        if subset:
+            L = W[rng.choice(n, size=min(ell, n), replace=False)]
+        else:
+            L = rng.standard_normal((ell, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+        dm, ref = distance_matrix(W, L), cdist(W, L)
+        assert np.array_equal(dm.entries, ref)
+        assert np.array_equal(dm.nearest, ref.min(axis=1))
+
+    def test_zero_coordinates_give_cdist_zeros(self):
+        dm = distance_matrix(np.zeros((4, 0)), np.zeros((3, 0)))
+        assert np.array_equal(dm.entries, cdist(np.zeros((4, 0)), np.zeros((3, 0))))
+        assert np.array_equal(dm.entries, np.zeros((4, 3)))
+        assert np.array_equal(dm.nearest, np.zeros(4))
+
+    def test_entries_view_landmark_rows(self):
+        # entries is the transpose of contiguous landmark rows, which edge_births reads by block
+        rng = np.random.default_rng(3)
+        dm = distance_matrix(rng.standard_normal((50, 3)), rng.standard_normal((6, 3)))
+        assert dm.entries.T.flags.c_contiguous
 
 
 class TestEdgeBirths:
@@ -586,7 +624,7 @@ class TestFiltrationFiles:
 
 class TestFlagFiltrationDataclass:
     def test_len_and_values_cache(self):
-        # no cached value array: complex_at bisects the simplex values themselves
+        # no cached value array: complex_at reads the simplex values themselves
         ff = FlagFiltration(simplices=[((0,), 0.0), ((1,), 0.5)], dim_cap=1)
         assert len(ff) == 2
         assert [complex_at(ff, eps) for eps in (-1.0, 0.0, 0.4, 0.5)] == [
