@@ -2,8 +2,11 @@
 
 Every subcommand writes a ``run.json`` provenance record into the output
 directory: the full parameter set (including derived values such as an
-auto-selected delay) plus a sha256 checksum of every artifact.  Runs are
-deterministic: identical arguments and seeds produce byte-identical outputs.
+auto-selected delay), a sha256 checksum of every artifact, the step's
+seconds and the process's peak RSS, and for ``complex`` the sizes of what
+it built.  The records of earlier steps into the same directory are kept,
+oldest first, under ``previous``.  Runs are deterministic: identical
+arguments and seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -93,7 +102,20 @@ def _out_path(args, name) -> Path:
     return p
 
 
-def _write_run(args, params: dict, artifacts: list[Path]) -> None:
+def _previous_records(run_path: Path) -> list:
+    """The records already in ``run_path``, oldest first; none when it is missing or holds no record."""
+    try:
+        with open(run_path, encoding="utf-8") as fh:
+            last = json.load(fh)
+    except (OSError, ValueError):
+        return []
+    if not (isinstance(last, dict) and "subcommand" in last):
+        return []
+    previous = last.pop("previous", [])
+    return [*previous, last] if isinstance(previous, list) else [last]
+
+
+def _write_run(args, params: dict, artifacts: list[Path], counts: dict | None = None) -> None:
     record = {
         "subcommand": args.command,
         "version": __version__,
@@ -103,9 +125,16 @@ def _write_run(args, params: dict, artifacts: list[Path]) -> None:
             {"path": str(p), "sha256": _sha256(p), "bytes": p.stat().st_size}
             for p in sorted(artifacts)
         ],
+        "seconds": time.perf_counter() - args.started,
+        # ru_maxrss is in KiB on Linux, in bytes on macOS
+        "peak_rss_mb": resource and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (2**20 if sys.platform == "darwin" else 2**10),
     }
+    if counts is not None:
+        record["counts"] = counts
     run_path = Path(args.out_dir) / "run.json"
     run_path.parent.mkdir(parents=True, exist_ok=True)
+    record["previous"] = _previous_records(run_path)
     with open(run_path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -246,9 +275,7 @@ def cmd_complex(args) -> int:
     else:
         eps = _scale_arg(args.epsilon, "--epsilon")
         scale_params = {"epsilon": eps, "diameter": diam}
-    dm = distance_matrix(cloud, lms)
-    ef = edge_births(dm, cap=eps)
-    del dm
+    ef = edge_births(distance_matrix(cloud, lms), cap=eps)
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
     out = _out_path(args, args.out)
     save_filtration(ff, out)
@@ -268,6 +295,12 @@ def cmd_complex(args) -> int:
             **scale_params,
         },
         artifacts,
+        {
+            "witnesses": len(cloud.points),
+            "landmarks": lms.ell,
+            "edges_le_cap": int(np.count_nonzero(np.triu(ef.births <= eps, k=1))),
+            "simplices_by_dim": ff.counts_by_dim(),
+        },
     )
     return 0
 
@@ -502,6 +535,7 @@ def main(argv=None) -> int:
         if args.kind == "skeleton" and not (args.edges and args.landmarks):
             print("error: render skeleton requires --edges and --landmarks", file=sys.stderr)
             return 2
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

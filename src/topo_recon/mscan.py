@@ -81,9 +81,7 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
         w_m = project(cloud, m)
         diam = bbox_diameter(w_m)
         eps = xi * diam
-        dm = distance_matrix(w_m.points, lms.coords[:, :m])
-        ef = edge_births(dm, cap=eps)
-        del dm
+        ef = edge_births(distance_matrix(w_m.points, lms.coords[:, :m]), cap=eps)
         diameters.append(diam)
         epsilons.append(eps)
         per_m.append(ef)

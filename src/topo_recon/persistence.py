@@ -13,9 +13,13 @@ addition.  The pairs are those of the standard boundary reduction, so
 creators and destroyers are positions in the filtration's simplex list.
 The filtration's arrays are checked all at once, and each simplex's facets
 are found by ``np.searchsorted`` over sorted integer keys; one CSR array of
-cofaces built from them feeds the columns.  Columns are sparse sets and one
-routine, ``_reduce``, does every reduction, representative cycles included;
-an H1 cycle is its creator edge closed through the H0 spanning forest.
+cofaces built from them, ascending per facet, gives every column's pivot at
+once.  Columns are built only when added, as Ripser computes coboundaries on
+demand: a column whose pivot is free is kept as its key alone, and a sparse
+set of rows is made only for a column that needs an addition or that a
+later column must add.  One routine, ``_reduce``, does every reduction,
+representative cycles included; an H1 cycle is its creator edge closed
+through the H0 spanning forest.
 Homology is reported for k < dim_cap; intervals with equal birth and death
 are homologically invisible and omitted.
 """
@@ -132,31 +136,36 @@ def _validate(ff: FlagFiltration) -> tuple[list, list]:
     raise ContractViolationError(f"face {simplex[:drop] + simplex[drop + 1:]} of {simplex} missing or out of order")
 
 
-def _reduce(columns, pick, track: bool = False):
+def _reduce(heads, column, pick, track: bool = False):
     """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v) per column.
 
-    ``columns`` yields (key, set of rows) in reduction order, and ``pick``
-    (min or max) names a nonzero column's pivot row.  While that row is the
-    pivot of an earlier column, the earlier reduced column is added.  The
-    pivot is None for a column that vanishes.  With ``track`` set, ``v`` is
-    the set of keys whose columns sum to the reduced one (its V column);
-    otherwise it is None.
+    ``heads`` yields (key, pivot row of its unreduced column, None when it
+    is empty) in reduction order, ``column(key)`` builds that column as a
+    set of rows, and ``pick`` (min or max) names a nonzero set's pivot row.
+    While the pivot is that of an earlier column, the earlier reduced column
+    is added.  A column whose pivot is free at once is kept as its key
+    alone: its set is built only when a later column must add it, and a
+    column's own set only when it needs an addition.  The pivot is None for
+    a column that vanishes.  With ``track`` set, ``v`` is the set of keys
+    whose columns sum to the reduced one (its V column); otherwise it is None.
     """
-    reduced: dict = {}  # pivot row -> (reduced column, its V column)
-    for key, col in columns:
-        v = {key} if track else None
-        while col:
-            low = pick(col)
+    reduced: dict = {}  # pivot row -> key of an unreduced column, or (reduced column, its V column)
+    for key, low in heads:
+        col, v = None, {key} if track else None
+        while low is not None:
             other = reduced.get(low)
             if other is None:
-                reduced[low] = (col, v)
-                yield key, low, v
+                reduced[low] = key if col is None else (col, v)
                 break
+            if col is None:
+                col = column(key)
+            if not isinstance(other, tuple):
+                other = reduced[low] = (column(other), {other} if track else None)
             col ^= other[0]
             if track:
                 v ^= other[1]
-        else:
-            yield key, None, v
+            low = pick(col) if col else None
+        yield key, low, v
 
 
 def persistent_homology(ff: FlagFiltration) -> Barcode:
@@ -204,15 +213,19 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     # cofaces[ptr[i]:ptr[i + 1]] are the positions of the simplices with facet i
     face = np.concatenate([facets[d].ravel() for d in range(2, ff.dim_cap + 1)] + [np.empty(0, np.int64)])
     coface = np.concatenate([np.repeat(by_dim[d], d + 1) for d in range(2, ff.dim_cap + 1)] + [face[:0]])
-    cofaces = coface[np.argsort(face, kind="stable")]
+    cofaces = coface[np.argsort(face, kind="stable")]  # a stable sort keeps each facet's cofaces ascending
     ptr = np.concatenate(([0], np.cumsum(np.bincount(face, minlength=values.size))))
+    head = np.where(ptr[1:] > ptr[:-1], np.append(cofaces, -1)[ptr[:-1]], -1)  # each column's pivot, -1 if empty
     del face, coface
+
+    def column(i):
+        return set(cofaces[ptr[i] : ptr[i + 1]].tolist())
+
     for k in range(1, ff.dim_cap):
         below, cleared = cleared, set()
-        columns = (
-            (i, set(cofaces[ptr[i] : ptr[i + 1]].tolist())) for i in reversed(by_dim[k].tolist()) if i not in below
-        )
-        for i, j, _ in _reduce(columns, min):
+        keys = [i for i in reversed(by_dim[k].tolist()) if i not in below]
+        heads = ((i, None if low < 0 else low) for i, low in zip(keys, head[keys].tolist()))
+        for i, j, _ in _reduce(heads, column, min):
             if j is not None:
                 cleared.add(j)
             pair(k, i, j)
@@ -256,11 +269,14 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
         return []
     verts = bc.filtration.vertices
     if k == 1:  # rows are vertex ids
-        columns = ((e, set(verts[e, :2].tolist())) for e in [*sorted(bc.forest), *(iv.creator for iv in bars)])
+        keys = np.array([*sorted(bc.forest), *(iv.creator for iv in bars)])
+        rows = verts[keys, :2]
     else:  # rows are facet positions
         by_dim, facets = _validate(bc.filtration)
-        columns = zip(by_dim[k].tolist(), map(set, facets[k].tolist()))
-    cycles = {g: sorted(v) for g, low, v in _reduce(columns, max, track=True) if low is None}
+        keys, rows = by_dim[k], facets[k]
+    rows = dict(zip(keys.tolist(), rows.tolist()))
+    heads = ((key, max(row)) for key, row in rows.items())
+    cycles = {g: sorted(v) for g, low, v in _reduce(heads, lambda key: set(rows[key]), max, track=True) if low is None}
     return [(iv, [tuple(row[: k + 1]) for row in verts[cycles[iv.creator]].tolist()]) for iv in bars]
 
 

@@ -8,6 +8,9 @@ closed-form birth value
 
     birth(i, j) = min over w of ( max(||w - l_i||, ||w - l_j||) - n(w) ).
 
+The witness-to-landmark distances are computed a block of witnesses at a
+time inside ``edge_births``, so no array grows with the witness count.
+
 Higher simplices are filled in flag-style: a simplex is present exactly when
 all its edges are, with filtration value the largest edge birth.  Computing
 births exactly makes every epsilon queryable instead of sampling a grid.  A
@@ -46,10 +49,47 @@ def _as_points(obj) -> np.ndarray:
 
 @dataclass
 class DistanceMatrix:
-    """All witness-to-landmark distances plus each witness's nearest-landmark distance."""
+    """Witness-to-landmark distances, computed a block of witnesses at a time by ``rows``.
 
-    entries: np.ndarray
-    nearest: np.ndarray
+    Holds the witnesses coordinate-major, (m, N), and the (ell, m) landmarks,
+    never an N x ell array.  ``entries`` (N, ell) and ``nearest`` (each
+    witness's nearest-landmark distance) build the whole array on every access.
+    """
+
+    coords: np.ndarray
+    landmarks: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.coords.shape[1], self.landmarks.shape[0]
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.rows(0, self.shape[0]).T
+
+    @property
+    def nearest(self) -> np.ndarray:
+        return self.rows(0, self.shape[0]).min(axis=0)
+
+    def rows(self, s: int, e: int, out=None, scratch=None) -> np.ndarray:
+        """Distances from every landmark to witnesses s..e-1, landmark-major (ell, e - s), bitwise ``cdist``.
+
+        Each entry sums (w_c - l_c)^2 in coordinate order from 0.0, SciPy's
+        euclidean order, then takes the square root.  The first square is
+        written as it is (0.0 + x is x for x >= 0).  ``out`` and ``scratch``,
+        (ell, e - s) arrays, are reused when given.
+        """
+        shape = (self.landmarks.shape[0], e - s)
+        out = np.empty(shape) if out is None else out
+        scratch = np.empty(shape) if scratch is None else scratch
+        if not self.coords.shape[0]:
+            out.fill(0.0)
+        for c, (column, values) in enumerate(zip(self.coords[:, s:e], self.landmarks.T)):
+            sq = scratch if c else out
+            np.square(np.subtract(column, values[:, None], out=sq), out=sq)
+            if c:
+                out += sq
+        return np.sqrt(out, out=out)
 
 
 @dataclass
@@ -119,23 +159,13 @@ class FlagFiltration:
 
 
 def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
-    """Euclidean distances from every witness to every landmark, bitwise equal to SciPy's ``cdist``.
-
-    Landmark-major: each row of the (ell, N) array sums one landmark's squared coordinate differences in
-    coordinate order from 0.0, SciPy's euclidean order, then takes the square root in place.  ``entries``
-    is the (N, ell) transpose view, so ``edge_births`` reads each landmark's excesses contiguously.
-    """
+    """Check witnesses and landmarks and keep them for ``DistanceMatrix.rows``; no distance is computed here."""
     W, L = _as_points(witnesses), _as_points(landmarks)
     if W.shape[1] != L.shape[1]:
         raise ValueError(f"dimension mismatch: witnesses are {W.shape[1]}-d, landmarks {L.shape[1]}-d")
     if W.shape[0] == 0 or L.shape[0] == 0:
         raise ValueError("witnesses and landmarks must be nonempty")
-    rows, coords, sq = np.zeros((len(L), len(W))), np.ascontiguousarray(W.T), np.empty(len(W))
-    for row, landmark in zip(rows, L.tolist()):
-        for column, value in zip(coords, landmark):
-            row += np.square(np.subtract(column, value, out=sq), out=sq)
-        np.sqrt(row, out=row)
-    return DistanceMatrix(entries=rows.T, nearest=rows.min(axis=0))
+    return DistanceMatrix(coords=np.ascontiguousarray(W.T), landmarks=L)
 
 
 def _fold_rows(excess, s, births, witness, iu, ju, key) -> None:
@@ -183,16 +213,19 @@ def _fold_pairs(excess, near, s, births, witness) -> None:
 
 
 def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) -> EdgeFiltration:
-    """Exact vertex and edge birth scales from a distance matrix.
+    """Exact vertex and edge birth scales over the witnesses of a distance matrix.
 
     vertex_birth[j] = min over w of (d(w, j) - n(w)) and
     births[i, j]    = min over w of (max(d(w, i), d(w, j)) - n(w)),
     with the lowest witness index achieving each edge minimum recorded.
-    Witnesses are scanned in blocks of ``block`` rows of ``dm.entries``, so
-    no temporary is larger than ell x block.  The row fold skips the pairs a
-    run of 64 witnesses cannot lower, which pays when consecutive witnesses
-    lie close together, as along a trajectory.  A later run or block replaces
-    a running minimum only when strictly smaller, so ties go to the lowest witness.
+    Witnesses are taken in blocks of ``block``: ``dm.rows`` computes a
+    block's (ell, block) distances in two buffers made once, n(w) is the
+    block's minimum over landmarks, and the excesses are taken in place, so
+    memory is set by ell x block and ell^2, not by the witness count.  The
+    row fold skips the pairs a run of 64 witnesses cannot lower, which pays
+    when consecutive witnesses lie close together, as along a trajectory.  A
+    later run or block replaces a running minimum only when strictly smaller,
+    so ties go to the lowest witness.
 
     With ``cap`` set, the result is truncated at that scale: every birth
     <= cap is bitwise the uncapped value with the same witness, and every
@@ -206,15 +239,17 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
         raise ValueError(f"cap must be a nonnegative number, got {cap}")
     if block < 1:
         raise ValueError(f"block must be at least 1, got {block}")
-    n_w, n_l = dm.entries.shape
+    n_w, n_l = dm.shape
     vertex_birth = np.full(n_l, np.inf)
     births = np.full((n_l, n_l), np.inf)
     witness = np.full((n_l, n_l), -1, dtype=np.int64)
+    buffers = np.empty(n_l * min(block, n_w)), np.empty(n_l * min(block, n_w))
     pairs = None  # landmark pairs i < j and flat keys, made only once a block takes the row fold
     for s in range(0, n_w, block):
         e = min(s + block, n_w)
         # excess[j] is landmark j's row over this block's witnesses, contiguous
-        excess = np.subtract(dm.entries[s:e].T, dm.nearest[s:e], order="C")
+        excess = dm.rows(s, e, *(buf[: n_l * (e - s)].reshape(n_l, e - s) for buf in buffers))
+        excess -= excess.min(axis=0)
         np.minimum(vertex_birth, excess.min(axis=1), out=vertex_birth)
         if cap is not None:
             near = excess <= cap

@@ -21,10 +21,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist  # the bitwise referee for witness.distance_matrix
+from scipy.spatial.distance import cdist  # the bitwise referee for witness.DistanceMatrix.rows
 
 from topo_recon.mscan import DimensionSweep
-from topo_recon.witness import DistanceMatrix, EdgeFiltration, FlagFiltration
+from topo_recon.witness import EdgeFiltration, FlagFiltration
 
 
 def brute_force_cliques(present_vertices, edge_set, dim_cap):
@@ -337,14 +337,15 @@ def kernel_cycles_bigint(ff: FlagFiltration, k: int) -> dict:
     return cycles
 
 
-def edge_births_rows(dm: DistanceMatrix, row_block: int = 32, cap: float | None = None) -> EdgeFiltration:
-    """Edge births by landmark rows over one transposed N x ell excess array.
+def edge_births_rows(witnesses, landmarks, row_block: int = 32, cap: float | None = None) -> EdgeFiltration:
+    """Edge births by landmark rows over one transposed N x ell excess array of ``cdist`` distances.
 
     Row j is scanned over every witness (or, under a cap, over the witnesses
     whose excess at landmark j is <= cap), ``row_block`` partner rows at a
     time; values above the cap read +inf with witness -1.
     """
-    excess_t = np.subtract(dm.entries.T, dm.nearest, order="C")
+    dist = cdist(witnesses, landmarks)
+    excess_t = np.subtract(dist.T, dist.min(axis=1), order="C")
     n_l = excess_t.shape[0]
     vertex_birth = excess_t.min(axis=1)
     births = np.full((n_l, n_l), np.inf)

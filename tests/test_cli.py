@@ -13,7 +13,7 @@ from topo_recon.cli import main
 from topo_recon.embed import load_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.persistence import load_barcode
-from topo_recon.signal import ScalarSeries, integrate_lorenz, load_series, save_series
+from topo_recon.signal import ScalarSeries, integrate_lorenz, load_series, observe, save_series
 from topo_recon.witness import load_filtration
 
 
@@ -112,6 +112,63 @@ class TestPipeline:
             digest = hashlib.sha256(open(artifact["path"], "rb").read()).hexdigest()
             assert artifact["sha256"] == digest
             assert artifact["bytes"] > 0
+
+
+class TestRunRecords:
+    """Each step's record stays in run.json: the newest at the top level, the earlier ones under previous."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self, tmp_path_factory):
+        """README steps 2-7 into one directory."""
+        d, series = tmp_path_factory.mktemp("readme"), tmp_path_factory.mktemp("input") / "series.txt"
+        save_series(observe(integrate_lorenz(ic=(5.0, 5.0, 5.0), n_steps=6_001, transient_steps=1_000), "x"), series)
+        steps = [
+            ["ami", "--in", series, "--tau-max", 200, "--out", "ami.csv"],
+            ["embed", "--in", series, "--m", 2, "--tau-max", 200, "--out", "cloud.csv"],
+            ["landmarks", "--in", d / "cloud.csv", "--every", 100, "--out", "landmarks.csv"],
+            ["complex", "--witnesses", d / "cloud.csv", "--landmarks", d / "landmarks.csv",
+             "--epsilon", 0.5, "--dim-cap", 2, "--out", "filtration.json", "--edges-out", "edges.csv"],
+            ["barcode", "--filtration", d / "filtration.json", "--out", "barcode.csv",
+             "--eps-grid", "0,0.5,6", "--grid-out", "grid.csv", "--cycles-out", "cycles.csv"],
+            ["render", "barcode", "--in", d / "barcode.csv", "--out", "barcode.svg"],
+            ["render", "skeleton", "--edges", d / "edges.csv", "--landmarks", d / "landmarks.csv",
+             "--out", "skeleton.svg"],
+        ]
+        for argv in steps:
+            assert run(*argv, "--out-dir", d) == 0, argv
+        return d
+
+    def test_every_step_kept_in_order(self, pipeline):
+        last = read_run(pipeline)
+        records = [*last.pop("previous"), last]
+        assert [r["subcommand"] for r in records] == [
+            "ami", "embed", "landmarks", "complex", "barcode", "render", "render"
+        ]
+        assert [r["params"].get("kind") for r in records[-2:]] == ["barcode", "skeleton"]
+        assert all("previous" not in r for r in records)
+        for record in records:
+            assert record["seconds"] >= 0 and record["peak_rss_mb"] > 0
+            for artifact in record["artifacts"]:
+                digest = hashlib.sha256(open(artifact["path"], "rb").read()).hexdigest()
+                assert artifact["sha256"] == digest, artifact["path"]
+
+    def test_complex_records_its_sizes(self, pipeline):
+        last = read_run(pipeline)
+        (record,) = [r for r in last["previous"] if r["subcommand"] == "complex"]
+        filtration = load_filtration(pipeline / "filtration.json")
+        counts = record["counts"]
+        assert counts["witnesses"] == len(load_cloud(pipeline / "cloud.csv").points)
+        assert counts["landmarks"] == load_landmarks(pipeline / "landmarks.csv").ell
+        assert counts["simplices_by_dim"] == {str(d): n for d, n in filtration.counts_by_dim().items()}
+        assert counts["edges_le_cap"] == filtration.counts_by_dim()[1]
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"params": {}}'])
+    def test_unreadable_record_starts_a_new_one(self, tmp_path, text):
+        (tmp_path / "run.json").write_text(text)
+        sine_series_file(tmp_path / "s.txt")
+        assert run("noise", "--in", tmp_path / "s.txt", "--nu", 0.1, "--out", "n.txt", "--out-dir", tmp_path) == 0
+        record = read_run(tmp_path)
+        assert record["subcommand"] == "noise" and record["previous"] == []
 
 
 class TestGenerate:

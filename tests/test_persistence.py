@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from oracles import (
     random_edge_filtration,
 )
 from topo_recon.persistence import (
+    _reduce,
     Barcode,
     ContractViolationError,
     Interval,
@@ -180,6 +183,23 @@ def check_against_referees(ff):
     return bc
 
 
+def random_complex(rng, dim_cap):
+    """A random simplicial complex through dim_cap on at most 7 vertices, in canonical order, with tied values.
+
+    Its simplices are the faces of a few random top simplices, so it is in general not a flag complex.
+    """
+    n = int(rng.integers(3, 8))
+    simplices = set()
+    for _ in range(int(rng.integers(1, 12))):
+        top = sorted(rng.choice(n, size=min(n, int(rng.integers(1, dim_cap + 2))), replace=False).tolist())
+        simplices.update(face for size in range(1, len(top) + 1) for face in itertools.combinations(top, size))
+    value = {}
+    for s in sorted(simplices, key=len):  # a face's value first, then its cofaces' at least as large
+        faces = itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
+        value[s] = max([round(float(rng.uniform(0.0, 3.0)), 1), *(value[f] for f in faces)])
+    return FlagFiltration(sorted(value.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0])), dim_cap=dim_cap)
+
+
 class TestAgainstBoundaryReduction:
     @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3), capped=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -191,6 +211,11 @@ class TestAgainstBoundaryReduction:
             finite = np.unique(ef.births[np.isfinite(ef.births)])
             max_value = float(rng.choice(finite)) if finite.size else 0.5
         check_against_referees(flag_expand(ef, dim_cap=dim_cap, max_value=max_value))
+
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_complexes(self, seed, dim_cap):
+        check_against_referees(random_complex(np.random.default_rng(seed), dim_cap))
 
     def test_loaded_hollow_tetrahedron(self, tmp_path):
         # all faces of a tetrahedron but not its interior: no flag filtration
@@ -210,6 +235,55 @@ class TestAgainstBoundaryReduction:
         assert betti_at(sphere, 8.0) == [1, 0, 1]
         (h2,) = sphere.by_dim(2)
         assert (h2.birth, h2.death, h2.creator, h2.destroyer) == (8.0, math.inf, len(sims) - 1, None)
+
+
+class TestLazyColumns:
+    """A coboundary column is built as a set only when it needs an addition or must be added."""
+
+    def test_free_pivots_build_no_column(self):
+        built = []
+        heads = [(0, 10), (1, 11), (2, None), (3, 12)]
+        got = list(_reduce(iter(heads), lambda key: built.append(key) or set(), min, track=True))
+        assert got == [(0, 10, {0}), (1, 11, {1}), (2, None, {2}), (3, 12, {3})]
+        assert built == []
+
+    def test_only_added_columns_are_built(self):
+        cols = {0: {10, 20}, 1: {10, 30}, 2: {10, 20, 40}, 3: {50}}
+        built = []
+        heads = ((key, min(col)) for key, col in cols.items())
+        got = list(_reduce(heads, lambda key: built.append(key) or set(cols[key]), min, track=True))
+        # column 1 adds column 0 and pivots at 20; column 2 adds the column 0 already built
+        assert got == [(0, 10, {0}), (1, 20, {0, 1}), (2, 40, {0, 2}), (3, 50, {3})]
+        assert built == [1, 0, 2]
+
+    def test_apparent_pairs_hold_no_set_per_column(self, monkeypatch):
+        # the flag filtration of 80 random points in the plane by distance, complete through
+        # triangles: nearly every edge column pairs at once with its first coface
+        rng = np.random.default_rng(0)
+        n = 80
+        P = rng.uniform(size=(n, 2))
+        D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        np.fill_diagonal(D, np.inf)
+        ff = flag_expand(EdgeFiltration(np.zeros(n), D), dim_cap=2)
+        built, growth = [], []
+        original = persistence_module._reduce
+
+        def measured(heads, column, *args, **kwargs):  # the reduction's memory above what it was handed
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            yield from original(heads, lambda key: built.append(key) or column(key), *args, **kwargs)
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(persistence_module, "_reduce", measured)
+        tracemalloc.start()
+        try:
+            persistent_homology(ff)
+        finally:
+            tracemalloc.stop()
+        columns = n * (n - 1) // 2 - (n - 1)  # the edges left after the H0 pass clears the spanning forest
+        assert len(growth) == 1 and len(built) < columns / 20
+        # every such column has n - 2 cofaces; one set of them per column would hold at least
+        assert growth[0] < columns * sys.getsizeof(set(range(n - 2))) / 10
 
 
 def circle_barcode(n_witness=200, stride=10, cap=1.5):

@@ -125,8 +125,57 @@ class TestDistanceMatrix:
         assert np.array_equal(dm.entries, np.zeros((4, 3)))
         assert np.array_equal(dm.nearest, np.zeros(4))
 
+    @given(
+        seed=st.integers(0, 10_000),
+        dim=st.integers(0, 64),
+        gridded=st.booleans(),
+        duplicated=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_bitwise_equal_to_cdist_block(self, seed, dim, gridded, duplicated, data):
+        rng = np.random.default_rng(seed)
+        n, ell = int(rng.integers(1, 80)), int(rng.integers(1, 12))
+        # each coordinate at its own magnitude, 1e-3..1e3; half the landmarks on the cloud
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
+        W = rng.standard_normal((n, dim)) * scale
+        if gridded:
+            W = np.round(W, int(rng.integers(0, 3)))
+        if duplicated:
+            W[rng.integers(0, n, size=n // 2)] = W[0]
+        L = np.vstack([W[rng.integers(0, n, size=ell // 2)], rng.standard_normal((ell - ell // 2, dim)) * scale])
+        s = data.draw(st.integers(0, n - 1), label="s")
+        e = data.draw(st.integers(s + 1, n), label="e")
+        dm, want = distance_matrix(W, L), cdist(W, L)[s:e].T
+        assert np.array_equal(dm.rows(s, e), want)
+        # into the prefixes of two larger flat buffers holding stale values, as edge_births passes them
+        buffers = np.full(ell * n, np.nan), np.full(ell * n, -1.0)
+        assert np.array_equal(dm.rows(s, e, *(b[: ell * (e - s)].reshape(ell, e - s) for b in buffers)), want)
+
+    @pytest.mark.parametrize("dim", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+    def test_blocks_with_reused_buffers_tile_cdist(self, n, dim):
+        # every block of DEFAULT_BLOCK witnesses, the last partial one included, written into the same two
+        # buffers in turn: the blocks side by side are cdist's transpose, with nothing left from a block before
+        rng = np.random.default_rng(n + dim)
+        W, L = rng.standard_normal((n, dim)), rng.standard_normal((7, dim))
+        dm, size = distance_matrix(W, L), 7 * min(DEFAULT_BLOCK, n)
+        buffers = rng.standard_normal(size), rng.standard_normal(size)
+        blocks = []
+        for s in range(0, n, DEFAULT_BLOCK):
+            e = min(s + DEFAULT_BLOCK, n)
+            blocks.append(dm.rows(s, e, *(b[: 7 * (e - s)].reshape(7, e - s) for b in buffers)).copy())
+        assert np.array_equal(np.hstack(blocks), cdist(W, L).T)
+
+    def test_keeps_coordinate_major_witnesses_not_distances(self):
+        W = np.arange(12.0).reshape(4, 3)
+        dm = distance_matrix(W, W[:2])
+        assert dm.shape == (4, 2)
+        assert np.array_equal(dm.coords, W.T) and dm.coords.flags.c_contiguous
+        assert np.array_equal(dm.landmarks, W[:2])
+
     def test_entries_view_landmark_rows(self):
-        # entries is the transpose of contiguous landmark rows, which edge_births reads by block
+        # entries is the transpose of the landmark-major rows
         rng = np.random.default_rng(3)
         dm = distance_matrix(rng.standard_normal((50, 3)), rng.standard_normal((6, 3)))
         assert dm.entries.T.flags.c_contiguous
@@ -188,13 +237,12 @@ class TestEdgeBirths:
         for s in range(block, n, block):
             W[s] = W[s - 1]
         L = np.vstack([W[:: max(n // 6, 1)][:8], [[0.05, 0.05]]])  # one landmark off the grid
-        dm = distance_matrix(W, L)
-        full = edge_births_rows(dm)
+        full = edge_births_rows(W, L)
         finite = full.births[np.isfinite(full.births)]
         attained = float(np.sort(finite)[finite.size // 2])
         cap = {None: None, "zero": 0.0, "attained": attained, "inf": np.inf}[cap_kind]
-        got = edge_births(dm, block=block, cap=cap)
-        want = edge_births_rows(dm, cap=cap)
+        got = edge_births(distance_matrix(W, L), block=block, cap=cap)
+        want = edge_births_rows(W, L, cap=cap)
         assert got.max_value == want.max_value
         assert np.array_equal(got.vertex_birth, want.vertex_birth)
         assert np.array_equal(got.births, want.births)
@@ -210,6 +258,31 @@ class TestEdgeBirths:
         ef = edge_births(distance_matrix(W, np.array([[0.0], [1.0]])), block=block, cap=cap)
         assert ef.births[0, 1] == 0.0
         assert ef.witness[0, 1] == ef.witness[1, 0] == block - 1
+
+    @given(
+        seed=st.integers(0, 10_000),
+        block_kind=st.sampled_from(["1", "7", "n-1", "n", "n+1"]),
+        cap_kind=st.sampled_from([None, "zero", "attained", "inf"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_cdist_row_kernel(self, seed, block_kind, cap_kind):
+        # referee: the landmark-row kernel over cdist's distances, never the kernel under test
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(2, 60)), int(rng.integers(1, 4))
+        W = np.round(rng.uniform(-1.0, 1.0, size=(n, dim)), int(rng.integers(1, 3)))  # ties on a grid
+        W[rng.integers(0, n, size=n // 4)] = W[-1]  # repeated witnesses
+        L = np.vstack([W[:: int(rng.integers(2, 6))], rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), dim))])
+        block = {"1": 1, "7": 7, "n-1": n - 1, "n": n, "n+1": n + 1}[block_kind]
+        full = edge_births_rows(W, L)
+        finite = full.births[np.isfinite(full.births)]
+        attained = float(rng.choice(finite)) if finite.size else 0.0
+        cap = {None: None, "zero": 0.0, "attained": attained, "inf": np.inf}[cap_kind]
+        got = edge_births(distance_matrix(W, L), block=block, cap=cap)
+        want = edge_births_rows(W, L, cap=cap)
+        assert got.max_value == want.max_value
+        assert np.array_equal(got.vertex_birth, want.vertex_birth)
+        assert np.array_equal(got.births, want.births)
+        assert np.array_equal(got.witness, want.witness)
 
     def test_bad_block_rejected(self):
         dm = distance_matrix(np.zeros((4, 2)), np.zeros((2, 2)))
@@ -318,13 +391,12 @@ class TestBoundedRowFold:
         for s in range(64, n, 64):
             W[s] = W[s - 1]
         L = np.vstack([W[rng.choice(n, size=ell - 1, replace=False)], [[0.05, 0.05]]])  # one landmark off the grid
-        dm = distance_matrix(W, L)
-        full = edge_births_rows(dm)
+        full = edge_births_rows(W, L)
         finite = full.births[np.isfinite(full.births)]
         # the largest birth leaves every pair within the cap: capped blocks of 9 or 40 landmarks are too dense for pairs
         cap = None if cap_kind is None else float(finite.max(initial=0.0))
-        got = edge_births(dm, cap=cap)
-        want = edge_births_rows(dm, cap=cap)
+        got = edge_births(distance_matrix(W, L), cap=cap)
+        want = edge_births_rows(W, L, cap=cap)
         assert got.max_value == want.max_value
         assert np.array_equal(got.vertex_birth, want.vertex_birth)
         assert np.array_equal(got.births, want.births)
@@ -348,21 +420,23 @@ class TestBoundedRowFold:
         # run equals the second run's bound, so only the first run is folded
         rng = np.random.default_rng(8)
         W = np.repeat(rng.uniform(-1.0, 1.0, size=(1, 2)), 128, axis=0)
-        dm = distance_matrix(W, rng.uniform(-1.0, 1.0, size=(5, 2)))
+        L = rng.uniform(-1.0, 1.0, size=(5, 2))
+        dm = distance_matrix(W, L)
         counter = _FoldCounter()
         monkeypatch.setattr(witness_module, "np", counter)
         got = edge_births(dm)
         monkeypatch.undo()
         assert counter.rows == 10  # the 10 landmark pairs, once
-        want = edge_births_rows(dm)
+        want = edge_births_rows(W, L)
         assert np.array_equal(got.births, want.births)
         assert np.array_equal(got.witness, want.witness)
 
     @pytest.mark.parametrize("n", [20_000, 80_000])
     def test_uncapped_peak_memory_is_independent_of_witness_count(self, n):
-        # a noisy helix in time order, 200 landmarks; the fold holds about four
-        # ell x block buffers (a block's excesses, the pair indices with the
-        # running births, one chunk's temporaries), an n x ell temporary 39 or more
+        # a noisy helix in time order, 200 landmarks; births hold about five
+        # ell x block buffers (a block's distances and their scratch, the pair
+        # indices with the running births, one chunk's temporaries), an n x ell
+        # temporary 39 or more
         rng = np.random.default_rng(0)
         t = np.linspace(0.0, 20.0 * np.pi, n)
         W = np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + 0.01 * rng.standard_normal((n, 3))
@@ -375,6 +449,25 @@ class TestBoundedRowFold:
         finally:
             tracemalloc.stop()
         assert peak < 6 * ell * DEFAULT_BLOCK * 8
+
+
+    @pytest.mark.parametrize("cap", [None, 5.0])
+    def test_million_witnesses_peak_is_set_by_landmarks_and_block(self, cap):
+        # a 3-d random walk of 10^6 witnesses and 32 landmarks: an N x ell array would be 256 MB
+        rng = np.random.default_rng(0)
+        W = np.cumsum(rng.standard_normal((1_000_000, 3)), axis=0)
+        ell = 32
+        dm = distance_matrix(W, W[:: W.shape[0] // ell][:ell])
+        tracemalloc.start()
+        try:
+            ef = edge_births(dm, cap=cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(ef.births).any()
+        # two distance buffers and a block's masks (ell x block); the running births and
+        # witnesses, the pair keys and one run's chunk temporaries (ell^2)
+        assert peak < 8 * (4 * ell * DEFAULT_BLOCK + 3 * 64 * ell * ell)
 
 
 def triangle_filtration():
