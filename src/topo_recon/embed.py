@@ -175,7 +175,7 @@ def save_cloud(cloud: PointCloud, path) -> None:
 
 def load_cloud(path) -> PointCloud:
     """Read a point-cloud CSV written by :func:`save_cloud`."""
-    table = _read_table(path, "t,c0,...", ints=1, finite="coordinate in cloud")
+    table = _read_table(path, "t,c0,...", ints=1, finite="coordinate in cloud", increasing="t")
     if not len(table.ints):
         raise SeriesFormatError(path, 2, "no data rows")
     return PointCloud(table.floats, table.ints[:, 0])

@@ -109,7 +109,7 @@ def save_landmarks(landmarks: LandmarkSet, path) -> None:
 
 def load_landmarks(path) -> LandmarkSet:
     """Read a landmark CSV written by :func:`save_landmarks`."""
-    table = _read_table(path, "idx,t,c0,...", ints=2, finite="landmark coordinate")
+    table = _read_table(path, "idx,t,c0,...", ints=2, finite="landmark coordinate", increasing="idx")
     spacing = 0
     for line_no, text in enumerate(table.lines, start=1):
         if text.lstrip().startswith("#") and "spacing=" in text:

@@ -269,7 +269,9 @@ class _Table:
         return SeriesFormatError(self.path, line_no, message)
 
 
-def _read_table(path, header: str | None, ints: int | None = 0, finite: str | None = None) -> _Table:
+def _read_table(
+    path, header: str | None, ints: int | None = 0, finite: str | None = None, increasing: str | None = None
+) -> _Table:
     """Read a comma-separated table with NumPy, locating any bad line.
 
     Blank lines are skipped and a '#' starts a comment.  The first other line
@@ -277,10 +279,11 @@ def _read_table(path, header: str | None, ints: int | None = 0, finite: str | No
     columns c0, c1, ..., c{m-1}; with ``header=None`` there is no header
     line.  Rows are as wide as the header, or else as the first row: their
     first ``ints`` fields are integers (``None``: all of them) and the rest
-    floats, which must be finite when ``finite`` names them.  A missing
-    header, a ragged row, a bad number or a non-finite value raises
-    SeriesFormatError with the path and the line; only then are the lines
-    walked one by one.
+    floats, never NaN, and finite when ``finite`` names them; when
+    ``increasing`` names the first field, it must rise from row to row.  A
+    missing header, a ragged row, a bad number, a NaN, a non-finite value or
+    a non-rising index raises SeriesFormatError with the path and the line;
+    only then are the lines walked one by one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -309,8 +312,11 @@ def _read_table(path, header: str | None, ints: int | None = 0, finite: str | No
                 raise SeriesFormatError(path, line_no, f"expected {fields}, got {text!r}") from None
         data = np.concatenate(rows)
     table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), lines, start)
-    if finite is not None:
-        good = np.isfinite(table.floats).all(axis=1)
-        if not good.all():
-            raise table.error(int(np.argmin(good)), f"non-finite {finite}")
+    good = (np.isfinite(table.floats) if finite else ~np.isnan(table.floats)).all(axis=1)
+    if not good.all():
+        raise table.error(int(np.argmin(good)), f"non-finite {finite}" if finite else "NaN value")
+    if increasing and not (rising := np.diff(table.ints[:, 0]) > 0).all():
+        row = int(np.argmin(rising)) + 1
+        prev, value = table.ints[row - 1 : row + 1, 0].tolist()
+        raise table.error(row, f"{increasing} must be strictly increasing, got {prev} then {value}")
     return table

@@ -246,6 +246,14 @@ class TestCloudFiles:
         with pytest.raises(SeriesFormatError):
             load_cloud(path)
 
+    @pytest.mark.parametrize("third", [1, 0])
+    def test_time_that_does_not_increase_is_located(self, tmp_path, third):
+        # t repeats (0, 1, 1) or falls (0, 1, 0) at the third data row, line 4
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"t,c0\n0,1.0\n1,2.0\n{third},3.0\n2,4.0\n")
+        with pytest.raises(SeriesFormatError, match=f"line 4: t must be strictly increasing, got 1 then {third}"):
+            load_cloud(path)
+
     def test_point_cloud_validation(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((3, 2)), np.array([0, 1]))

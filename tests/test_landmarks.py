@@ -160,6 +160,17 @@ class TestLandmarkFiles:
         assert info.value.path == str(path)
 
 
+    @pytest.mark.parametrize("second", [0, 7])
+    def test_index_that_does_not_increase_is_located(self, tmp_path, second):
+        # the third data row repeats (0 -> 7, 7) or falls (0 -> 7, 0) on line 6, after a blank line
+        path = tmp_path / "l.csv"
+        path.write_text(f"# spacing=1\nidx,t,c0\n0,0,1.0\n7,7,2.0\n\n{second},9,3.0\n")
+        with pytest.raises(SeriesFormatError, match=f"idx must be strictly increasing, got 7 then {second}") as info:
+            load_landmarks(path)
+        assert info.value.line_no == 6
+        assert info.value.path == str(path)
+
+
 class TestLandmarkSet:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from topo_recon.signal import (
     SeriesFormatError,
     Trajectory,
     _read_table,
+    _write_table,
     add_uniform_noise,
     integrate_lorenz,
     load_series,
@@ -342,6 +343,91 @@ class TestTableRoundTrip:
         (ints, floats), (back_ints, back_floats) = _round_trip(table, data, path)
         assert back_ints == ints
         assert _bits(back_floats) == _bits(floats)
+
+
+# loader -> (reads the file, index of its first data line, whether rows are one field wide)
+FUZZED_LOADERS = {
+    "series": (load_series, 1, True),
+    "series_csv": (lambda path: load_series(path, format="csv"), 1, True),
+    "cloud": (load_cloud, 1, False),
+    "landmarks": (load_landmarks, 2, False),
+    "barcode": (load_barcode, 1, False),
+    "lifespan": (load_lifespan_csv, 0, False),
+}
+
+
+def _write_valid_table(loader: str, rng, n: int, path) -> None:
+    """Write an n-row table that ``loader`` reads, through the package's own writer."""
+    if loader.startswith("series"):  # negative values, some in exponent form: every row has a sign to cut after
+        values = -rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-8, 8, n)
+        if loader == "series":
+            save_series(ScalarSeries(values, 0.25), path)
+        else:
+            _write_table(path, ["x"], values)
+    elif loader in ("cloud", "landmarks"):
+        times, points = np.cumsum(rng.integers(1, 4, n)), rng.standard_normal((n, int(rng.integers(1, 4))))
+        if loader == "cloud":
+            save_cloud(PointCloud(points, times), path)
+        else:
+            save_landmarks(LandmarkSet(times, points, times + 5, spacing=3), path)
+    elif loader == "barcode":
+        births = rng.uniform(0.0, 1.0, n)
+        deaths = np.where(rng.random(n) < 0.3, math.inf, births + rng.exponential(1.0, n))
+        bars = [Interval(int(k), b, d, creator=0) for k, b, d in zip(rng.integers(0, 3, n), births, deaths)]
+        save_barcode(Barcode(intervals=bars, dim_cap=3, filtration=None), path)
+    else:
+        save_lifespan_csv(rng.integers(0, 9, (n, n)), path)
+
+
+def fuzz_table_file(data, loader, path) -> int:
+    """Write a valid table with one defect that its loader must refuse; return the line the error must name."""
+    _, first, narrow = FUZZED_LOADERS[loader]
+    indexed = loader in ("cloud", "landmarks")
+    n = data.draw(st.integers(2, 6))
+    _write_valid_table(loader, np.random.default_rng(data.draw(st.integers(0, 10_000))), n, path)
+    lines = path.read_text().splitlines()
+    defects = ["truncate", "non_finite", "ragged"]
+    if indexed:
+        defects += ["unsorted", "duplicate"]
+    if loader == "lifespan":
+        defects.append("extra_row")
+    how = data.draw(st.sampled_from(defects))
+    row = first + data.draw(st.integers(1 if indexed else 0, n - 1))  # the 0-based line given the defect
+    fields, want = lines[row].split(","), row + 1
+    if how == "truncate":  # end the file mid-row, just after a separator, a sign or an exponent marker
+        cut = data.draw(st.sampled_from([i for i in range(1, len(lines[row])) if lines[row][i - 1] in ",-e"]))
+        path.write_text("\n".join(lines[:row] + [lines[row][:cut]]))
+        return want
+    if how == "non_finite":  # into a float field; a barcode holds infinite bars, so only NaN is out of place there
+        col = data.draw(st.integers({"cloud": 1, "landmarks": 2, "barcode": 1}.get(loader, 0), len(fields) - 1))
+        bad = ["nan", "NaN", "-nan"] + ([] if loader == "barcode" else ["inf", "-inf"])
+        fields[col] = data.draw(st.sampled_from(bad))
+    elif how == "ragged":  # one field more, or one fewer on a row that has more than one
+        fields = fields[:-1] if not narrow and data.draw(st.booleans()) else fields + ["1"]
+        if loader in ("series", "lifespan") and row == first:  # no header: the first row sets the width
+            want += 1
+    elif how in ("unsorted", "duplicate"):  # the index repeats or falls
+        step = 0 if how == "duplicate" else data.draw(st.integers(1, 3))
+        fields[0] = str(int(lines[row - 1].split(",")[0]) - step)
+    lines[row] = ",".join(fields)
+    if how == "extra_row":  # a repeated row leaves the matrix non-square, which fails at its last row
+        lines.insert(row, lines[row])
+        want = first + n + 1
+    path.write_text("\n".join(lines) + "\n")
+    return want
+
+
+class TestTableFileFuzz:
+    @pytest.mark.parametrize("loader", sorted(FUZZED_LOADERS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_table_fails_with_a_located_error(self, tmp_path_factory, loader, data):
+        path = tmp_path_factory.mktemp("fuzz") / f"{loader}.csv"
+        want = fuzz_table_file(data, loader, path)
+        with pytest.raises(SeriesFormatError) as exc:
+            FUZZED_LOADERS[loader][0](path)
+        assert exc.value.path == str(path)
+        assert exc.value.line_no == want, str(exc.value)
 
 
 class TestDataclasses:

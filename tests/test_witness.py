@@ -22,10 +22,10 @@ from oracles import (
     random_edge_filtration,
     truncate_births,
 )
-from topo_recon.embed import PointCloud
+from topo_recon.embed import PointCloud, delay_embed
 from topo_recon import witness as witness_module
-from topo_recon.landmarks import LandmarkSet
-from topo_recon.signal import SeriesFormatError
+from topo_recon.landmarks import LandmarkSet, select_evenly_spaced
+from topo_recon.signal import ScalarSeries, SeriesFormatError, integrate_lorenz, observe
 from topo_recon.witness import (
     EdgeFiltration,
     FlagFiltration,
@@ -362,7 +362,7 @@ class TestEdgeBirths:
 
 
 class _FoldCounter:
-    """Forwards to numpy, counting the rows of every 2-d maximum: the (pair, run) terms the row fold takes."""
+    """Forwards to numpy, counting the rows of every 2-d maximum: the (pair, run) terms the fold takes."""
 
     def __init__(self):
         self.rows = 0
@@ -377,7 +377,7 @@ class _FoldCounter:
 
 
 class TestBoundedRowFold:
-    """The row fold skips the pairs a run of 64 witnesses cannot improve; referee: the landmark-row kernel."""
+    """The fold skips the pairs a run of 64 witnesses cannot improve; referee: the landmark-row kernel."""
 
     @pytest.mark.parametrize("cap_kind", [None, "attained"])
     @pytest.mark.parametrize("ell", [1, 2, 9, 40])
@@ -393,7 +393,8 @@ class TestBoundedRowFold:
         L = np.vstack([W[rng.choice(n, size=ell - 1, replace=False)], [[0.05, 0.05]]])  # one landmark off the grid
         full = edge_births_rows(W, L)
         finite = full.births[np.isfinite(full.births)]
-        # the largest birth leaves every pair within the cap: capped blocks of 9 or 40 landmarks are too dense for pairs
+        # the largest birth as the cap: a run whose witnesses come within it of every landmark takes every pair,
+        # and any other run lists the pairs its witnesses hold within the cap
         cap = None if cap_kind is None else float(finite.max(initial=0.0))
         got = edge_births(distance_matrix(W, L), cap=cap)
         want = edge_births_rows(W, L, cap=cap)
@@ -408,7 +409,7 @@ class TestBoundedRowFold:
         # witnesses at 0.0625 and 0.9375 put the lows of landmarks 0 and 1 at 0
         # in every run, so each run folds edge {0, 1}; 0.375 gives it birth 0.25
         # at pos, the last witness of one run, and again at pos + 1, the first
-        # of the next.  Cap 4 leaves every pair within it: a block too dense for pairs
+        # of the next.  Cap 4 leaves every landmark within it in every run, so each run takes every pair
         W = np.tile([[0.0625], [0.9375]], (100, 1))
         W[pos] = W[pos + 1] = 0.375
         ef = edge_births(distance_matrix(W, np.array([[0.0], [1.0], [2.0]])), cap=cap)
@@ -430,6 +431,25 @@ class TestBoundedRowFold:
         want = edge_births_rows(W, L)
         assert np.array_equal(got.births, want.births)
         assert np.array_equal(got.witness, want.witness)
+
+    def test_capped_run_folds_only_the_pairs_its_witnesses_hold(self, monkeypatch):
+        # one run of 64 witnesses alternating between two clusters of three landmarks, and a
+        # far landmark that keeps the run on listed pairs: every clustered landmark has a run
+        # minimum within the cap, so the run bound alone would fold all 15 of their pairs, but
+        # no witness holds a cross-cluster pair within the cap, so only the 6 within-cluster
+        # pairs are folded; uncapped, the run takes all 21 pairs
+        W = np.tile([[0.1], [10.1]], (32, 1))
+        L = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2], [100.0]])
+        dm = distance_matrix(W, L)
+        for cap, pairs in [(1.0, 6), (None, 21)]:
+            counter = _FoldCounter()
+            monkeypatch.setattr(witness_module, "np", counter)
+            got = edge_births(dm, cap=cap)
+            monkeypatch.undo()
+            assert counter.rows == pairs
+            want = edge_births_rows(W, L, cap=cap)
+            assert np.array_equal(got.births, want.births)
+            assert np.array_equal(got.witness, want.witness)
 
     @pytest.mark.parametrize("n", [20_000, 80_000])
     def test_uncapped_peak_memory_is_independent_of_witness_count(self, n):
@@ -465,9 +485,78 @@ class TestBoundedRowFold:
         finally:
             tracemalloc.stop()
         assert np.isfinite(ef.births).any()
-        # two distance buffers and a block's masks (ell x block); the running births and
-        # witnesses, the pair keys and one run's chunk temporaries (ell^2)
+        # two distance buffers (ell x block); the running births and witnesses, the pair keys,
+        # a run's pair counts and one chunk's temporaries (ell^2)
         assert peak < 8 * (4 * ell * DEFAULT_BLOCK + 3 * 64 * ell * ell)
+
+
+@pytest.fixture(scope="module")
+def pinned_x():
+    """4,001 samples of x from the pinned (5, 5, 5) trajectory, the acceptance battery's start."""
+    return observe(integrate_lorenz(ic=(5.0, 5.0, 5.0), n_steps=4_001, transient_steps=10_000), "x")
+
+
+def pinned_births_inputs(x: ScalarSeries, cap_kind):
+    """The 2-d delay cloud (tau 170) with landmarks every 100 samples, and a cap.
+
+    A run takes every pair once its cap reaches max_j low[j], the run's threshold.  The
+    "mixed" cap, the median threshold, splits the runs of some block between listed and
+    full pairs; the "listed" cap, below every threshold, lists pairs in every run.
+    """
+    cloud = delay_embed(x, 2, 170)
+    W, L = cloud.points, select_evenly_spaced(cloud, every=100).coords
+    dist = cdist(W, L)
+    excess = dist - dist.min(axis=1)[:, None]
+    blocks = [excess[s : s + DEFAULT_BLOCK] for s in range(0, len(W), DEFAULT_BLOCK)]
+    thresholds = [[b[r : r + 64].min(axis=0).max() for r in range(0, len(b), 64)] for b in blocks]
+    flat = np.concatenate(thresholds)
+    cap = {None: None, "listed": float(flat.min()) / 2, "mixed": float(np.median(flat))}[cap_kind]
+    if cap_kind == "mixed":
+        assert any(min(t) <= cap < max(t) for t in thresholds)
+    return W, L, cap
+
+
+class TestBirthsMetamorphic:
+    """Transformations with a known effect on births, so the fold's tie rules need no referee."""
+
+    @pytest.mark.parametrize("cap_kind", [None, "listed", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuting_landmarks_permutes_births(self, pinned_x, cap_kind, seed):
+        W, L, cap = pinned_births_inputs(pinned_x, cap_kind)
+        perm = np.random.default_rng(seed).permutation(len(L))
+        base, moved = edge_births(distance_matrix(W, L), cap=cap), edge_births(distance_matrix(W, L[perm]), cap=cap)
+        assert np.array_equal(moved.vertex_birth, base.vertex_birth[perm])
+        assert np.array_equal(moved.births, base.births[np.ix_(perm, perm)])
+        assert np.array_equal(moved.witness, base.witness[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize("cap_kind", [None, "listed", "mixed"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_appending_a_witness_copy_changes_nothing(self, pinned_x, cap_kind, seed):
+        # copies of witnesses that record births: each copy is the highest witness, so it
+        # ties its original on those pairs and must lose every tie
+        W, L, cap = pinned_births_inputs(pinned_x, cap_kind)
+        base = edge_births(distance_matrix(W, L), cap=cap)
+        recorded = np.unique(base.witness[base.witness >= 0])
+        copies = np.random.default_rng(seed).choice(recorded, size=3, replace=False)
+        for k in copies:
+            grown = edge_births(distance_matrix(np.vstack([W, W[k : k + 1]]), L), cap=cap)
+            assert np.array_equal(grown.vertex_birth, base.vertex_birth)
+            assert np.array_equal(grown.births, base.births)
+            assert np.array_equal(grown.witness, base.witness)
+
+    @pytest.mark.parametrize("cap_kind", [None, "listed", "mixed"])
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_scaling_by_a_power_of_two_scales_births_exactly(self, pinned_x, cap_kind, k):
+        # every difference, square, sum and square root scales exactly by a power of two
+        W, L, cap = pinned_births_inputs(pinned_x, cap_kind)
+        scaled = ScalarSeries(pinned_x.values * 2.0**k, pinned_x.sample_interval)
+        W2, L2, _ = pinned_births_inputs(scaled, None)
+        assert np.array_equal(W2, W * 2.0**k) and np.array_equal(L2, L * 2.0**k)
+        base = edge_births(distance_matrix(W, L), cap=cap)
+        big = edge_births(distance_matrix(W2, L2), cap=None if cap is None else cap * 2.0**k)
+        assert np.array_equal(big.vertex_birth, base.vertex_birth * 2.0**k)
+        assert np.array_equal(big.births, base.births * 2.0**k)
+        assert np.array_equal(big.witness, base.witness)
 
 
 def triangle_filtration():
