@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand writes a ``run.json`` provenance record into the output
-directory: the full parameter set (including derived values such as an
-auto-selected delay), a sha256 checksum of every artifact, the step's
+directory.  Its ``params`` hold every flag as parsed (flags left unset are
+left out), plus the values the step derived, such as an auto-selected
+delay.  It also holds a sha256 checksum of every artifact, the step's
 seconds and the process's peak RSS, and for ``complex`` the sizes of what
 it built.  The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
@@ -95,10 +96,12 @@ def _sha256(path: Path) -> str:
 
 
 def _out_path(args, name) -> Path:
+    """The path of artifact ``name`` (relative to --out-dir), its directory made; the step records it."""
     p = Path(name)
     if not p.is_absolute():
         p = Path(args.out_dir) / p
     p.parent.mkdir(parents=True, exist_ok=True)
+    args.artifacts.append(p)
     return p
 
 
@@ -115,15 +118,21 @@ def _previous_records(run_path: Path) -> list:
     return [*previous, last] if isinstance(previous, list) else [last]
 
 
-def _write_run(args, params: dict, artifacts: list[Path], counts: dict | None = None) -> None:
+# parsed arguments that are not parameters: they are kept elsewhere in the record, or not at all
+_NOT_PARAMS = ("command", "func", "seed", "out_dir", "started", "artifacts")
+
+
+def _write_run(args, derived: dict | None = None, counts: dict | None = None) -> None:
+    """Write the step's record: every flag that has a value, then the values the step ``derived``."""
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     record = {
         "subcommand": args.command,
         "version": __version__,
         "seed": args.seed,
-        "params": params,
+        "params": {**params, **(derived or {})},
         "artifacts": [
             {"path": str(p), "sha256": _sha256(p), "bytes": p.stat().st_size}
-            for p in sorted(artifacts)
+            for p in sorted(args.artifacts)
         ],
         "seconds": time.perf_counter() - args.started,
         # ru_maxrss is in KiB on Linux, in bytes on macOS
@@ -162,7 +171,7 @@ def _load_series_arg(args) -> "ScalarSeries":
 
 
 def _resolve_tau(args, series) -> tuple[int, dict]:
-    """Parse --tau; 'auto' selects the first minimum of the AMI curve."""
+    """Parse --tau; 'auto' selects the first minimum of the AMI curve.  Returns tau and what was derived."""
     if args.tau != "auto":
         tau = int(args.tau)
         if tau < 1:
@@ -172,129 +181,85 @@ def _resolve_tau(args, series) -> tuple[int, dict]:
     tau = first_minimum(curve)
     if tau is None:
         raise ValueError(f"no mutual-information minimum found for tau in [1, {args.tau_max - 1}]")
-    return tau, {"tau_steps": tau, "tau_source": "ami_first_minimum", "tau_max": args.tau_max, "bins": curve.bins}
+    return tau, {"tau_steps": tau, "tau_source": "ami_first_minimum", "bins": curve.bins}
+
+
+def _check_landmarks(args, cloud, lms) -> None:
+    """Refuse landmarks that are not points of the witness cloud: the same idx, t and coordinates, bitwise."""
+    at = np.clip(lms.indices, 0, len(cloud.points) - 1)
+    same = (lms.indices == at) & (cloud.time_index[at] == lms.time_index)
+    if lms.coords.shape[1] == cloud.m:  # the bits of each coordinate, as they round-trip through repr
+        same &= (cloud.points[at].view(np.uint64) == lms.coords.view(np.uint64)).all(axis=1)
+    if lms.coords.shape[1] != cloud.m or not same.all():
+        k = int(np.argmin(same))
+        raise ValueError(
+            f"{args.landmarks}: landmark {k} (idx {lms.indices[k]}, t {lms.time_index[k]}) is not point"
+            f" {lms.indices[k]} of the witness cloud {args.witnesses}, which has {len(cloud.points)} points"
+        )
 
 
 def cmd_generate(args) -> int:
     params = OdeParams(r=args.r, b=args.b, sigma=args.sigma)
     ic = _parse_floats(args.ic, 3, "--ic")
-    traj = integrate_lorenz(
-        params=params, ic=ic, dt=args.dt, n_steps=args.steps, transient_steps=args.transient
-    )
+    traj = integrate_lorenz(params=params, ic=ic, dt=args.dt, n_steps=args.steps, transient_steps=args.transient)
     series = observe(traj, int(args.observe) if args.observe.isdigit() else args.observe)
-    out = _out_path(args, args.out)
-    save_series(series, out)
-    artifacts = [out]
+    save_series(series, _out_path(args, args.out))
     if args.traj_out:
-        traj_out = _out_path(args, args.traj_out)
-        save_cloud(PointCloud(traj.points, np.arange(len(traj))), traj_out)
-        artifacts.append(traj_out)
-    _write_run(
-        args,
-        {
-            "system": args.system,
-            "r": args.r,
-            "b": args.b,
-            "sigma": args.sigma,
-            "dt": args.dt,
-            "steps": args.steps,
-            "transient": args.transient,
-            "ic": list(ic),
-            "observe": args.observe,
-        },
-        artifacts,
-    )
+        save_cloud(PointCloud(traj.points, np.arange(len(traj))), _out_path(args, args.traj_out))
+    _write_run(args, {"ic": list(ic)})
     return 0
 
 
 def cmd_noise(args) -> int:
-    series = _load_series_arg(args)
-    noisy = add_uniform_noise(series, args.nu, args.seed)
-    out = _out_path(args, args.out)
-    save_series(noisy, out)
-    _write_run(args, {"nu": args.nu, "input": args.input}, [out])
+    noisy = add_uniform_noise(_load_series_arg(args), args.nu, args.seed)
+    save_series(noisy, _out_path(args, args.out))
+    _write_run(args)
     return 0
 
 
 def cmd_ami(args) -> int:
-    series = _load_series_arg(args)
-    curve = ami_curve(series, tau_max=args.tau_max, bins=args.bins)
+    curve = ami_curve(_load_series_arg(args), tau_max=args.tau_max, bins=args.bins)
     out = _out_path(args, args.out)
     # values stay NumPy-scalar reprs, np.float64(...), until perfbench/reference.json recounts ami.csv
     _write_table(out, ["tau,ami_bits"], np.arange(len(curve.values)), [repr(v) for v in curve.values])
-    tau_min = first_minimum(curve)
-    _write_run(
-        args,
-        {
-            "input": args.input,
-            "tau_max": args.tau_max,
-            "bins": curve.bins,
-            "first_minimum": tau_min,
-        },
-        [out],
-    )
+    _write_run(args, {"bins": curve.bins, "first_minimum": first_minimum(curve)})
     return 0
 
 
 def cmd_embed(args) -> int:
     series = _load_series_arg(args)
-    tau, tau_params = _resolve_tau(args, series)
+    tau, derived = _resolve_tau(args, series)
     m_anchor = args.m_anchor if args.m_anchor is not None else args.m
-    cloud = delay_embed(series, args.m, tau, m_anchor=m_anchor)
-    out = _out_path(args, args.out)
-    save_cloud(cloud, out)
-    _write_run(
-        args,
-        {"input": args.input, "m": args.m, "m_anchor": m_anchor, **tau_params},
-        [out],
-    )
+    save_cloud(delay_embed(series, args.m, tau, m_anchor=m_anchor), _out_path(args, args.out))
+    _write_run(args, {"m_anchor": m_anchor, **derived})
     return 0
 
 
 def cmd_landmarks(args) -> int:
     cloud = load_cloud(args.input)
     if args.every is not None:
-        lms = select_evenly_spaced(cloud, args.every)
-        params = {"input": args.input, "method": "evenly_spaced", "every": args.every}
+        lms, method = select_evenly_spaced(cloud, args.every), "evenly_spaced"
     else:
-        lms = select_maxmin(cloud, args.maxmin, args.seed)
-        params = {"input": args.input, "method": "maxmin", "ell": args.maxmin}
-    out = _out_path(args, args.out)
-    save_landmarks(lms, out)
-    _write_run(args, {**params, "ell_selected": lms.ell}, [out])
+        lms, method = select_maxmin(cloud, args.maxmin, args.seed), "maxmin"
+    save_landmarks(lms, _out_path(args, args.out))
+    _write_run(args, {"method": method, "ell_selected": lms.ell})
     return 0
 
 
 def cmd_complex(args) -> int:
     cloud = load_cloud(args.witnesses)
     lms = load_landmarks(args.landmarks)
+    _check_landmarks(args, cloud, lms)
     diam = bbox_diameter(cloud)
-    if args.xi is not None:
-        eps = _scale_arg(args.xi, "--xi") * diam
-        scale_params = {"xi": args.xi, "epsilon": eps, "diameter": diam}
-    else:
-        eps = _scale_arg(args.epsilon, "--epsilon")
-        scale_params = {"epsilon": eps, "diameter": diam}
+    eps = _scale_arg(args.xi, "--xi") * diam if args.xi is not None else _scale_arg(args.epsilon, "--epsilon")
     ef = edge_births(distance_matrix(cloud, lms), cap=eps)
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
-    out = _out_path(args, args.out)
-    save_filtration(ff, out)
-    artifacts = [out]
+    save_filtration(ff, _out_path(args, args.out))
     if args.edges_out:
-        edges_out = _out_path(args, args.edges_out)
-        skeleton_export(ff, eps, edges_out)
-        artifacts.append(edges_out)
+        skeleton_export(ff, eps, _out_path(args, args.edges_out))
     _write_run(
         args,
-        {
-            "witnesses": args.witnesses,
-            "landmarks": args.landmarks,
-            "dim_cap": args.dim_cap,
-            "max_simplices": args.max_simplices,
-            "simplex_count": len(ff),
-            **scale_params,
-        },
-        artifacts,
+        {"epsilon": eps, "diameter": diam, "simplex_count": len(ff)},
         {
             "witnesses": len(cloud.points),
             "landmarks": lms.ell,
@@ -323,32 +288,23 @@ def cmd_barcode(args) -> int:
             raise ValueError(f"--dim-cap must be in 1..{top} for this filtration, got {args.dim_cap}")
         ff.dim_cap = args.dim_cap
     bc = persistent_homology(ff)
-    out = _out_path(args, args.out)
-    save_barcode(bc, out)
-    artifacts = [out]
-    params = {"filtration": args.filtration, "intervals": len(bc.intervals)}
-    if args.dim_cap is not None:
-        params["dim_cap"] = args.dim_cap
+    save_barcode(bc, _out_path(args, args.out))
+    derived = {"intervals": len(bc.intervals)}
     if args.eps_grid:
         grid_out = _out_path(args, args.grid_out or (Path(args.out).stem + "_grid.csv"))
         grid = np.linspace(lo, hi, int(count))
         betti = np.array([betti_at(bc, eps) for eps in grid.tolist()])
         _write_table(grid_out, ["epsilon," + ",".join(f"beta{k}" for k in range(bc.dim_cap))], grid, *betti.T)
-        artifacts.append(grid_out)
-        params["eps_grid"] = [lo, hi, int(count)]
+        derived["eps_grid"] = [lo, hi, int(count)]
     if args.cycles_out:
-        cycles_out = _out_path(args, args.cycles_out)
         reps = representative_cycles(bc, args.cycles_k, args.cycles_top)
         rows = [
             (ci, iv.k, iv.birth, iv.death, "-".join(map(str, verts)))
             for ci, (iv, simplices) in enumerate(reps)
             for verts in simplices
         ]
-        _write_table(cycles_out, ["cycle,k,birth,death,simplex"], *zip(*rows))
-        artifacts.append(cycles_out)
-        params["cycles_k"] = args.cycles_k
-        params["cycles_top"] = args.cycles_top
-    _write_run(args, params, artifacts)
+        _write_table(_out_path(args, args.cycles_out), ["cycle,k,birth,death,simplex"], *zip(*rows))
+    _write_run(args, derived)
     return 0
 
 
@@ -357,61 +313,32 @@ def cmd_mscan(args) -> int:
     if args.barcode_landmark < 0:
         raise ValueError(f"--barcode-landmark must be nonnegative, got {args.barcode_landmark}")
     series = _load_series_arg(args)
-    tau, tau_params = _resolve_tau(args, series)
+    tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)
     if args.barcode_landmark >= sw.ell:
         raise ValueError(f"--barcode-landmark must be below the {sw.ell} landmarks, got {args.barcode_landmark}")
     matrix = lifespan_matrix(sw)
-
-    lifespan_out = _out_path(args, "lifespan.csv")
-    save_lifespan_csv(matrix, lifespan_out)
-    existence_out = _out_path(args, "existence.csv")
-    save_existence_csv(sw, existence_out)
+    save_lifespan_csv(matrix, _out_path(args, "lifespan.csv"))
+    save_existence_csv(sw, _out_path(args, "existence.csv"))
     dimbar_out = _out_path(args, f"dimension_barcode_{args.barcode_landmark}.csv")
     save_dimension_barcode_csv(sw, args.barcode_landmark, dimbar_out)
-    dmf = dm_filtration(sw, dim_cap=args.dim_cap)
-    dm_out = _out_path(args, "dm_barcode.csv")
-    save_barcode(dmf.barcode, dm_out)
-
-    _write_run(
-        args,
-        {
-            "input": args.input,
-            "xi": args.xi,
-            "every": args.every,
-            "m_max": args.m_max,
-            "dim_cap": args.dim_cap,
-            "barcode_landmark": args.barcode_landmark,
-            "ell": sw.ell,
-            "diameters": sw.diameters,
-            "epsilons": sw.epsilons,
-            **tau_params,
-        },
-        [lifespan_out, existence_out, dimbar_out, dm_out],
-    )
+    save_barcode(dm_filtration(sw, dim_cap=args.dim_cap).barcode, _out_path(args, "dm_barcode.csv"))
+    _write_run(args, {"ell": sw.ell, "diameters": sw.diameters, "epsilons": sw.epsilons, **derived})
     return 0
 
 
 def cmd_render(args) -> int:
+    view = _parse_floats(args.view, 2, "--view") if args.view else None
     out = _out_path(args, args.out)
     if args.kind == "barcode":
         svg = render_barcode(args.input)
-        params = {"kind": args.kind, "input": args.input}
     elif args.kind == "heatmap":
         svg = render_heatmap(args.input)
-        params = {"kind": args.kind, "input": args.input}
     else:
-        view = _parse_floats(args.view, 2, "--view") if args.view else None
         svg = render_skeleton(args.edges, args.landmarks, view=view)
-        params = {
-            "kind": args.kind,
-            "edges": args.edges,
-            "landmarks": args.landmarks,
-            "view": list(view) if view else None,
-        }
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(svg)
-    _write_run(args, params, [out])
+    _write_run(args, {"view": list(view)} if view else None)
     return 0
 
 
@@ -535,7 +462,7 @@ def main(argv=None) -> int:
         if args.kind == "skeleton" and not (args.edges and args.landmarks):
             print("error: render skeleton requires --edges and --landmarks", file=sys.stderr)
             return 2
-    args.started = time.perf_counter()
+    args.started, args.artifacts = time.perf_counter(), []
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

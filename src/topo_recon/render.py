@@ -12,7 +12,6 @@ import numpy as np
 
 from .landmarks import load_landmarks
 from .mscan import load_lifespan_csv
-from .persistence import load_barcode
 from .signal import _read_table
 
 _K_COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
@@ -37,8 +36,16 @@ def _fmt(v: float) -> str:
 
 
 def render_barcode(path, width: int = 720) -> str:
-    """Render a barcode CSV; bars grouped by homology degree, open bars get arrows."""
-    rows = load_barcode(path)
+    """Render a barcode CSV; bars grouped by homology degree, open bars get arrows.
+
+    A bar with a non-finite birth, or a death below its birth, cannot be
+    drawn and raises SeriesFormatError at its line.
+    """
+    table = _read_table(path, "k,birth,death", ints=1)
+    rows = list(zip(table.ints[:, 0].tolist(), *table.floats.T.tolist()))
+    for row, (_, birth, death) in enumerate(rows):
+        if not (math.isfinite(birth) and death >= birth):
+            raise table.error(row, f"cannot draw a bar born at {birth} that dies at {death}")
     margin_l, margin_r, margin_t, row_h = 60, 30, 24, 10
     ks = sorted({k for k, _, _ in rows})
     finite = [v for _, b, d in rows for v in (b, d) if math.isfinite(v)]
@@ -63,22 +70,12 @@ def render_barcode(path, width: int = 720) -> str:
         for kk, birth, death in rows:
             if kk != k:
                 continue
-            x0 = sx(birth)
-            if math.isinf(death):
-                x1 = margin_l + plot_w
-                parts.append(
-                    f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
-                    f'stroke="{color}" stroke-width="3"/>'
-                )
-                parts.append(
-                    f'<path d="M {x1:.2f} {y - 4:.2f} l 8 4 l -8 4 z" fill="{color}"/>'
-                )
-            else:
-                x1 = sx(death)
-                parts.append(
-                    f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" '
-                    f'stroke="{color}" stroke-width="3"/>'
-                )
+            x0, x1 = sx(birth), margin_l + plot_w if math.isinf(death) else sx(death)
+            parts.append(
+                f'<line x1="{x0:.2f}" y1="{y:.2f}" x2="{x1:.2f}" y2="{y:.2f}" stroke="{color}" stroke-width="3"/>'
+            )
+            if math.isinf(death):  # an open bar ends in an arrowhead
+                parts.append(f'<path d="M {x1:.2f} {y - 4:.2f} l 8 4 l -8 4 z" fill="{color}"/>')
             y += row_h
     axis_y = y + 6
     parts.append(

@@ -546,3 +546,163 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"error: {tmp_path / 'edges.csv'}: line 3: edge ({index}, 1) names a landmark outside [0, 2)" in err
         assert not (tmp_path / "skel.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A native and a CSV series, and the cloud, landmarks, filtration, edges, barcode and lifespan made from them."""
+    d = tmp_path_factory.mktemp("inputs")
+    sine_series_file(d / "s.txt")
+    (d / "s.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in load_series(d / "s.txt").values.tolist()))
+    steps = [
+        ["embed", "--in", d / "s.txt", "--m", 2, "--tau", 25, "--out", "cloud.csv"],
+        ["landmarks", "--in", d / "cloud.csv", "--every", 100, "--out", "lm.csv"],
+        ["complex", "--witnesses", d / "cloud.csv", "--landmarks", d / "lm.csv", "--epsilon", 0.5,
+         "--dim-cap", 2, "--out", "f.json", "--edges-out", "edges.csv"],
+        ["barcode", "--filtration", d / "f.json", "--out", "barcode.csv"],
+        ["mscan", "--in", d / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3],
+    ]
+    for argv in steps:
+        assert run(*argv, "--out-dir", d) == 0, argv
+    return d
+
+
+CSV_FLAGS = ["--in", "{d}/s.csv", "--format", "csv", "--sample-interval", 0.01]
+CSV_PARAMS = {"input": "{d}/s.csv", "format": "csv", "sample_interval": 0.01}
+
+# command line (with {d} for the inputs directory) -> the params it must record
+PROVENANCE_CASES = {
+    "generate": (
+        ["generate", "lorenz", "--r", 30.0, "--dt", 0.005, "--steps", 600, "--transient", 100, "--ic", "1,2,3",
+         "--observe", "y", "--out", "s.txt", "--traj-out", "traj.csv"],
+        {"system": "lorenz", "r": 30.0, "dt": 0.005, "steps": 600, "transient": 100, "ic": [1.0, 2.0, 3.0],
+         "observe": "y", "out": "s.txt", "traj_out": "traj.csv"},
+    ),
+    "noise": (["noise", *CSV_FLAGS, "--nu", 0.1, "--out", "n.txt"], {**CSV_PARAMS, "nu": 0.1, "out": "n.txt"}),
+    "ami": (
+        ["ami", *CSV_FLAGS, "--tau-max", 60, "--bins", 16, "--out", "ami.csv"],
+        {**CSV_PARAMS, "tau_max": 60, "bins": 16, "out": "ami.csv"},
+    ),
+    "embed": (
+        ["embed", *CSV_FLAGS, "--m", 2, "--tau", 25, "--m-anchor", 3, "--out", "c.csv"],
+        {**CSV_PARAMS, "m": 2, "tau": "25", "m_anchor": 3, "tau_steps": 25, "out": "c.csv"},
+    ),
+    "landmarks_every": (
+        ["landmarks", "--in", "{d}/cloud.csv", "--every", 150, "--out", "l.csv"],
+        {"input": "{d}/cloud.csv", "every": 150, "method": "evenly_spaced", "out": "l.csv"},
+    ),
+    "landmarks_maxmin": (
+        ["landmarks", "--in", "{d}/cloud.csv", "--maxmin", 9, "--seed", 3, "--out", "l.csv"],
+        {"input": "{d}/cloud.csv", "maxmin": 9, "method": "maxmin", "ell_selected": 9, "out": "l.csv"},
+    ),
+    "complex_xi": (
+        ["complex", "--witnesses", "{d}/cloud.csv", "--landmarks", "{d}/lm.csv", "--xi", 0.1, "--dim-cap", 2,
+         "--max-simplices", 10**6, "--out", "f.json", "--edges-out", "e.csv"],
+        {"witnesses": "{d}/cloud.csv", "landmarks": "{d}/lm.csv", "xi": 0.1, "dim_cap": 2,
+         "max_simplices": 10**6, "out": "f.json", "edges_out": "e.csv"},
+    ),
+    "complex_epsilon": (
+        ["complex", "--witnesses", "{d}/cloud.csv", "--landmarks", "{d}/lm.csv", "--epsilon", 0.4, "--out", "f.json"],
+        {"witnesses": "{d}/cloud.csv", "landmarks": "{d}/lm.csv", "epsilon": 0.4, "out": "f.json"},
+    ),
+    "barcode": (
+        ["barcode", "--filtration", "{d}/f.json", "--dim-cap", 2, "--eps-grid", "0,0.5,6", "--grid-out", "g.csv",
+         "--cycles-out", "cy.csv", "--cycles-k", 1, "--cycles-top", 3, "--out", "b.csv"],
+        {"filtration": "{d}/f.json", "dim_cap": 2, "eps_grid": [0.0, 0.5, 6], "grid_out": "g.csv",
+         "cycles_out": "cy.csv", "cycles_k": 1, "cycles_top": 3, "out": "b.csv"},
+    ),
+    "mscan": (
+        ["mscan", *CSV_FLAGS, "--tau", 25, "--tau-max", 100, "--bins", 16, "--xi", 0.05, "--every", 100,
+         "--m-max", 3, "--dim-cap", 2, "--barcode-landmark", 1],
+        {**CSV_PARAMS, "tau": "25", "tau_max": 100, "bins": 16, "xi": 0.05, "every": 100, "m_max": 3,
+         "dim_cap": 2, "barcode_landmark": 1, "tau_steps": 25},
+    ),
+    "render_barcode": (
+        ["render", "barcode", "--in", "{d}/barcode.csv", "--out", "b.svg"],
+        {"kind": "barcode", "input": "{d}/barcode.csv", "out": "b.svg"},
+    ),
+    "render_heatmap": (
+        ["render", "heatmap", "--in", "{d}/lifespan.csv", "--out", "h.svg"],
+        {"kind": "heatmap", "input": "{d}/lifespan.csv", "out": "h.svg"},
+    ),
+    "render_skeleton": (
+        ["render", "skeleton", "--edges", "{d}/edges.csv", "--landmarks", "{d}/lm.csv", "--view", "30,45",
+         "--out", "s.svg"],
+        {"kind": "skeleton", "edges": "{d}/edges.csv", "landmarks": "{d}/lm.csv", "view": [30.0, 45.0],
+         "out": "s.svg"},
+    ),
+}
+
+
+class TestProvenance:
+    """A run.json names every flag given, with its parsed value, and every file the step wrote."""
+
+    @pytest.mark.parametrize("case", sorted(PROVENANCE_CASES))
+    def test_every_flag_recorded(self, inputs, tmp_path, case):
+        argv, want = PROVENANCE_CASES[case]
+
+        def fill(v):
+            return v.format(d=inputs) if isinstance(v, str) else v
+
+        assert run(*map(fill, argv), "--out-dir", tmp_path) == 0
+        record = read_run(tmp_path)
+        assert {k: record["params"].get(k) for k in want} == {k: fill(v) for k, v in want.items()}
+        assert None not in record["params"].values()
+        written = {p.name for p in tmp_path.iterdir()} - {"run.json"}
+        assert {a["path"] for a in record["artifacts"]} == {str(tmp_path / name) for name in written}
+
+    def test_out_dir_before_the_render_kind(self, inputs, tmp_path):
+        d = tmp_path / "d"
+        assert run("render", "--out-dir", d, "barcode", "--in", inputs / "barcode.csv", "--out", "b.svg") == 0
+        assert (d / "b.svg").read_text().startswith("<svg")
+        assert read_run(d)["params"]["kind"] == "barcode"
+
+
+class TestForeignLandmarks:
+    """complex refuses landmarks that are not points of its witness cloud, before it writes anything."""
+
+    def landmark_lines(self, inputs, tmp_path, edit):
+        lines = (inputs / "lm.csv").read_text().splitlines()
+        edit(lines)
+        (tmp_path / "lm.csv").write_text("\n".join(lines) + "\n")
+        return tmp_path / "lm.csv"
+
+    def refused(self, inputs, tmp_path, capsys, landmarks, k):
+        rc = run("complex", "--witnesses", inputs / "cloud.csv", "--landmarks", landmarks, "--epsilon", 0.5,
+                 "--out", "filtration.json", "--out-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {landmarks}: landmark {k} ") and str(inputs / "cloud.csv") in err
+        assert not (tmp_path / "filtration.json").exists()
+
+    def test_index_out_of_range(self, inputs, tmp_path, capsys):
+        def edit(lines):
+            lines[-1] = ",".join(["999999", *lines[-1].split(",")[1:]])
+
+        ell = load_landmarks(inputs / "lm.csv").ell
+        self.refused(inputs, tmp_path, capsys, self.landmark_lines(inputs, tmp_path, edit), ell - 1)
+
+    def test_shifted_time(self, inputs, tmp_path, capsys):
+        def edit(lines):  # lines 0 and 1 are the spacing comment and the header
+            idx, t, *coords = lines[4].split(",")
+            lines[4] = ",".join([idx, str(int(t) + 1), *coords])
+
+        self.refused(inputs, tmp_path, capsys, self.landmark_lines(inputs, tmp_path, edit), 2)
+
+    def test_landmarks_of_another_delay(self, inputs, tmp_path, capsys):
+        assert run("embed", "--in", inputs / "s.txt", "--m", 2, "--tau", 30, "--out", "c30.csv",
+                   "--out-dir", tmp_path) == 0
+        assert run("landmarks", "--in", tmp_path / "c30.csv", "--every", 100, "--out", "lm30.csv",
+                   "--out-dir", tmp_path) == 0
+        self.refused(inputs, tmp_path, capsys, tmp_path / "lm30.csv", 0)
+
+
+class TestUndrawableBars:
+    @pytest.mark.parametrize("bar", ["0,0.5,0.2", "1,inf,inf"])
+    def test_refused_at_its_line(self, tmp_path, capsys, bar):
+        (tmp_path / "barcode.csv").write_text(f"k,birth,death\n0,0.1,inf\n{bar}\n0,0.2,0.3\n")
+        rc = run("render", "barcode", "--in", tmp_path / "barcode.csv", "--out", "b.svg", "--out-dir", tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'barcode.csv'}: line 3: cannot draw a bar")
+        assert not (tmp_path / "b.svg").exists()

@@ -353,7 +353,9 @@ FUZZED_LOADERS = {
     "landmarks": (load_landmarks, 2, False),
     "barcode": (load_barcode, 1, False),
     "lifespan": (load_lifespan_csv, 0, False),
+    "edges": (lambda path: render_skeleton(path, path.with_name("edges_landmarks.csv")), 1, False),
 }
+EDGE_LANDMARKS = 4  # the landmarks an edges file may name: 0..3
 
 
 def _write_valid_table(loader: str, rng, n: int, path) -> None:
@@ -375,6 +377,12 @@ def _write_valid_table(loader: str, rng, n: int, path) -> None:
         deaths = np.where(rng.random(n) < 0.3, math.inf, births + rng.exponential(1.0, n))
         bars = [Interval(int(k), b, d, creator=0) for k, b, d in zip(rng.integers(0, 3, n), births, deaths)]
         save_barcode(Barcode(intervals=bars, dim_cap=3, filtration=None), path)
+    elif loader == "edges":  # a 1-skeleton on a fixed set of landmarks, in the file named next to it
+        coords = rng.standard_normal((EDGE_LANDMARKS, 2))
+        save_landmarks(LandmarkSet(np.arange(EDGE_LANDMARKS), coords, np.arange(EDGE_LANDMARKS)),
+                       path.with_name("edges_landmarks.csv"))
+        i, j = rng.integers(0, EDGE_LANDMARKS, (2, n))
+        _write_table(path, ["i,j,birth"], i, j, rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-8, 2, n))
     else:
         save_lifespan_csv(rng.integers(0, 9, (n, n)), path)
 
@@ -391,6 +399,8 @@ def fuzz_table_file(data, loader, path) -> int:
         defects += ["unsorted", "duplicate"]
     if loader == "lifespan":
         defects.append("extra_row")
+    if loader == "edges":
+        defects.append("out_of_range")
     how = data.draw(st.sampled_from(defects))
     row = first + data.draw(st.integers(1 if indexed else 0, n - 1))  # the 0-based line given the defect
     fields, want = lines[row].split(","), row + 1
@@ -398,9 +408,10 @@ def fuzz_table_file(data, loader, path) -> int:
         cut = data.draw(st.sampled_from([i for i in range(1, len(lines[row])) if lines[row][i - 1] in ",-e"]))
         path.write_text("\n".join(lines[:row] + [lines[row][:cut]]))
         return want
-    if how == "non_finite":  # into a float field; a barcode holds infinite bars, so only NaN is out of place there
-        col = data.draw(st.integers({"cloud": 1, "landmarks": 2, "barcode": 1}.get(loader, 0), len(fields) - 1))
-        bad = ["nan", "NaN", "-nan"] + ([] if loader == "barcode" else ["inf", "-inf"])
+    if how == "non_finite":  # into a float field; barcodes and edge files take inf, so only NaN is out of place there
+        first_float = {"cloud": 1, "landmarks": 2, "barcode": 1, "edges": 2}.get(loader, 0)
+        col = data.draw(st.integers(first_float, len(fields) - 1))
+        bad = ["nan", "NaN", "-nan"] + ([] if loader in ("barcode", "edges") else ["inf", "-inf"])
         fields[col] = data.draw(st.sampled_from(bad))
     elif how == "ragged":  # one field more, or one fewer on a row that has more than one
         fields = fields[:-1] if not narrow and data.draw(st.booleans()) else fields + ["1"]
@@ -409,6 +420,8 @@ def fuzz_table_file(data, loader, path) -> int:
     elif how in ("unsorted", "duplicate"):  # the index repeats or falls
         step = 0 if how == "duplicate" else data.draw(st.integers(1, 3))
         fields[0] = str(int(lines[row - 1].split(",")[0]) - step)
+    elif how == "out_of_range":  # an edge end that is no landmark
+        fields[data.draw(st.integers(0, 1))] = str(data.draw(st.sampled_from([-2, -1, EDGE_LANDMARKS, 10**6])))
     lines[row] = ",".join(fields)
     if how == "extra_row":  # a repeated row leaves the matrix non-square, which fails at its last row
         lines.insert(row, lines[row])
