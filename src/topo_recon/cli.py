@@ -4,8 +4,9 @@ Every subcommand writes a ``run.json`` provenance record into the output
 directory.  Its ``params`` hold every flag as parsed (flags left unset are
 left out), plus the values the step derived, such as an auto-selected
 delay.  It also holds a sha256 checksum of every artifact, the step's
-seconds and the process's peak RSS, and for ``complex`` the sizes of what
-it built.  The records of earlier steps into the same directory are kept,
+seconds and the process's peak RSS; for ``complex`` it counts the sizes of
+what it built, and for ``barcode`` and ``mscan`` the reduction's columns.
+The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
 arguments and seeds produce byte-identical artifacts.
 """
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .embed import (
-    DegenerateSeriesError,
     PointCloud,
     ami_curve,
     bbox_diameter,
@@ -47,18 +47,11 @@ from .mscan import (
     save_lifespan_csv,
     sweep,
 )
-from .persistence import (
-    ContractViolationError,
-    betti_at,
-    persistent_homology,
-    representative_cycles,
-    save_barcode,
-)
+from .persistence import betti_at, persistent_homology, representative_cycles, save_barcode
 from .render import render_barcode, render_heatmap, render_skeleton
 from .signal import (
     IntegrationError,
     OdeParams,
-    SeriesFormatError,
     add_uniform_noise,
     integrate_lorenz,
     load_series,
@@ -76,15 +69,8 @@ from .witness import (
     skeleton_export,
 )
 
-_USER_ERRORS = (
-    ValueError,
-    OSError,
-    IntegrationError,
-    SeriesFormatError,
-    DegenerateSeriesError,
-    ContractViolationError,
-    ResourceLimitError,
-)
+# bad input or flags; SeriesFormatError, DegenerateSeriesError and ContractViolationError are ValueErrors
+_USER_ERRORS = (ValueError, OSError, IntegrationError, ResourceLimitError)
 
 
 def _sha256(path: Path) -> str:
@@ -304,7 +290,7 @@ def cmd_barcode(args) -> int:
             for verts in simplices
         ]
         _write_table(_out_path(args, args.cycles_out), ["cycle,k,birth,death,simplex"], *zip(*rows))
-    _write_run(args, derived)
+    _write_run(args, derived, bc.counts)
     return 0
 
 
@@ -322,21 +308,21 @@ def cmd_mscan(args) -> int:
     save_existence_csv(sw, _out_path(args, "existence.csv"))
     dimbar_out = _out_path(args, f"dimension_barcode_{args.barcode_landmark}.csv")
     save_dimension_barcode_csv(sw, args.barcode_landmark, dimbar_out)
-    save_barcode(dm_filtration(sw, dim_cap=args.dim_cap).barcode, _out_path(args, "dm_barcode.csv"))
-    _write_run(args, {"ell": sw.ell, "diameters": sw.diameters, "epsilons": sw.epsilons, **derived})
+    bc = dm_filtration(sw, dim_cap=args.dim_cap).barcode
+    save_barcode(bc, _out_path(args, "dm_barcode.csv"))
+    _write_run(args, {"ell": sw.ell, "diameters": sw.diameters, "epsilons": sw.epsilons, **derived}, bc.counts)
     return 0
 
 
 def cmd_render(args) -> int:
     view = _parse_floats(args.view, 2, "--view") if args.view else None
-    out = _out_path(args, args.out)
     if args.kind == "barcode":
         svg = render_barcode(args.input)
     elif args.kind == "heatmap":
         svg = render_heatmap(args.input)
     else:
         svg = render_skeleton(args.edges, args.landmarks, view=view)
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(_out_path(args, args.out), "w", encoding="utf-8") as fh:
         fh.write(svg)
     _write_run(args, {"view": list(view)} if view else None)
     return 0
@@ -410,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--xi", type=float, default=None, help="scale as a fraction of cloud diameter")
     group.add_argument("--epsilon", type=float, default=None, help="absolute scale cap")
     p.add_argument("--dim-cap", type=int, default=3)
-    p.add_argument("--max-simplices", type=int, default=100_000_000)
+    p.add_argument("--max-simplices", type=int, default=10_000_000)
     p.add_argument("--out", required=True, help="filtration JSON output")
     p.add_argument("--edges-out", default=None, help="optional 1-skeleton CSV at the cap scale")
     p.set_defaults(func=cmd_complex)

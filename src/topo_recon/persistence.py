@@ -11,15 +11,15 @@ k-simplex that destroyed a (k-1)-class in the pass below is skipped, so most
 columns pair at once with a free pivot (an apparent pair) and need no
 addition.  The pairs are those of the standard boundary reduction, so
 creators and destroyers are positions in the filtration's simplex list.
-The filtration's arrays are checked all at once, and each simplex's facets
-are found by ``np.searchsorted`` over sorted integer keys; one CSR array of
-cofaces built from them, ascending per facet, gives every column's pivot at
-once.  Columns are built only when added, as Ripser computes coboundaries on
-demand: a column whose pivot is free is kept as its key alone, and a sparse
-set of rows is made only for a column that needs an addition or that a
-later column must add.  One routine, ``_reduce``, does every reduction,
-representative cycles included; an H1 cycle is its creator edge closed
-through the H0 spanning forest.
+Facets are found a chunk of simplices at a time by ``np.searchsorted`` over
+sorted integer keys, and ``np.minimum.at`` folds each chunk into its facets'
+first cofaces, every column's pivot.  Columns are built only when added, as
+Ripser computes coboundaries on demand: a column with a free pivot is kept
+as its key alone, and its rows are looked up only when it needs an addition
+or a later column must add it: the one-vertex extensions of a k-simplex
+whose keys are (k+1)-simplex keys.  One routine, ``_reduce``, does every
+reduction, representative cycles included; an H1 cycle is its creator edge
+closed through the H0 spanning forest.
 Homology is reported for k < dim_cap; intervals with equal birth and death
 are homologically invisible and omitted.
 """
@@ -33,6 +33,8 @@ import numpy as np
 
 from .signal import _read_table, _write_table
 from .witness import FlagFiltration
+
+_FACET_CHUNK = 1 << 14  # the simplices of one dimension whose facets _validate holds at once
 
 
 class ContractViolationError(ValueError):
@@ -68,6 +70,7 @@ class Barcode:
     dim_cap: int
     filtration: FlagFiltration = field(repr=False)
     forest: frozenset = field(default=frozenset(), repr=False)  # positions of the H0 spanning forest's edges
+    counts: dict = field(default_factory=dict, repr=False)  # columns reduced and cleared per k >= 1, sets built
 
     def by_dim(self, k: int) -> list:
         return [iv for iv in self.intervals if iv.k == k]
@@ -75,54 +78,73 @@ class Barcode:
 
 def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The index of each entry of ``x`` in the sorted array ``table``, or -1 where absent."""
-    at = np.searchsorted(table, x).clip(max=max(table.size - 1, 0))
+    at = np.minimum(np.searchsorted(table, x), max(table.size - 1, 0))
     return np.where(table[at] == x, at, -1) if table.size else np.full(x.shape, -1)
 
 
-def _validate(ff: FlagFiltration) -> tuple[list, list]:
-    """Check canonical order and face closure; return the positions and the facet positions by dim.
+def _validate(ff: FlagFiltration) -> tuple:
+    """Check canonical order and face closure; return positions, facets, pivots and a coface lookup.
 
-    ``by_dim[k]`` lists the positions of the k-simplices, ascending;
-    ``facets[k][r, i]`` is the position of the i-th facet (in
-    ``itertools.combinations`` order) of the simplex at ``by_dim[k][r]``.
-    A k-simplex's key is the index of its first k vertices' key among the
-    (k-1)-simplex keys, times the vertex count, plus its last vertex's rank,
-    so keys stay below n * ell.  Every check runs on all positions at once;
-    the first failing position raises (order, value, duplicate, then faces).
+    ``by_dim[k]`` lists the k-simplices' positions, ascending, and
+    ``facets[k][r, i]`` the position of the i-th facet (``itertools``
+    combinations order) of the one at ``by_dim[k][r]``, both for edges and
+    below dim_cap only.  ``head[p]`` is simplex p's first coface position (n
+    if none), and ``cofaces(p)`` lists them all.  A k-simplex's key is the
+    index of its first k vertices' key among the (k-1)-simplex keys, times the
+    vertex count, plus its last vertex's rank, so keys stay below n * ell.  The
+    first failing position raises (order, value, duplicate, then faces).
     """
-    verts, dims, values = ff.vertices, ff.dims, ff.values
-    n = values.size
+    verts, dims, values, n = ff.vertices, ff.dims, ff.values, len(ff)
     live = np.arange(1, verts.shape[1]) <= dims[:, None]
     unsorted = (dims < 0) | ((verts[:, 1:] <= verts[:, :-1]) & live).any(axis=1)
     low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
-    dup, missing = np.zeros(n, dtype=bool), np.full(n, -1)
+    dup, missing, head = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8), np.full(n + 1, n)
     ids = np.unique(verts[dims == 0, 0])
     tables, by_dim, facets = [], [], []  # tables[k]: the k-simplex keys, sorted, and the first position of each
 
     def key(ranks):
         out = ranks[:, 0]
         for c in range(1, ranks.shape[1]):
-            prefix = _find(tables[c - 1][0], out)
+            prefix = out if c == 1 else _find(tables[c - 1][0], out)  # a vertex's key index is its rank
             out = np.where((prefix >= 0) & (ranks[:, c] >= 0), prefix * ids.size + ranks[:, c], -1)
         return out
 
     for d in range(max(ff.dim_cap, int(dims.max(initial=0))) + 1):
-        pos = np.flatnonzero(dims == d)
-        ranks = _find(ids, verts[pos, : d + 1]).reshape(pos.size, d + 1)  # without d-simplices, verts may be narrower
-        keys, first = np.unique(key(ranks), return_index=True)
-        dup[np.delete(pos, first)] = True
-        tables.append((keys[keys >= 0], pos[first[keys >= 0]]))
-        by_dim.append(pos)
-        facets.append(None)
-        if d:  # facet i drops vertex d - i; an absent facet reads position n
-            first = np.append(tables[d - 1][1], n)
-            facets[d] = np.column_stack([first[_find(tables[d - 1][0], key(np.delete(ranks, d - i, axis=1)))]
-                                         for i in range(d + 1)])
-            late = facets[d] > pos[:, None]
-            missing[pos] = np.where(late.any(axis=1), late.argmax(axis=1), -1)
+        pos, below = np.flatnonzero(dims == d), d < max(ff.dim_cap, 2)  # only these dims are read later
+        keys, first = np.empty(pos.size, dtype=np.int64), np.append(tables[d - 1][1], n) if d else None
+        facets.append(np.empty((pos.size, d + 1), dtype=np.int64) if d and below else None)
+        for s in range(0, pos.size, _FACET_CHUNK):
+            p = pos[s : s + _FACET_CHUNK]
+            ranks = _find(ids, verts[p, : d + 1]).reshape(p.size, d + 1)  # without d-simplices, verts may be narrower
+            keys[s : s + p.size] = key(ranks)
+            if d:  # facet i drops vertex d - i; an absent facet reads position n
+                f = np.column_stack([first[_find(tables[d - 1][0], key(np.delete(ranks, d - i, axis=1)))]
+                                     for i in range(d + 1)])
+                missing[p] = np.where((late := f > p[:, None]).any(axis=1), late.argmax(axis=1), -1)
+                np.minimum.at(head, f, p[:, None])
+                if facets[d] is not None:
+                    facets[d][s : s + p.size] = f
+        order = np.argsort(keys, kind="stable")  # a duplicate key's first position is kept
+        keys = keys[order]
+        new = np.ones(keys.size, dtype=bool)  # the first of each key
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        dup[pos[order[~new]]] = True
+        new &= keys >= 0
+        keys = keys[new]
+        order = order[new]
+        tables.append((keys, pos[order]))
+        by_dim.append(pos if below else None)
     failed = np.flatnonzero(unsorted | low | dup | (missing >= 0))
     if not failed.size:
-        return by_dim, facets
+        def cofaces(p):  # p plus each vertex v, carried into order through p's ranks (then ids.size) and keyed
+            out, carry = None, np.arange(ids.size)
+            for c, r in enumerate(np.searchsorted(ids, verts[p, : dims[p] + 1]).tolist() + [ids.size]):
+                x, carry = np.minimum(carry, r), np.maximum(carry, r)
+                out = x if c == 0 else (out if c == 1 else _find(tables[c - 1][0], out)) * ids.size + x
+            at = _find(tables[dims[p] + 1][0], out)  # a repeated vertex or an absent prefix finds nothing
+            return tables[dims[p] + 1][1][at[at >= 0]]
+
+        return by_dim, facets, head, cofaces
     p = int(failed[0])
     simplex = tuple(verts[p, : dims[p] + 1].tolist())
     if unsorted[p]:
@@ -177,7 +199,7 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     left-to-right boundary reduction; the returned multiset of intervals is
     independent of tie order among equal-valued simplices.
     """
-    by_dim, facets = _validate(ff)
+    by_dim, facets, head, cofaces = _validate(ff)
     values = ff.values
 
     intervals = []
@@ -209,29 +231,24 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
         if find(i) == i:
             pair(0, i, None)
     forest = frozenset(cleared)
-
-    # cofaces[ptr[i]:ptr[i + 1]] are the positions of the simplices with facet i
-    face = np.concatenate([facets[d].ravel() for d in range(2, ff.dim_cap + 1)] + [np.empty(0, np.int64)])
-    coface = np.concatenate([np.repeat(by_dim[d], d + 1) for d in range(2, ff.dim_cap + 1)] + [face[:0]])
-    cofaces = coface[np.argsort(face, kind="stable")]  # a stable sort keeps each facet's cofaces ascending
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(face, minlength=values.size))))
-    head = np.where(ptr[1:] > ptr[:-1], np.append(cofaces, -1)[ptr[:-1]], -1)  # each column's pivot, -1 if empty
-    del face, coface
+    counts = {"reduced_columns": {}, "cleared_columns": {}, "column_sets": 0}
 
     def column(i):
-        return set(cofaces[ptr[i] : ptr[i + 1]].tolist())
+        counts["column_sets"] += 1
+        return set(cofaces(i).tolist())
 
     for k in range(1, ff.dim_cap):
         below, cleared = cleared, set()
         keys = [i for i in reversed(by_dim[k].tolist()) if i not in below]
-        heads = ((i, None if low < 0 else low) for i, low in zip(keys, head[keys].tolist()))
+        counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), by_dim[k].size - len(keys)
+        heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
         for i, j, _ in _reduce(heads, column, min):
             if j is not None:
                 cleared.add(j)
             pair(k, i, j)
 
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
-    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, forest=forest)
+    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, forest=forest, counts=counts)
 
 
 def betti_at(bc: Barcode, epsilon: float) -> list[int]:
@@ -272,7 +289,7 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
         keys = np.array([*sorted(bc.forest), *(iv.creator for iv in bars)])
         rows = verts[keys, :2]
     else:  # rows are facet positions
-        by_dim, facets = _validate(bc.filtration)
+        by_dim, facets, _, _ = _validate(bc.filtration)
         keys, rows = by_dim[k], facets[k]
     rows = dict(zip(keys.tolist(), rows.tolist()))
     heads = ((key, max(row)) for key, row in rows.items())

@@ -257,43 +257,31 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
 _MASK_CELLS = 1 << 20  # the largest candidate mask flag_expand holds, in cells
 
 
-def flag_expand(
-    ef: EdgeFiltration,
-    dim_cap: int = 3,
-    max_value: float | None = None,
-    max_simplices: int = 100_000_000,
-) -> FlagFiltration:
+def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = None,
+                max_simplices: int = 10**7) -> FlagFiltration:
     """Expand an edge filtration into its clique (flag) filtration up to dim_cap.
 
     A clique's value is the largest birth among its edges.  ``max_value``
     truncates the filtration at that scale; ``max_simplices`` bounds the
-    total count and raises ResourceLimitError when exceeded.  A truncated
-    ``ef`` needs a ``max_value`` no larger than its own.
+    total count and raises ResourceLimitError, with the bytes it would take,
+    when exceeded.  A truncated ``ef`` needs a ``max_value`` no larger than its own.
 
     A k-simplex's cofaces are its common upper neighbours: the AND of its
     vertices' rows of the upper-triangular adjacency below the cap, in
-    chunks of at most ``_MASK_CELLS`` cells.  Each dimension is counted
-    before its arrays are made, so the budget fires before that memory is
-    spent.  A child's value is the max of its parent's and its new edges'.
+    chunks of at most ``_MASK_CELLS`` cells.  Every dimension is counted
+    before the arrays are made once, at the total, so the budget fires before
+    that memory is spent; the top dimension is written into them a chunk at
+    a time.  A child's value is the max of its parent's and its new edges'.
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     if ef.max_value is not None and (max_value is None or max_value > ef.max_value):
-        raise ValueError(
-            f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges"
-        )
+        raise ValueError(f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges")
     births, vb, top = ef.births, ef.vertex_birth, np.inf if max_value is None else max_value
     adj = np.triu(np.isfinite(births) & (births <= top), k=1)
-
-    def pad(*cols):  # vertex rows padded with -1 to dim_cap + 1 columns
-        return np.column_stack(cols + (np.full(cols[0].size, -1),) * (dim_cap + 1 - len(cols)))
-
     kept, (iu, ju) = np.flatnonzero(~(vb > top)), np.nonzero(adj)
-    levels = [(pad(kept), vb[kept]), (pad(iu, ju), births[iu, ju])]
-    total = kept.size + iu.size
-    if total > max_simplices:
-        raise ResourceLimitError(f"vertex and edge count {total} exceeds budget {max_simplices}")
-    step = max(1, _MASK_CELLS // max(1, vb.size))
+    levels = [(kept[:, None], vb[kept]), (np.column_stack((iu, ju)), births[iu, ju])]  # rows below the top
+    counts, step = [kept.size, iu.size], max(1, _MASK_CELLS // max(1, vb.size))
 
     def masks(rows, k):  # (first row, candidate mask) per chunk of the k-vertex rows
         for s in range(0, len(rows), step):
@@ -302,28 +290,37 @@ def flag_expand(
                 mask &= adj[rows[s : s + step, c]]
             yield s, mask
 
-    for k in range(2, dim_cap + 1):
-        rows, vals = levels[-1]
-        count = sum(int(np.count_nonzero(mask)) for _, mask in masks(rows, k))
-        total += count
-        if total > max_simplices:
-            raise ResourceLimitError(f"simplex count {total} through dimension {k} exceeds budget {max_simplices}")
-        child_rows, child_vals, at = np.empty((count, dim_cap + 1), dtype=np.int64), np.empty(count), 0
+    def children(rows, vals, k, out_rows, out_vals):  # write the (k + 1)-vertex children of the k-vertex rows
+        at = 0
         for s, mask in masks(rows, k):
             r, u = np.nonzero(mask)
-            r, new = r + s, slice(at, at + r.size)
-            child_rows[new], child_vals[new] = rows[r], vals[r]
-            child_rows[new, k] = u
-            for c in range(k):
-                np.maximum(child_vals[new], births[rows[r, c], u], out=child_vals[new])
-            at += r.size
-        levels.append((child_rows, child_vals))
+            new, r = slice(at, at + r.size), r + s
+            out_rows[new, k], out_vals[new], at = u, vals[r], at + r.size
+            for c in range(k):  # a column at a time, so a chunk holds few temporaries
+                out_rows[new, c] = rows[r, c]
+                np.maximum(out_vals[new], births[out_rows[new, c], u], out=out_vals[new])
 
-    vertices, values = (np.concatenate(arrays) for arrays in zip(*levels))
-    dims = np.repeat(np.arange(len(levels)), [len(vals) for _, vals in levels])
+    for k in range(1, dim_cap + 1):
+        if k > 1:
+            counts.append(sum(int(np.count_nonzero(mask)) for _, mask in masks(levels[-1][0], k)))
+        if (total := sum(counts)) > max_simplices:  # each simplex: dim_cap + 1 vertex ids, a dim and a value
+            raise ResourceLimitError(f"simplex count {total} through dimension {k} exceeds budget {max_simplices}:"
+                                     f" its arrays would take {total * (dim_cap + 3) * 8} bytes")
+        if 1 < k < dim_cap:
+            levels.append((np.empty((counts[-1], k + 1), dtype=np.int64), np.empty(counts[-1])))
+            children(*levels[-2], k, *levels[-1])
+    vertices, values = np.full((sum(counts), dim_cap + 1), -1, dtype=np.int64), np.empty(sum(counts))
+    dims, at = np.repeat(np.arange(dim_cap + 1), counts), np.cumsum([0] + counts)
+    for d in range(len(levels)):
+        vertices[at[d] : at[d + 1], : d + 1], values[at[d] : at[d + 1]] = levels[d]
+    if dim_cap > 1:
+        children(*levels[-1], dim_cap, vertices[at[-2] :], values[at[-2] :])
+    del levels
     order = np.lexsort((*vertices.T[::-1], dims, values))
+    for c in range(dim_cap + 1):
+        vertices[:, c] = vertices[order, c]
     return FlagFiltration(
-        dim_cap=dim_cap, max_value=max_value, vertices=vertices[order], dims=dims[order], values=values[order]
+        dim_cap=dim_cap, max_value=max_value, vertices=vertices, dims=dims[order], values=values[order]
     )
 
 

@@ -12,7 +12,8 @@ from topo_recon import __version__
 from topo_recon.cli import main
 from topo_recon.embed import load_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
-from topo_recon.persistence import load_barcode
+from topo_recon.mscan import dm_filtration, sweep
+from topo_recon.persistence import load_barcode, persistent_homology
 from topo_recon.signal import ScalarSeries, integrate_lorenz, load_series, observe, save_series
 from topo_recon.witness import load_filtration
 
@@ -161,6 +162,15 @@ class TestRunRecords:
         assert counts["landmarks"] == load_landmarks(pipeline / "landmarks.csv").ell
         assert counts["simplices_by_dim"] == {str(d): n for d, n in filtration.counts_by_dim().items()}
         assert counts["edges_le_cap"] == filtration.counts_by_dim()[1]
+
+    def test_barcode_records_its_reduction(self, pipeline):
+        last = read_run(pipeline)
+        (record,) = [r for r in last["previous"] if r["subcommand"] == "barcode"]
+        filtration = load_filtration(pipeline / "filtration.json")
+        counts = persistent_homology(filtration).counts
+        assert record["counts"] == json.loads(json.dumps(counts))
+        columns = record["counts"]["reduced_columns"]["1"] + record["counts"]["cleared_columns"]["1"]
+        assert columns == filtration.counts_by_dim()[1]
 
     @pytest.mark.parametrize("text", ["not json", "[1, 2]", '{"params": {}}'])
     def test_unreadable_record_starts_a_new_one(self, tmp_path, text):
@@ -459,6 +469,15 @@ class TestMscan:
         assert err.startswith("error: --barcode-landmark ") and message in err and f"got {value}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_records_the_lifespan_reduction(self, tmp_path):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3,
+                 "--out-dir", tmp_path)
+        assert rc == 0
+        sw = sweep(load_series(tmp_path / "s.txt"), 25, 0.05, 100, 3)
+        counts = dm_filtration(sw, dim_cap=2).barcode.counts
+        assert counts["reduced_columns"] and read_run(tmp_path)["counts"] == json.loads(json.dumps(counts))
+
     @pytest.mark.parametrize("value", ["nan", -0.05])
     def test_bad_xi_rejected(self, tmp_path, capsys, value):
         sine_series_file(tmp_path / "s.txt")
@@ -706,3 +725,11 @@ class TestUndrawableBars:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'barcode.csv'}: line 3: cannot draw a bar")
         assert not (tmp_path / "b.svg").exists()
+
+    def test_refused_render_makes_no_directory(self, tmp_path, capsys):
+        (tmp_path / "b.csv").write_text("k,birth,death\n0,0.5,0.2\n")
+        rc = run("render", "barcode", "--in", tmp_path / "b.csv", "--out", "sub/b.svg",
+                 "--out-dir", tmp_path / "newdir")
+        assert rc == 1
+        assert "cannot draw a bar" in capsys.readouterr().err
+        assert not (tmp_path / "newdir").exists()

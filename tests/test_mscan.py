@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import existence_set, lifespan, truncate_births
-from topo_recon.embed import bbox_diameter, delay_embed, project
+from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum, project
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.mscan import (
     DimensionSweep,
@@ -180,6 +180,36 @@ class TestSweep:
             sweep(short_lorenz, tau_steps=50, xi=-0.1, every=250, m_max=2)
         with pytest.raises(ValueError):
             sweep(short_lorenz, tau_steps=50, xi=float("nan"), every=250, m_max=2)
+
+
+class TestSweepMetamorphic:
+    """Scaling the series by a power of two scales every distance and birth exactly: no referee is needed."""
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_scaling_by_a_power_of_two(self, short_lorenz, k):
+        scale = 2.0**k
+        scaled = ScalarSeries(short_lorenz.values * scale, short_lorenz.sample_interval)
+        base_curve, scaled_curve = ami_curve(short_lorenz, tau_max=200), ami_curve(scaled, tau_max=200)
+        assert scaled_curve.bins == base_curve.bins
+        assert scaled_curve.values.tobytes() == base_curve.values.tobytes()
+        tau = first_minimum(base_curve)
+        assert tau is not None and first_minimum(scaled_curve) == tau
+        base, moved = sweep(short_lorenz, tau, 0.02, 250, 4), sweep(scaled, tau, 0.02, 250, 4)
+        assert moved.diameters == [scale * d for d in base.diameters]
+        assert moved.epsilons == [scale * e for e in base.epsilons]
+        for m, (a, b) in enumerate(zip(base.per_m, moved.per_m), start=1):
+            assert b.max_value == scale * a.max_value
+            assert b.vertex_birth.tobytes() == (scale * a.vertex_birth).tobytes()
+            assert b.births.tobytes() == (scale * a.births).tobytes(), m
+            assert b.witness.tobytes() == a.witness.tobytes(), m
+        assert np.isfinite(base.per_m[0].births).any()
+        assert moved.existence.tobytes() == base.existence.tobytes()
+        assert lifespan_matrix(moved).tobytes() == lifespan_matrix(base).tobytes()
+        bars = [
+            [(iv.k, iv.birth, iv.death, iv.creator, iv.destroyer) for iv in dm_filtration(sw).barcode.intervals]
+            for sw in (base, moved)
+        ]
+        assert bars[0] and bars[1] == bars[0]
 
 
 class TestSweepFiles:

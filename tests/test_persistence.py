@@ -286,6 +286,59 @@ class TestLazyColumns:
         assert growth[0] < columns * sys.getsizeof(set(range(n - 2))) / 10
 
 
+class TestReductionMemory:
+    def test_peak_above_the_filtration_is_near_its_arrays(self):
+        # 90 random points in the plane, complete through triangles: 121,575 simplices.  The
+        # triangles' facets are checked in chunks and folded into the pivots, and a column's
+        # cofaces are looked up by key, so no per-simplex facet table or coface CSR is held
+        rng = np.random.default_rng(0)
+        P = rng.uniform(size=(90, 2))
+        D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        np.fill_diagonal(D, np.inf)
+        ff = flag_expand(EdgeFiltration(np.zeros(len(P)), D), dim_cap=2)
+        assert len(ff) >= 100_000
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            persistent_homology(ff)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (ff.vertices.nbytes + ff.dims.nbytes + ff.values.nbytes)
+
+
+class TestReductionCounts:
+    def test_counts_of_the_hollow_and_filled_square(self):
+        bc = persistent_homology(flag_expand(square(), dim_cap=2))
+        # 4 edges: the 3 of the spanning forest are cleared, the 4th is reduced and has no coface
+        assert bc.counts == {"reduced_columns": {1: 1}, "cleared_columns": {1: 3}, "column_sets": 0}
+        ef = edge_filtration(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0, (0, 2): 2.0})
+        assert persistent_homology(flag_expand(ef, dim_cap=2)).counts["reduced_columns"] == {1: 2}
+
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_counts_add_up_and_sets_are_those_built(self, seed, dim_cap):
+        ff = flag_expand(random_edge_filtration(np.random.default_rng(seed), n_max=9), dim_cap=dim_cap)
+        built = []
+        original = persistence_module._reduce
+
+        def counted(heads, column, *args, **kwargs):
+            yield from original(heads, lambda key: built.append(key) or column(key), *args, **kwargs)
+
+        persistence_module._reduce = counted
+        try:
+            bc = persistent_homology(ff)
+        finally:
+            persistence_module._reduce = original
+        by_dim = ff.counts_by_dim()
+        assert set(bc.counts["reduced_columns"]) == set(range(1, dim_cap))
+        for k in range(1, dim_cap):
+            assert bc.counts["reduced_columns"][k] + bc.counts["cleared_columns"][k] == by_dim.get(k, 0)
+        if dim_cap > 1:  # the H0 pass clears exactly the spanning forest
+            assert bc.counts["cleared_columns"][1] == len(bc.forest)
+        assert bc.counts["column_sets"] == len(built)
+
+
 def circle_barcode(n_witness=200, stride=10, cap=1.5):
     theta = np.linspace(0.0, 2.0 * np.pi, n_witness, endpoint=False)
     W = np.column_stack([np.cos(theta), np.sin(theta)])

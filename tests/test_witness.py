@@ -651,15 +651,25 @@ class TestFlagExpand:
         births = np.full((n, n), 1.0)
         np.fill_diagonal(births, np.inf)
         ef = EdgeFiltration(np.zeros(n), births)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as err:
             flag_expand(ef, dim_cap=3, max_simplices=20)
+        # 8 vertices and 28 edges already exceed 20; each simplex takes dim_cap + 1 ids, a dim and a value
+        assert str(err.value) == (
+            "simplex count 36 through dimension 1 exceeds budget 20: its arrays would take 1728 bytes"
+        )
 
     def test_budget_message_mentions_limit(self):
         n = 6
         births = np.full((n, n), 1.0)
         np.fill_diagonal(births, np.inf)
-        with pytest.raises(ResourceLimitError, match="budget"):
+        with pytest.raises(ResourceLimitError, match="budget") as err:
             flag_expand(EdgeFiltration(np.zeros(n), births), dim_cap=2, max_simplices=25)
+        total = 6 + 15 + 20
+        assert f"simplex count {total} through dimension 2 exceeds budget 25" in str(err.value)
+        assert f"its arrays would take {total * 5 * 8} bytes" in str(err.value)
+
+    def test_default_budget_is_ten_million(self):
+        assert inspect.signature(flag_expand).parameters["max_simplices"].default == 10**7
 
     @pytest.mark.parametrize("n, dim_cap", [(200, 2), (100, 3)])
     def test_budget_fires_before_the_top_dimension_is_allocated(self, n, dim_cap):
@@ -671,12 +681,34 @@ class TestFlagExpand:
         top_bytes = math.comb(n, dim_cap + 1) * (dim_cap + 2) * 8  # its vertex rows and values
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=f"through dimension {dim_cap}"):
+            with pytest.raises(ResourceLimitError, match=f"through dimension {dim_cap}") as err:
                 flag_expand(ef, dim_cap=dim_cap, max_simplices=below + 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < top_bytes / 8
+        total = below + math.comb(n, dim_cap + 1)
+        assert str(err.value).endswith(f"{total} through dimension {dim_cap} exceeds budget {below + 1}:"
+                                       f" its arrays would take {total * (dim_cap + 3) * 8} bytes")
+
+    def test_peak_is_near_the_filtration_arrays(self):
+        # 90 random points in the plane, complete through triangles: 121,575 simplices.  The arrays
+        # are made once at the total and sorted a column at a time, so the peak is the result plus
+        # the sort order and a chunk's temporaries, not a second and third copy of the filtration
+        rng = np.random.default_rng(0)
+        P = rng.uniform(size=(90, 2))
+        D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        np.fill_diagonal(D, np.inf)
+        ef = EdgeFiltration(np.zeros(len(P)), D)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ff = flag_expand(ef, dim_cap=2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(ff) == 90 + math.comb(90, 2) + math.comb(90, 3)
+        assert peak <= 2.5 * (ff.vertices.nbytes + ff.dims.nbytes + ff.values.nbytes)
 
     @given(data=st.data(), n=st.integers(1, 8), dim_cap=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
