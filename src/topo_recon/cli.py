@@ -238,7 +238,7 @@ def cmd_complex(args) -> int:
     _check_landmarks(args, cloud, lms)
     diam = bbox_diameter(cloud)
     eps = _scale_arg(args.xi, "--xi") * diam if args.xi is not None else _scale_arg(args.epsilon, "--epsilon")
-    ef = edge_births(distance_matrix(cloud, lms), cap=eps)
+    ef = edge_births(distance_matrix(cloud.points, lms.coords), cap=eps)
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
     save_filtration(ff, _out_path(args, args.out))
     if args.edges_out:
@@ -298,6 +298,8 @@ def cmd_mscan(args) -> int:
     _scale_arg(args.xi, "--xi")
     if args.barcode_landmark < 0:
         raise ValueError(f"--barcode-landmark must be nonnegative, got {args.barcode_landmark}")
+    if args.dim_cap < 1:
+        raise ValueError(f"--dim-cap must be at least 1, got {args.dim_cap}")
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)

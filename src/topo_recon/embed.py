@@ -92,13 +92,6 @@ def delay_embed(series: ScalarSeries, m: int, tau_steps: int, m_anchor: int | No
     return PointCloud(points, np.arange(t0, n, dtype=np.int64))
 
 
-def project(cloud: PointCloud, m_target: int) -> PointCloud:
-    """Keep the first ``m_target`` coordinates of every point (an exact prefix)."""
-    if not 1 <= m_target <= cloud.m:
-        raise ValueError(f"m_target must be in [1, {cloud.m}]")
-    return PointCloud(cloud.points[:, :m_target].copy(), cloud.time_index.copy())
-
-
 def default_bins(n: int) -> int:
     """Histogram bin count rule: 64 for n >= 10^4, else ceil(n^(1/3)), at least 2."""
     if n >= 10_000:

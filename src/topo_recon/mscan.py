@@ -3,7 +3,8 @@ lifespan-derived filtration.
 
 All reconstructions are anchored at m_max, so every dimension shares one
 time-index set and one landmark index set, and lower-dimensional clouds are
-exact coordinate prefixes of higher ones.  The scale grows with dimension as
+exact coordinate prefixes of higher ones: W_m is a view of the first m rows
+of the m_max cloud, held coordinate-major.  The scale grows with dimension as
 epsilon(m) = xi * bbox_diameter(W_m), keeping the relative scale fixed.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import bbox_diameter, delay_embed, project
+from .embed import PointCloud, bbox_diameter, delay_embed
 from .landmarks import LandmarkSet, select_evenly_spaced
 from .persistence import Barcode, persistent_homology
 from .signal import ScalarSeries, _read_table, _write_table
@@ -63,25 +64,26 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
     Landmarks are chosen once, evenly spaced on the anchored m_max cloud;
     their coordinates at lower m are exact prefixes.  For each m the edge
     filtration is computed exactly up to epsilon(m) = xi * diam(W_m) and
-    truncated there (see ``edge_births``'s ``cap``).
+    truncated there (see ``edge_births``'s ``cap``).  m_max is at most 32,
+    the bits of ``existence``.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+    if not 1 <= m_max <= 32:
+        raise ValueError(f"m_max must be in 1..32, the bits of the uint32 existence mask, got {m_max}")
     if not xi >= 0:
         raise ValueError(f"xi must be a nonnegative number, got {xi}")
     cloud = delay_embed(series, m_max, tau_steps, m_anchor=m_max)
     lms = select_evenly_spaced(cloud, every)
-    ell = lms.ell
+    coords = np.ascontiguousarray(cloud.points.T)  # (m_max, N): W_m is coords[:m].T
 
     diameters: list[float] = []
     epsilons: list[float] = []
     per_m: list[EdgeFiltration] = []
-    existence = np.zeros((ell, ell), dtype=np.uint32)
+    existence = np.zeros((lms.ell, lms.ell), dtype=np.uint32)
     for m in range(1, m_max + 1):
-        w_m = project(cloud, m)
-        diam = bbox_diameter(w_m)
+        w_m = coords[:m].T
+        diam = bbox_diameter(PointCloud(w_m, cloud.time_index))
         eps = xi * diam
-        ef = edge_births(distance_matrix(w_m.points, lms.coords[:, :m]), cap=eps)
+        ef = edge_births(distance_matrix(w_m, lms.coords[:, :m]), cap=eps)
         diameters.append(diam)
         epsilons.append(eps)
         per_m.append(ef)

@@ -8,11 +8,12 @@ closed-form birth value
 
     birth(i, j) = min over w of ( max(||w - l_i||, ||w - l_j||) - n(w) ).
 
-The witness-to-landmark distances are computed a block of witnesses at a
-time inside ``edge_births``, so no array grows with the witness count, and
-folded in runs of 64 witnesses.  Under a cap a run lists only the landmark
-pairs one of its witnesses holds within the cap, exact below it by the
-lazy-witness restriction of de Silva & Carlsson (2004).
+Witnesses and landmarks come in as 2-d coordinate arrays.  The distances
+are computed a block of witnesses at a time inside ``edge_births``, so no
+array grows with the witness count, and folded in runs of 64 witnesses.
+Under a cap a run lists only the landmark pairs one of its witnesses holds
+within the cap, exact below it by the lazy-witness restriction of de Silva &
+Carlsson (2004).
 
 Higher simplices are filled in flag-style: a simplex is present exactly when
 all its edges are, with filtration value the largest edge birth.  Computing
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import PointCloud
-from .landmarks import LandmarkSet
 from .signal import SeriesFormatError, _write_table
 
 
@@ -39,24 +38,13 @@ class ResourceLimitError(RuntimeError):
     """The expansion would exceed the configured simplex budget."""
 
 
-def _as_points(obj) -> np.ndarray:
-    if isinstance(obj, PointCloud):
-        return obj.points
-    if isinstance(obj, LandmarkSet):
-        return obj.coords
-    arr = np.asarray(obj, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2-d array of points")
-    return arr
-
-
 @dataclass
 class DistanceMatrix:
     """Witness-to-landmark distances, computed a block of witnesses at a time by ``rows``.
 
     Holds the witnesses coordinate-major, (m, N), and the (ell, m) landmarks,
-    never an N x ell array.  ``entries`` (N, ell) and ``nearest`` (each
-    witness's nearest-landmark distance) build the whole array on every access.
+    never an N x ell array.  ``entries`` (N, ell) builds the whole array on
+    every access.
     """
 
     coords: np.ndarray
@@ -69,10 +57,6 @@ class DistanceMatrix:
     @property
     def entries(self) -> np.ndarray:
         return self.rows(0, self.shape[0]).T
-
-    @property
-    def nearest(self) -> np.ndarray:
-        return self.rows(0, self.shape[0]).min(axis=0)
 
     def rows(self, s: int, e: int, out=None, scratch=None) -> np.ndarray:
         """Distances from every landmark to witnesses s..e-1, landmark-major (ell, e - s), bitwise ``cdist``.
@@ -161,9 +145,14 @@ class FlagFiltration:
         return dict(zip(dims.tolist(), counts.tolist()))
 
 
-def distance_matrix(witnesses, landmarks) -> DistanceMatrix:
-    """Check witnesses and landmarks and keep them for ``DistanceMatrix.rows``; no distance is computed here."""
-    W, L = _as_points(witnesses), _as_points(landmarks)
+def distance_matrix(witnesses: np.ndarray, landmarks: np.ndarray) -> DistanceMatrix:
+    """Check (N, m) witness and (ell, m) landmark arrays and keep them for ``DistanceMatrix.rows``.
+
+    Witnesses whose transpose is C-contiguous, like the sweep's ``coords[:m].T``, are not copied.
+    """
+    W, L = np.asarray(witnesses, dtype=np.float64), np.asarray(landmarks, dtype=np.float64)
+    if W.ndim != 2 or L.ndim != 2:
+        raise ValueError(f"witnesses and landmarks must be 2-d arrays of points, got {W.ndim}-d and {L.ndim}-d")
     if W.shape[1] != L.shape[1]:
         raise ValueError(f"dimension mismatch: witnesses are {W.shape[1]}-d, landmarks {L.shape[1]}-d")
     if W.shape[0] == 0 or L.shape[0] == 0:

@@ -469,6 +469,24 @@ class TestMscan:
         assert err.startswith("error: --barcode-landmark ") and message in err and f"got {value}" in err
         assert not (tmp_path / "out").exists()
 
+    def test_m_max_above_the_existence_bits_rejected(self, tmp_path, capsys):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 33,
+                 "--out-dir", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: m_max must be in 1..32") and "got 33" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_bad_dim_cap_rejected_before_writing(self, tmp_path, capsys, value):
+        sine_series_file(tmp_path / "s.txt")
+        rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 2,
+                 "--dim-cap", value, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --dim-cap must be at least 1, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_records_the_lifespan_reduction(self, tmp_path):
         sine_series_file(tmp_path / "s.txt")
         rc = run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3,

@@ -18,7 +18,6 @@ from topo_recon.embed import (
     delay_embed,
     first_minimum,
     load_cloud,
-    project,
     save_cloud,
 )
 from topo_recon.signal import ScalarSeries, SeriesFormatError
@@ -60,14 +59,7 @@ class TestDelayEmbed:
         s = series_of(np.random.default_rng(2).standard_normal(80))
         top = delay_embed(s, m=4, tau_steps=2)
         for m in range(1, 5):
-            assert np.array_equal(project(top, m).points, delay_embed(s, m, 2, m_anchor=4).points)
-
-    def test_project_validation(self):
-        cloud = delay_embed(series_of(np.arange(10.0)), m=2, tau_steps=1)
-        with pytest.raises(ValueError):
-            project(cloud, 0)
-        with pytest.raises(ValueError):
-            project(cloud, 3)
+            assert np.array_equal(top.points[:, :m], delay_embed(s, m, 2, m_anchor=4).points)
 
     def test_invalid_arguments(self):
         s = series_of(np.arange(10.0))

@@ -1,10 +1,14 @@
 """Dimension sweep: edge existence, lifespans, and the lifespan filtration."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import existence_set, lifespan, truncate_births
-from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum, project
+from topo_recon import mscan, witness
+from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum
 from topo_recon.landmarks import LandmarkSet
 from topo_recon.mscan import (
     DimensionSweep,
@@ -141,9 +145,8 @@ class TestSweep:
             assert np.array_equal(sw.landmarks.coords[:, :m], sub.points[sw.landmarks.indices])
 
     def test_scales_follow_diameters(self, short_lorenz, sw):
-        cloud = delay_embed(short_lorenz, 4, 50, m_anchor=4)
         for m in range(1, 5):
-            diam = bbox_diameter(project(cloud, m))
+            diam = bbox_diameter(delay_embed(short_lorenz, m, 50, m_anchor=4))
             assert sw.diameters[m - 1] == diam
             assert sw.epsilons[m - 1] == 0.02 * diam
         assert sw.diameters == sorted(sw.diameters)
@@ -158,9 +161,8 @@ class TestSweep:
 
     def test_per_m_filtration_matches_direct_computation(self, short_lorenz, sw):
         # each per_m[m-1] is the uncapped filtration truncated at epsilons[m-1], bitwise
-        cloud = delay_embed(short_lorenz, 4, 50, m_anchor=4)
         for m in range(1, 5):
-            w_m = project(cloud, m)
+            w_m = delay_embed(short_lorenz, m, 50, m_anchor=4)
             full = edge_births(distance_matrix(w_m.points, sw.landmarks.coords[:, :m]))
             direct = truncate_births(full, sw.epsilons[m - 1])
             got = sw.per_m[m - 1]
@@ -172,6 +174,27 @@ class TestSweep:
     def test_vertex_births_are_zero(self, sw):
         for ef in sw.per_m:
             assert (ef.vertex_birth == 0.0).all()
+
+    def test_m_clouds_are_views_of_one_cloud(self, short_lorenz, monkeypatch):
+        made = []
+
+        def recording(witnesses, landmarks):
+            made.append(witness.distance_matrix(witnesses, landmarks))
+            return made[-1]
+
+        monkeypatch.setattr(mscan, "distance_matrix", recording)
+        sweep(short_lorenz, tau_steps=50, xi=0.02, every=250, m_max=4)
+        assert [dm.coords.shape[0] for dm in made] == [1, 2, 3, 4]
+        for dm in made:
+            assert np.shares_memory(dm.coords, made[-1].coords)
+
+    def test_m_max_is_bounded_by_the_existence_bits(self, short_lorenz):
+        # existence is a uint32 bitmask: bit 32 would shift out, and every edge at m = 33 would read absent
+        with pytest.raises(ValueError, match="1..32"):
+            sweep(short_lorenz, tau_steps=50, xi=0.02, every=250, m_max=33)
+        top = sweep(short_lorenz, tau_steps=50, xi=0.02, every=250, m_max=32)
+        alive = top.per_m[31].births <= top.epsilons[31]
+        assert alive.any() and np.array_equal((top.existence >> 31).astype(bool), alive)
 
     def test_validation(self, short_lorenz):
         with pytest.raises(ValueError):
@@ -209,6 +232,24 @@ class TestSweepMetamorphic:
             [(iv.k, iv.birth, iv.death, iv.creator, iv.destroyer) for iv in dm_filtration(sw).barcode.intervals]
             for sw in (base, moved)
         ]
+        assert bars[0] and bars[1] == bars[0]
+
+    def test_permuted_landmarks(self, short_lorenz, sw):
+        """A test-side sweep over the sweep's own landmarks, in a seeded random order, permutes everything bitwise."""
+        perm = np.random.default_rng(7).permutation(sw.ell)
+        ix = np.ix_(perm, perm)
+        existence = np.zeros_like(sw.existence)
+        for m in range(1, sw.m_max + 1):
+            cloud, eps, want = delay_embed(short_lorenz, m, 50, m_anchor=4), sw.epsilons[m - 1], sw.per_m[m - 1]
+            got = edge_births(distance_matrix(cloud.points, sw.landmarks.coords[perm, :m]), cap=eps)
+            assert got.vertex_birth.tobytes() == want.vertex_birth[perm].tobytes(), m
+            assert got.births.tobytes() == want.births[ix].tobytes(), m
+            assert got.witness.tobytes() == want.witness[ix].tobytes(), m
+            existence |= (got.births <= eps).astype(np.uint32) << (m - 1)
+        assert sw.existence.any() and existence.tobytes() == sw.existence[ix].tobytes()
+        moved = dataclasses.replace(sw, existence=existence)  # what follows reads only ell, m_max and existence
+        assert lifespan_matrix(moved).tobytes() == lifespan_matrix(sw)[ix].tobytes()
+        bars = [Counter((iv.k, iv.birth, iv.death) for iv in dm_filtration(x).barcode.intervals) for x in (sw, moved)]
         assert bars[0] and bars[1] == bars[0]
 
 

@@ -18,15 +18,26 @@ print(json.dumps({"modules": names, "scipy": sorted(m for m in sys.modules if m.
 """
 
 
-def test_no_module_imports_scipy():
-    # a fresh process, so nothing the test suite imported counts
+def fresh(code):
+    """Run code in a fresh process, so nothing the test suite imported counts, and parse its last line."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_ALL],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_module_imports_scipy():
+    out = fresh(IMPORT_ALL)
     assert "topo_recon.witness" in out["modules"] and "topo_recon.cli" in out["modules"]
     assert out["scipy"] == []
+
+
+def test_witness_layer_imports_only_signal():
+    # the witness layer takes coordinate arrays, so it needs no point-cloud or landmark types
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'topo_recon')"
+    got = fresh(f"import json, sys, topo_recon.witness; print(json.dumps({loaded}))")
+    assert got == ["topo_recon", "topo_recon.signal", "topo_recon.witness"]

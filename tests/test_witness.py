@@ -22,9 +22,9 @@ from oracles import (
     random_edge_filtration,
     truncate_births,
 )
-from topo_recon.embed import PointCloud, delay_embed
+from topo_recon.embed import delay_embed
 from topo_recon import witness as witness_module
-from topo_recon.landmarks import LandmarkSet, select_evenly_spaced
+from topo_recon.landmarks import select_evenly_spaced
 from topo_recon.signal import ScalarSeries, SeriesFormatError, integrate_lorenz, observe
 from topo_recon.witness import (
     EdgeFiltration,
@@ -65,26 +65,14 @@ class TestDistanceMatrix:
         L = np.array([[0.0, 0.0], [3.0, 4.0]])
         dm = distance_matrix(W, L)
         assert np.allclose(dm.entries, [[0.0, 5.0], [3.0, 4.0], [5.0, 0.0]])
-        assert np.allclose(dm.nearest, [0.0, 3.0, 0.0])
-
-    def test_nearest_is_row_minimum(self):
-        rng = np.random.default_rng(0)
-        dm = distance_matrix(rng.standard_normal((30, 3)), rng.standard_normal((7, 3)))
-        assert np.array_equal(dm.nearest, dm.entries.min(axis=1))
+        assert np.array_equal(dm.entries.min(axis=1), cdist(W, L).min(axis=1))
 
     def test_landmark_subset_has_zero_nearest(self):
         rng = np.random.default_rng(1)
         W = rng.standard_normal((20, 2))
-        dm = distance_matrix(W, W[::5])
-        assert (dm.nearest[::5] == 0.0).all()
-
-    def test_accepts_cloud_and_landmark_objects(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((10, 2))
-        cloud = PointCloud(pts, np.arange(10))
-        lms = LandmarkSet(np.array([0, 4]), pts[[0, 4]], np.array([0, 4]))
-        dm = distance_matrix(cloud, lms)
-        assert dm.entries.shape == (10, 2)
+        nearest = distance_matrix(W, W[::5]).entries.min(axis=1)
+        assert np.array_equal(nearest, cdist(W, W[::5]).min(axis=1))
+        assert (nearest[::5] == 0.0).all()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -93,6 +81,13 @@ class TestDistanceMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             distance_matrix(np.zeros((0, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 2, 2)])
+    def test_points_must_be_2d_arrays(self, shape):
+        with pytest.raises(ValueError, match="2-d arrays of points"):
+            distance_matrix(np.zeros(shape), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="2-d arrays of points"):
+            distance_matrix(np.zeros((3, 2)), np.zeros(shape))
 
     @given(
         seed=st.integers(0, 10_000),
@@ -117,13 +112,13 @@ class TestDistanceMatrix:
             L = rng.standard_normal((ell, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, size=dim)
         dm, ref = distance_matrix(W, L), cdist(W, L)
         assert np.array_equal(dm.entries, ref)
-        assert np.array_equal(dm.nearest, ref.min(axis=1))
+        assert np.array_equal(dm.entries.min(axis=1), ref.min(axis=1))
 
     def test_zero_coordinates_give_cdist_zeros(self):
         dm = distance_matrix(np.zeros((4, 0)), np.zeros((3, 0)))
         assert np.array_equal(dm.entries, cdist(np.zeros((4, 0)), np.zeros((3, 0))))
         assert np.array_equal(dm.entries, np.zeros((4, 3)))
-        assert np.array_equal(dm.nearest, np.zeros(4))
+        assert np.array_equal(dm.entries.min(axis=1), cdist(np.zeros((4, 0)), np.zeros((3, 0))).min(axis=1))
 
     @given(
         seed=st.integers(0, 10_000),
