@@ -273,6 +273,8 @@ def cmd_barcode(args) -> int:
         if not 1 <= args.dim_cap <= top:
             raise ValueError(f"--dim-cap must be in 1..{top} for this filtration, got {args.dim_cap}")
         ff.dim_cap = args.dim_cap
+    if args.cycles_out and args.cycles_k >= ff.dim_cap:  # no bar of that degree is reported
+        raise ValueError(f"--cycles-k must be below the barcode's dim_cap {ff.dim_cap}, got {args.cycles_k}")
     bc = persistent_homology(ff)
     save_barcode(bc, _out_path(args, args.out))
     derived = {"intervals": len(bc.intervals)}

@@ -18,14 +18,18 @@ Ripser computes coboundaries on demand: a column with a free pivot is kept
 as its key alone, and its rows are looked up only when it needs an addition
 or a later column must add it: the one-vertex extensions of a k-simplex
 whose keys are (k+1)-simplex keys.  One routine, ``_reduce``, does every
-reduction, representative cycles included; an H1 cycle is its creator edge
-closed through the H0 spanning forest.
+reduction, representative cycles included: a k-cycle is its creator plus the
+unique set of earlier k-simplices that destroyed a (k-1)-class whose
+boundaries sum to the creator's (Edelsbrunner, Letscher & Zomorodian,
+*Topological persistence and simplification*, 2002).  For k = 1 that is the
+creator edge closed through the H0 spanning forest.
 Homology is reported for k < dim_cap; intervals with equal birth and death
 are homologically invisible and omitted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -69,7 +73,8 @@ class Barcode:
     intervals: list
     dim_cap: int
     filtration: FlagFiltration = field(repr=False)
-    forest: frozenset = field(default=frozenset(), repr=False)  # positions of the H0 spanning forest's edges
+    # sorted positions of every simplex that destroyed a class, zero-length pairs included
+    destroyers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
     counts: dict = field(default_factory=dict, repr=False)  # columns reduced and cleared per k >= 1, sets built
 
     def by_dim(self, k: int) -> list:
@@ -83,13 +88,12 @@ def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _validate(ff: FlagFiltration) -> tuple:
-    """Check canonical order and face closure; return positions, facets, pivots and a coface lookup.
+    """Check canonical order and face closure; return positions, edge ends, pivots and a coface lookup.
 
-    ``by_dim[k]`` lists the k-simplices' positions, ascending, and
-    ``facets[k][r, i]`` the position of the i-th facet (``itertools``
-    combinations order) of the one at ``by_dim[k][r]``, both for edges and
-    below dim_cap only.  ``head[p]`` is simplex p's first coface position (n
-    if none), and ``cofaces(p)`` lists them all.  A k-simplex's key is the
+    ``by_dim[k]`` lists the k-simplices' positions, ascending, for edges and
+    below dim_cap only, and ``ends[r]`` the positions of the two vertices of
+    the edge at ``by_dim[1][r]``.  ``head[p]`` is simplex p's first coface
+    position (n if none), and ``cofaces(p)`` lists them all.  A k-simplex's key is the
     index of its first k vertices' key among the (k-1)-simplex keys, times the
     vertex count, plus its last vertex's rank, so keys stay below n * ell.  The
     first failing position raises (order, value, duplicate, then faces).
@@ -100,7 +104,7 @@ def _validate(ff: FlagFiltration) -> tuple:
     low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
     dup, missing, head = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8), np.full(n + 1, n)
     ids = np.unique(verts[dims == 0, 0])
-    tables, by_dim, facets = [], [], []  # tables[k]: the k-simplex keys, sorted, and the first position of each
+    tables, by_dim = [], []  # tables[k]: the k-simplex keys, sorted, and the first position of each
 
     def key(ranks):
         out = ranks[:, 0]
@@ -112,7 +116,8 @@ def _validate(ff: FlagFiltration) -> tuple:
     for d in range(max(ff.dim_cap, int(dims.max(initial=0))) + 1):
         pos, below = np.flatnonzero(dims == d), d < max(ff.dim_cap, 2)  # only these dims are read later
         keys, first = np.empty(pos.size, dtype=np.int64), np.append(tables[d - 1][1], n) if d else None
-        facets.append(np.empty((pos.size, d + 1), dtype=np.int64) if d and below else None)
+        if d == 1:
+            ends = np.empty((pos.size, 2), dtype=np.int64)
         for s in range(0, pos.size, _FACET_CHUNK):
             p = pos[s : s + _FACET_CHUNK]
             ranks = _find(ids, verts[p, : d + 1]).reshape(p.size, d + 1)  # without d-simplices, verts may be narrower
@@ -122,8 +127,8 @@ def _validate(ff: FlagFiltration) -> tuple:
                                      for i in range(d + 1)])
                 missing[p] = np.where((late := f > p[:, None]).any(axis=1), late.argmax(axis=1), -1)
                 np.minimum.at(head, f, p[:, None])
-                if facets[d] is not None:
-                    facets[d][s : s + p.size] = f
+                if d == 1:
+                    ends[s : s + p.size] = f
         order = np.argsort(keys, kind="stable")  # a duplicate key's first position is kept
         keys = keys[order]
         new = np.ones(keys.size, dtype=bool)  # the first of each key
@@ -144,7 +149,7 @@ def _validate(ff: FlagFiltration) -> tuple:
             at = _find(tables[dims[p] + 1][0], out)  # a repeated vertex or an absent prefix finds nothing
             return tables[dims[p] + 1][1][at[at >= 0]]
 
-        return by_dim, facets, head, cofaces
+        return by_dim, ends, head, cofaces
     p = int(failed[0])
     simplex = tuple(verts[p, : dims[p] + 1].tolist())
     if unsorted[p]:
@@ -158,18 +163,18 @@ def _validate(ff: FlagFiltration) -> tuple:
     raise ContractViolationError(f"face {simplex[:drop] + simplex[drop + 1:]} of {simplex} missing or out of order")
 
 
-def _reduce(heads, column, pick, track: bool = False):
+def _reduce(heads, column, track: bool = False):
     """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v) per column.
 
     ``heads`` yields (key, pivot row of its unreduced column, None when it
-    is empty) in reduction order, ``column(key)`` builds that column as a
-    set of rows, and ``pick`` (min or max) names a nonzero set's pivot row.
-    While the pivot is that of an earlier column, the earlier reduced column
-    is added.  A column whose pivot is free at once is kept as its key
-    alone: its set is built only when a later column must add it, and a
-    column's own set only when it needs an addition.  The pivot is None for
-    a column that vanishes.  With ``track`` set, ``v`` is the set of keys
-    whose columns sum to the reduced one (its V column); otherwise it is None.
+    is empty) in reduction order, and ``column(key)`` builds that column as a
+    set of rows; a nonzero set's pivot is its smallest row.  While the pivot
+    is that of an earlier column, the earlier reduced column is added.  A
+    column whose pivot is free at once is kept as its key alone: its set is
+    built only when a later column must add it, and a column's own set only
+    when it needs an addition.  The pivot is None for a column that vanishes.
+    With ``track`` set, ``v`` is the set of keys whose columns sum to the
+    reduced one (its V column); otherwise it is None.
     """
     reduced: dict = {}  # pivot row -> key of an unreduced column, or (reduced column, its V column)
     for key, low in heads:
@@ -186,7 +191,7 @@ def _reduce(heads, column, pick, track: bool = False):
             col ^= other[0]
             if track:
                 v ^= other[1]
-            low = pick(col) if col else None
+            low = min(col) if col else None
         yield key, low, v
 
 
@@ -199,7 +204,7 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     left-to-right boundary reduction; the returned multiset of intervals is
     independent of tie order among equal-valued simplices.
     """
-    by_dim, facets, head, cofaces = _validate(ff)
+    by_dim, ends, head, cofaces = _validate(ff)
     values = ff.values
 
     intervals = []
@@ -219,8 +224,8 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
             parent[a], a = root, parent[a]
         return root
 
-    cleared = set()  # destroyers found by the pass one dimension below
-    for j, u, w in zip(by_dim[1].tolist(), *facets[1].T.tolist()):
+    cleared = set()  # every destroyer found so far; a pass skips those of its own dimension
+    for j, u, w in zip(by_dim[1].tolist(), *ends.T.tolist()):
         ru, rw = find(u), find(w)
         if ru != rw:
             young, old = max(ru, rw), min(ru, rw)
@@ -230,7 +235,6 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     for i in by_dim[0].tolist():
         if find(i) == i:
             pair(0, i, None)
-    forest = frozenset(cleared)
     counts = {"reduced_columns": {}, "cleared_columns": {}, "column_sets": 0}
 
     def column(i):
@@ -238,17 +242,17 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
         return set(cofaces(i).tolist())
 
     for k in range(1, ff.dim_cap):
-        below, cleared = cleared, set()
-        keys = [i for i in reversed(by_dim[k].tolist()) if i not in below]
+        keys = [i for i in reversed(by_dim[k].tolist()) if i not in cleared]
         counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), by_dim[k].size - len(keys)
         heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
-        for i, j, _ in _reduce(heads, column, min):
+        for i, j, _ in _reduce(heads, column):
             if j is not None:
                 cleared.add(j)
             pair(k, i, j)
 
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
-    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, forest=forest, counts=counts)
+    destroyers = np.sort(np.fromiter(cleared, dtype=np.int64, count=len(cleared)))
+    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, destroyers=destroyers, counts=counts)
 
 
 def betti_at(bc: Barcode, epsilon: float) -> list[int]:
@@ -257,8 +261,8 @@ def betti_at(bc: Barcode, epsilon: float) -> list[int]:
     A bar counts at epsilon when birth <= epsilon < death; with a capped
     filtration this is exact for every epsilon up to the cap.
     """
-    if bc.filtration.max_value is not None and epsilon > bc.filtration.max_value:
-        raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {bc.filtration.max_value}")
+    if not epsilon <= (math.inf if bc.filtration.max_value is None else bc.filtration.max_value):  # NaN fails too
+        raise ValueError(f"epsilon {epsilon} is NaN or exceeds the filtration cap {bc.filtration.max_value}")
     betti = [0] * bc.dim_cap
     for iv in bc.intervals:
         if iv.birth <= epsilon < iv.death:
@@ -271,30 +275,25 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
 
     Representatives are non-canonical: each is a single valid choice among
     homologous cycles born with its bar, returned as a list of k-simplex
-    vertex tuples in filtration order.  A V-tracked pass reduces boundary
-    columns in filtration order with the largest row as pivot; a column that
-    reduces to zero is a creator, and its V column is a k-cycle whose
-    youngest simplex is that creator.  For k = 1 only the H0 spanning
-    forest's edges come before the creators: their boundaries are
-    independent, so each V column is the creator plus the one forest path
-    between its ends, the same cycle as a pass over every edge finds.
+    vertex tuples in filtration order.  A creator's column in the standard
+    boundary reduction reduces to zero and is never added, so its V column is
+    the creator plus earlier k-simplices that destroyed a class, the only such
+    set whose boundaries (independent) sum to the creator's.  A V-tracked pass
+    over the bars' creators and the k-dimensional destroyers before the last
+    of them, rows the facets' vertex tuples, finds it.
     """
     if k < 1 or top_n < 0:
         raise ValueError(f"representative cycles need k >= 1 and top_n >= 0, got k={k}, top_n={top_n}")
     bars = sorted(bc.by_dim(k), key=lambda iv: (-iv.length, iv.birth, iv.creator))[:top_n]
-    if not bars:  # no reduction: for k >= 2 it would reduce every k-simplex
+    if not bars:  # no bar, no reduction
         return []
-    verts = bc.filtration.vertices
-    if k == 1:  # rows are vertex ids
-        keys = np.array([*sorted(bc.forest), *(iv.creator for iv in bars)])
-        rows = verts[keys, :2]
-    else:  # rows are facet positions
-        by_dim, facets, _, _ = _validate(bc.filtration)
-        keys, rows = by_dim[k], facets[k]
-    rows = dict(zip(keys.tolist(), rows.tolist()))
-    heads = ((key, max(row)) for key, row in rows.items())
-    cycles = {g: sorted(v) for g, low, v in _reduce(heads, lambda key: set(rows[key]), max, track=True) if low is None}
-    return [(iv, [tuple(row[: k + 1]) for row in verts[cycles[iv.creator]].tolist()]) for iv in bars]
+    creators, destroyers = [iv.creator for iv in bars], bc.destroyers
+    keys = [*destroyers[(bc.filtration.dims[destroyers] == k) & (destroyers < max(creators))].tolist(), *creators]
+    rows = dict(zip(keys, bc.filtration.vertices[keys, : k + 1].tolist()))
+    heads = ((key, tuple(row[:k])) for key, row in rows.items())  # a sorted row's smallest facet drops its last vertex
+    column = lambda key: set(itertools.combinations(rows[key], k))
+    cycles = {g: sorted(v) for g, low, v in _reduce(heads, column, track=True) if low is None}
+    return [(iv, [tuple(rows[p]) for p in cycles[iv.creator]]) for iv in bars]
 
 
 def save_barcode(bc: Barcode, path) -> None:

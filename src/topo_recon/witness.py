@@ -103,16 +103,15 @@ class EdgeFiltration:
             raise ValueError("births must be square and match vertex_birth")
 
 
-@dataclass(init=False, eq=False)
+@dataclass(eq=False)
 class FlagFiltration:
     """Simplices up to dim_cap with filtration values, sorted by (value, dim, vertices).
 
     Stored as arrays: simplex p has dimension ``dims[p]``, vertex ids
     ``vertices[p, :dims[p] + 1]`` (the rest of the row is -1) and value
-    ``values[p]``.  It can also be built from a list of (vertex tuple, value)
-    pairs, which ``simplices`` lists back.  When built with ``max_value`` set,
-    the filtration is truncated at that scale: barcode queries at epsilon <=
-    max_value are exact, and intervals still open there report death = +inf.
+    ``values[p]``.  When ``max_value`` is set, the filtration is truncated at
+    that scale: barcode queries at epsilon <= max_value are exact, and
+    intervals still open there report death = +inf.
     """
 
     vertices: np.ndarray
@@ -121,22 +120,12 @@ class FlagFiltration:
     dim_cap: int
     max_value: float | None = None
 
-    def __init__(self, simplices=None, dim_cap: int = 1, max_value=None, *, vertices=None, dims=None, values=None):
-        if simplices is not None:
-            dims = np.array([len(verts) - 1 for verts, _ in simplices], dtype=np.int64)
-            vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
-            for row, (verts, _) in zip(vertices, simplices):
-                row[: len(verts)] = verts
-            values = np.array([value for _, value in simplices], dtype=np.float64)
-        self.vertices, self.dims, self.values = vertices, dims, values
-        self.dim_cap, self.max_value = dim_cap, max_value
-
     def __len__(self) -> int:
         return self.values.size
 
     @property
     def simplices(self) -> list:
-        """The (vertex tuple, value) pairs in order, built on each access."""
+        """The (vertex tuple, value) pairs in order, built on each access; ``perfbench/tracing.py`` reads it."""
         rows = zip(self.vertices.tolist(), self.dims.tolist(), self.values.tolist())
         return [(tuple(verts[: d + 1]), value) for verts, d, value in rows]
 
@@ -264,9 +253,11 @@ def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = 
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
-    if ef.max_value is not None and (max_value is None or max_value > ef.max_value):
-        raise ValueError(f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges")
     births, vb, top = ef.births, ef.vertex_birth, np.inf if max_value is None else max_value
+    if ef.max_value is not None and not top <= ef.max_value:  # NaN fails too
+        raise ValueError(f"edge filtration is truncated at {ef.max_value}; max_value={max_value} would drop edges")
+    if np.isnan(top):
+        raise ValueError(f"max_value must be a number, got {max_value}")
     adj = np.triu(np.isfinite(births) & (births <= top), k=1)
     kept, (iu, ju) = np.flatnonzero(~(vb > top)), np.nonzero(adj)
     levels = [(kept[:, None], vb[kept]), (np.column_stack((iu, ju)), births[iu, ju])]  # rows below the top
@@ -319,8 +310,8 @@ def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
     Returns the number of edges written; the file is header-only when the
     complex has no edges at this scale.
     """
-    if ff.max_value is not None and epsilon > ff.max_value:
-        raise ValueError(f"epsilon {epsilon} exceeds the filtration cap {ff.max_value}")
+    if not epsilon <= (np.inf if ff.max_value is None else ff.max_value):  # NaN fails too
+        raise ValueError(f"epsilon {epsilon} is NaN or exceeds the filtration cap {ff.max_value}")
     edges = np.flatnonzero(ff.dims[: np.searchsorted(ff.values, epsilon, side="right")] == 1)
     _write_table(edges_path, ["i,j,birth"], *ff.vertices[edges, :2].T, ff.values[edges])
     return edges.size
@@ -358,5 +349,9 @@ def load_filtration(path) -> FlagFiltration:
             and (type(value) is float or type(value) is int and abs(value) < 2**1023)
         ):
             raise ValueError(f"{path}: entry {pos} is not an object with integer 'vertices' and a numeric 'value'")
-    sims = [(entry["vertices"], float(entry["value"])) for entry in raw]
-    return FlagFiltration(sims, dim_cap=max(1, max(len(verts) - 1 for verts, _ in sims)))
+    dims = np.array([len(entry["vertices"]) - 1 for entry in raw], dtype=np.int64)
+    vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
+    for row, entry in zip(vertices, raw):
+        row[: len(entry["vertices"])] = entry["vertices"]
+    values = np.array([float(entry["value"]) for entry in raw])
+    return FlagFiltration(vertices, dims, values, dim_cap=max(1, int(dims.max())))

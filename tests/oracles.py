@@ -1,7 +1,8 @@
 """Independent ground-truth helpers shared by the test suite.
 
 Everything here is deliberately naive and shares no code with the package:
-SciPy's ``cdist`` (the package itself does not import SciPy),
+SciPy's ``cdist`` (the package itself does not import SciPy), the
+conversion of a (vertex tuple, value) list into a ``FlagFiltration``,
 brute-force clique enumeration, the tuple-based flag expansion and
 dict-based filtration checks that the package used before its arrays,
 the fixed-scale simplex list ``complex_at``,
@@ -25,6 +26,16 @@ from scipy.spatial.distance import cdist  # the bitwise referee for witness.Dist
 
 from topo_recon.mscan import DimensionSweep
 from topo_recon.witness import EdgeFiltration, FlagFiltration
+
+
+def flag_filtration(simplices, dim_cap: int = 1, max_value: float | None = None) -> FlagFiltration:
+    """A ``FlagFiltration`` holding a list of (vertex tuple, value) pairs as given, unchecked."""
+    dims = np.array([len(verts) - 1 for verts, _ in simplices], dtype=np.int64)
+    vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
+    for row, (verts, _) in zip(vertices, simplices):
+        row[: len(verts)] = verts
+    values = np.array([value for _, value in simplices], dtype=np.float64)
+    return FlagFiltration(vertices, dims, values, dim_cap=dim_cap, max_value=max_value)
 
 
 def brute_force_cliques(present_vertices, edge_set, dim_cap):

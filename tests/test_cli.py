@@ -447,14 +447,18 @@ class TestBarcode:
 
     @pytest.mark.parametrize(
         "flags, message", [(("--cycles-top", -1), "--cycles-top must be nonnegative, got -1"),
-                           (("--cycles-k", 0), "--cycles-k must be at least 1, got 0")]
+                           (("--cycles-k", 0), "--cycles-k must be at least 1, got 0"),
+                           (("--cycles-k", 2), "--cycles-k must be below the barcode's dim_cap 2, got 2"),
+                           (("--dim-cap", 1, "--cycles-k", 1),
+                            "--cycles-k must be below the barcode's dim_cap 1, got 1")]
     )
     def test_bad_cycle_flags_rejected_before_writing(self, tmp_path, capsys, flags, message):
         tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
         rc = run("barcode", "--filtration", tetra, "--out", "b.csv", "--cycles-out", "c.csv", *flags,
                  "--out-dir", tmp_path / "out")
         assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and err.count("error:") == 1
         assert not (tmp_path / "out").exists()
 
 

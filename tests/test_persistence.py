@@ -19,6 +19,7 @@ from oracles import (
     components_unionfind,
     dense_betti,
     first_violation,
+    flag_filtration,
     kernel_cycles_bigint,
     random_edge_filtration,
 )
@@ -35,7 +36,7 @@ from topo_recon.persistence import (
 )
 from topo_recon import persistence as persistence_module
 from topo_recon.signal import SeriesFormatError
-from topo_recon.witness import EdgeFiltration, FlagFiltration, flag_expand, load_filtration, save_filtration
+from topo_recon.witness import EdgeFiltration, flag_expand, load_filtration, save_filtration
 
 
 def edge_filtration(n, edges, vertex_birth=None):
@@ -110,6 +111,12 @@ class TestSmallBarcodes:
         with pytest.raises(ValueError):
             betti_at(bc, 2.5)
 
+    @pytest.mark.parametrize("cap", [2.0, None])
+    def test_betti_at_nan_rejected(self, cap):
+        bc = persistent_homology(flag_expand(square(), dim_cap=2, max_value=cap))
+        with pytest.raises(ValueError, match="epsilon nan is NaN or exceeds the filtration cap"):
+            betti_at(bc, math.nan)
+
     def test_capped_open_bars_report_infinite_death(self):
         # The square's cycle is still open at the cap, so its death is +inf
         # even though larger complexes might close it later.
@@ -178,7 +185,7 @@ def check_against_referees(ff):
         want = kernel_cycles_bigint(ff, k)
         got = representative_cycles(bc, k, top_n=len(bc.by_dim(k)))
         assert len(got) == len(bc.by_dim(k))
-        for iv, cycle in got:
+        for iv, cycle in got + representative_cycles(bc, k, top_n=1):  # the longest bar alone reads fewer destroyers
             assert cycle == want[iv.creator]
     return bc
 
@@ -197,11 +204,22 @@ def random_complex(rng, dim_cap):
     for s in sorted(simplices, key=len):  # a face's value first, then its cofaces' at least as large
         faces = itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
         value[s] = max([round(float(rng.uniform(0.0, 3.0)), 1), *(value[f] for f in faces)])
-    return FlagFiltration(sorted(value.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0])), dim_cap=dim_cap)
+    return flag_filtration(sorted(value.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0])), dim_cap=dim_cap)
+
+
+def load_hollow_tetrahedron(tmp_path):
+    """All faces of a tetrahedron but not its interior, saved and loaded: no flag filtration
+    has this shape, so cofaces come from the simplex list alone."""
+    sims = [((v,), 0.0) for v in range(4)]
+    sims += [(e, 1.0 + 0.5 * i) for i, e in enumerate(itertools.combinations(range(4), 2))]
+    sims += [(t, 5.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
+    return load_filtration(path)
 
 
 class TestAgainstBoundaryReduction:
-    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3), capped=st.booleans())
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 4), capped=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_random_flag_filtrations(self, seed, dim_cap, capped):
         rng = np.random.default_rng(seed)
@@ -212,20 +230,14 @@ class TestAgainstBoundaryReduction:
             max_value = float(rng.choice(finite)) if finite.size else 0.5
         check_against_referees(flag_expand(ef, dim_cap=dim_cap, max_value=max_value))
 
-    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3))
+    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_random_complexes(self, seed, dim_cap):
         check_against_referees(random_complex(np.random.default_rng(seed), dim_cap))
 
     def test_loaded_hollow_tetrahedron(self, tmp_path):
-        # all faces of a tetrahedron but not its interior: no flag filtration
-        # has this shape, so cofaces come from the simplex list alone
-        sims = [((v,), 0.0) for v in range(4)]
-        sims += [(e, 1.0 + 0.5 * i) for i, e in enumerate(itertools.combinations(range(4), 2))]
-        sims += [(t, 5.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
-        path = tmp_path / "tetra.json"
-        path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
-        loaded = load_filtration(path)
+        loaded = load_hollow_tetrahedron(tmp_path)
+        sims = loaded.simplices
         assert loaded.dim_cap == 2
         bc = check_against_referees(loaded)
         assert betti_at(bc, 8.0) == [1, 0]
@@ -243,7 +255,7 @@ class TestLazyColumns:
     def test_free_pivots_build_no_column(self):
         built = []
         heads = [(0, 10), (1, 11), (2, None), (3, 12)]
-        got = list(_reduce(iter(heads), lambda key: built.append(key) or set(), min, track=True))
+        got = list(_reduce(iter(heads), lambda key: built.append(key) or set(), track=True))
         assert got == [(0, 10, {0}), (1, 11, {1}), (2, None, {2}), (3, 12, {3})]
         assert built == []
 
@@ -251,7 +263,7 @@ class TestLazyColumns:
         cols = {0: {10, 20}, 1: {10, 30}, 2: {10, 20, 40}, 3: {50}}
         built = []
         heads = ((key, min(col)) for key, col in cols.items())
-        got = list(_reduce(heads, lambda key: built.append(key) or set(cols[key]), min, track=True))
+        got = list(_reduce(heads, lambda key: built.append(key) or set(cols[key]), track=True))
         # column 1 adds column 0 and pivots at 20; column 2 adds the column 0 already built
         assert got == [(0, 10, {0}), (1, 20, {0, 1}), (2, 40, {0, 2}), (3, 50, {3})]
         assert built == [1, 0, 2]
@@ -335,7 +347,7 @@ class TestReductionCounts:
         for k in range(1, dim_cap):
             assert bc.counts["reduced_columns"][k] + bc.counts["cleared_columns"][k] == by_dim.get(k, 0)
         if dim_cap > 1:  # the H0 pass clears exactly the spanning forest
-            assert bc.counts["cleared_columns"][1] == len(bc.forest)
+            assert bc.counts["cleared_columns"][1] == np.count_nonzero(ff.dims[bc.destroyers] == 1)
         assert bc.counts["column_sets"] == len(built)
 
 
@@ -387,6 +399,18 @@ class TestRepresentativeCycles:
         monkeypatch.setattr(persistence_module, "_reduce", refuse)
         assert representative_cycles(bc, k=2, top_n=5) == []
 
+    def test_cycles_read_no_second_validation(self, tmp_path, monkeypatch):
+        # the H2 cycle comes from the destroyers the barcode kept, not from another pass over the filtration
+        sphere = persistent_homology(dataclasses.replace(load_hollow_tetrahedron(tmp_path), dim_cap=3))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("filtration validated again")
+
+        monkeypatch.setattr(persistence_module, "_validate", refuse)
+        (iv, cycle), = representative_cycles(sphere, k=2)
+        assert cycle == kernel_cycles_bigint(sphere.filtration, 2)[iv.creator]
+        assert len(cycle) == 4
+
     def test_k_zero_rejected(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
         with pytest.raises(ValueError):
@@ -413,31 +437,27 @@ class TestRepresentativeCycles:
 
 class TestContractValidation:
     def test_decreasing_values_rejected(self):
-        ff = FlagFiltration(
-            simplices=[((0,), 1.0), ((1,), 0.5)], dim_cap=1
-        )
+        ff = flag_filtration([((0,), 1.0), ((1,), 0.5)], dim_cap=1)
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
 
     def test_nan_value_rejected(self):
-        ff = FlagFiltration(simplices=[((0,), 0.0), ((1,), math.nan), ((2,), 1.0)], dim_cap=1)
+        ff = flag_filtration([((0,), 0.0), ((1,), math.nan), ((2,), 1.0)], dim_cap=1)
         with pytest.raises(ContractViolationError, match="at position 1 is NaN or below 0.0"):
             persistent_homology(ff)
 
     def test_missing_face_rejected(self):
-        ff = FlagFiltration(simplices=[((0,), 0.0), ((0, 1), 1.0)], dim_cap=1)
+        ff = flag_filtration([((0,), 0.0), ((0, 1), 1.0)], dim_cap=1)
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
 
     def test_duplicate_simplex_rejected(self):
-        ff = FlagFiltration(simplices=[((0,), 0.0), ((0,), 0.0)], dim_cap=1)
+        ff = flag_filtration([((0,), 0.0), ((0,), 0.0)], dim_cap=1)
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
 
     def test_unsorted_vertex_tuple_rejected(self):
-        ff = FlagFiltration(
-            simplices=[((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)], dim_cap=1
-        )
+        ff = flag_filtration([((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)], dim_cap=1)
         with pytest.raises(ContractViolationError):
             persistent_homology(ff)
 
@@ -475,7 +495,7 @@ class TestContractReferee:
         ef = random_edge_filtration(np.random.default_rng(seed), n_max=7)
         sims = mutated(data, flag_expand(ef, dim_cap=dim_cap).simplices)
         want = first_violation(sims)
-        ff = FlagFiltration(simplices=sims, dim_cap=dim_cap)
+        ff = flag_filtration(sims, dim_cap=dim_cap)
         if want is None:
             assert interval_tuples(persistent_homology(ff)) == boundary_reduction(ff)
         else:

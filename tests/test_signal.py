@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import flag_filtration
 from topo_recon.embed import PointCloud, load_cloud, save_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.mscan import load_lifespan_csv, save_lifespan_csv
@@ -27,7 +28,7 @@ from topo_recon.signal import (
     observe,
     save_series,
 )
-from topo_recon.witness import FlagFiltration, skeleton_export
+from topo_recon.witness import skeleton_export
 
 
 def final_state(dt, n_steps):
@@ -328,7 +329,7 @@ def _round_trip(table: str, data, path) -> tuple:
     # skeleton edges: births in filtration order, read back as render_skeleton reads them
     births = sorted(data.draw(_floats(n, inf=True)))
     edges = [((i, t), b) for i, (t, b) in enumerate(zip(times.tolist(), births))]
-    ff = FlagFiltration(simplices=edges, dim_cap=1)
+    ff = flag_filtration(edges, dim_cap=1)
     assert skeleton_export(ff, math.inf, path) == n
     back = _read_table(path, "i,j,birth", ints=2)
     return ([v for verts, _ in edges for v in verts], births), (back.ints.ravel().tolist(), back.floats)

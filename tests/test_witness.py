@@ -19,6 +19,7 @@ from oracles import (
     edge_births_rows,
     edge_list,
     flag_expand_tuples,
+    flag_filtration,
     random_edge_filtration,
     truncate_births,
 )
@@ -28,7 +29,6 @@ from topo_recon.landmarks import select_evenly_spaced
 from topo_recon.signal import ScalarSeries, SeriesFormatError, integrate_lorenz, observe
 from topo_recon.witness import (
     EdgeFiltration,
-    FlagFiltration,
     ResourceLimitError,
     distance_matrix,
     edge_births,
@@ -625,6 +625,14 @@ class TestFlagExpand:
         with pytest.raises(ValueError, match="truncated"):
             flag_expand(ef, dim_cap=2, max_value=max_value)
 
+    @pytest.mark.parametrize("cap", [0.5, None])
+    def test_nan_max_value_rejected(self, cap):
+        # NaN fails every comparison, so a guard must refuse it, not test max_value > cap: it would drop every edge
+        W = np.random.default_rng(15).uniform(-1.0, 1.0, size=(60, 2))
+        ef = edge_births(distance_matrix(W, W[::2]), cap=cap)
+        with pytest.raises(ValueError, match="would drop edges" if cap else "max_value must be a number, got nan"):
+            flag_expand(ef, dim_cap=2, max_value=math.nan)
+
     def test_counts_by_dim_complete_graph(self):
         n = 5
         births = np.full((n, n), 1.0)
@@ -781,6 +789,13 @@ class TestSkeletonExport:
         assert skeleton_export(ff, 0.5, edges_path) == 0
         assert edges_path.read_text() == "i,j,birth\n"
 
+    @pytest.mark.parametrize("cap", [2.0, None])
+    def test_nan_scale_rejected(self, tmp_path, cap):
+        ff = flag_expand(triangle_filtration(), dim_cap=2, max_value=cap)
+        with pytest.raises(ValueError, match="epsilon nan is NaN or exceeds the filtration cap"):
+            skeleton_export(ff, math.nan, tmp_path / "edges.csv")
+        assert not (tmp_path / "edges.csv").exists()
+
 
 class TestFiltrationFiles:
     def test_round_trip(self, tmp_path):
@@ -834,7 +849,7 @@ class TestFiltrationFiles:
 class TestFlagFiltrationDataclass:
     def test_len_and_values_cache(self):
         # no cached value array: complex_at reads the simplex values themselves
-        ff = FlagFiltration(simplices=[((0,), 0.0), ((1,), 0.5)], dim_cap=1)
+        ff = flag_filtration([((0,), 0.0), ((1,), 0.5)], dim_cap=1)
         assert len(ff) == 2
         assert [complex_at(ff, eps) for eps in (-1.0, 0.0, 0.4, 0.5)] == [
             [], [((0,), 0.0)], [((0,), 0.0)], ff.simplices
