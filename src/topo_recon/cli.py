@@ -152,6 +152,12 @@ def _scale_arg(value: float, flag: str) -> float:
     return value
 
 
+def _count_arg(value: int, flag: str) -> None:
+    """Refuse a count flag below 1 with a ValueError naming the flag."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _load_series_arg(args) -> "ScalarSeries":
     return load_series(args.input, format=args.format, sample_interval=args.sample_interval)
 
@@ -159,9 +165,9 @@ def _load_series_arg(args) -> "ScalarSeries":
 def _resolve_tau(args, series) -> tuple[int, dict]:
     """Parse --tau; 'auto' selects the first minimum of the AMI curve.  Returns tau and what was derived."""
     if args.tau != "auto":
-        tau = int(args.tau)
+        tau = int(args.tau) if args.tau.isdecimal() else 0
         if tau < 1:
-            raise ValueError("--tau must be at least 1")
+            raise ValueError(f"--tau must be a positive integer or 'auto', got {args.tau!r}")
         return tau, {"tau_steps": tau, "tau_source": "explicit"}
     curve = ami_curve(series, tau_max=args.tau_max, bins=args.bins)
     tau = first_minimum(curve)
@@ -233,6 +239,8 @@ def cmd_landmarks(args) -> int:
 
 
 def cmd_complex(args) -> int:
+    _count_arg(args.dim_cap, "--dim-cap")
+    _count_arg(args.max_simplices, "--max-simplices")
     cloud = load_cloud(args.witnesses)
     lms = load_landmarks(args.landmarks)
     _check_landmarks(args, cloud, lms)
@@ -300,8 +308,8 @@ def cmd_mscan(args) -> int:
     _scale_arg(args.xi, "--xi")
     if args.barcode_landmark < 0:
         raise ValueError(f"--barcode-landmark must be nonnegative, got {args.barcode_landmark}")
-    if args.dim_cap < 1:
-        raise ValueError(f"--dim-cap must be at least 1, got {args.dim_cap}")
+    _count_arg(args.dim_cap, "--dim-cap")
+    _count_arg(args.every, "--every")
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)

@@ -1,14 +1,12 @@
-"""Persistent homology over Z/2: union-find for H0, coboundary reduction above.
+"""Persistent homology over Z/2: one coboundary reduction for every degree.
 
-H0 comes from Kruskal's union-find with the elder rule: edges are taken in
-filtration order, and an edge joining two components kills the younger one
-(the one whose oldest vertex comes later).  H_k for k >= 1 reduces the
-coboundary columns of the k-simplices in reverse filtration order, each the
-set of positions of its (k+1)-cofaces with the smallest one as pivot (de
-Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent (co)homology*,
-2011).  Dimensions run upwards with clearing (Bauer, *Ripser*, 2021): a
-k-simplex that destroyed a (k-1)-class in the pass below is skipped, so most
-columns pair at once with a free pivot (an apparent pair) and need no
+H_k reduces the coboundary columns of the k-simplices in reverse filtration
+order, each the set of positions of its (k+1)-cofaces with the smallest one
+as pivot (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
+(co)homology*, 2011); for k = 0 the columns are the vertices and the rows
+their edges.  Dimensions run upwards with clearing (Bauer, *Ripser*, 2021):
+a k-simplex that destroyed a (k-1)-class in the pass below is skipped, so
+most columns pair at once with a free pivot (an apparent pair) and need no
 addition.  The pairs are those of the standard boundary reduction, so
 creators and destroyers are positions in the filtration's simplex list.
 Facets are found a chunk of simplices at a time by ``np.searchsorted`` over
@@ -75,7 +73,7 @@ class Barcode:
     filtration: FlagFiltration = field(repr=False)
     # sorted positions of every simplex that destroyed a class, zero-length pairs included
     destroyers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
-    counts: dict = field(default_factory=dict, repr=False)  # columns reduced and cleared per k >= 1, sets built
+    counts: dict = field(default_factory=dict, repr=False)  # columns reduced, cleared and added per k, sets built
 
     def by_dim(self, k: int) -> list:
         return [iv for iv in self.intervals if iv.k == k]
@@ -88,15 +86,13 @@ def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _validate(ff: FlagFiltration) -> tuple:
-    """Check canonical order and face closure; return positions, edge ends, pivots and a coface lookup.
+    """Check canonical order and face closure; return the pivots and a coface lookup.
 
-    ``by_dim[k]`` lists the k-simplices' positions, ascending, for edges and
-    below dim_cap only, and ``ends[r]`` the positions of the two vertices of
-    the edge at ``by_dim[1][r]``.  ``head[p]`` is simplex p's first coface
-    position (n if none), and ``cofaces(p)`` lists them all.  A k-simplex's key is the
-    index of its first k vertices' key among the (k-1)-simplex keys, times the
-    vertex count, plus its last vertex's rank, so keys stay below n * ell.  The
-    first failing position raises (order, value, duplicate, then faces).
+    ``head[p]`` is simplex p's first coface position (n if none), and
+    ``cofaces(p)`` lists them all.  A k-simplex's key is the index of its
+    first k vertices' key among the (k-1)-simplex keys, times the vertex
+    count, plus its last vertex's rank, so keys stay below n * ell.  The first
+    failing position raises (order, value, duplicate, then faces).
     """
     verts, dims, values, n = ff.vertices, ff.dims, ff.values, len(ff)
     live = np.arange(1, verts.shape[1]) <= dims[:, None]
@@ -104,7 +100,7 @@ def _validate(ff: FlagFiltration) -> tuple:
     low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
     dup, missing, head = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8), np.full(n + 1, n)
     ids = np.unique(verts[dims == 0, 0])
-    tables, by_dim = [], []  # tables[k]: the k-simplex keys, sorted, and the first position of each
+    tables = []  # tables[k]: the k-simplex keys, sorted, and the first position of each
 
     def key(ranks):
         out = ranks[:, 0]
@@ -114,10 +110,8 @@ def _validate(ff: FlagFiltration) -> tuple:
         return out
 
     for d in range(max(ff.dim_cap, int(dims.max(initial=0))) + 1):
-        pos, below = np.flatnonzero(dims == d), d < max(ff.dim_cap, 2)  # only these dims are read later
+        pos = np.flatnonzero(dims == d)
         keys, first = np.empty(pos.size, dtype=np.int64), np.append(tables[d - 1][1], n) if d else None
-        if d == 1:
-            ends = np.empty((pos.size, 2), dtype=np.int64)
         for s in range(0, pos.size, _FACET_CHUNK):
             p = pos[s : s + _FACET_CHUNK]
             ranks = _find(ids, verts[p, : d + 1]).reshape(p.size, d + 1)  # without d-simplices, verts may be narrower
@@ -127,8 +121,6 @@ def _validate(ff: FlagFiltration) -> tuple:
                                      for i in range(d + 1)])
                 missing[p] = np.where((late := f > p[:, None]).any(axis=1), late.argmax(axis=1), -1)
                 np.minimum.at(head, f, p[:, None])
-                if d == 1:
-                    ends[s : s + p.size] = f
         order = np.argsort(keys, kind="stable")  # a duplicate key's first position is kept
         keys = keys[order]
         new = np.ones(keys.size, dtype=bool)  # the first of each key
@@ -138,7 +130,6 @@ def _validate(ff: FlagFiltration) -> tuple:
         keys = keys[new]
         order = order[new]
         tables.append((keys, pos[order]))
-        by_dim.append(pos if below else None)
     failed = np.flatnonzero(unsorted | low | dup | (missing >= 0))
     if not failed.size:
         def cofaces(p):  # p plus each vertex v, carried into order through p's ranks (then ids.size) and keyed
@@ -149,7 +140,7 @@ def _validate(ff: FlagFiltration) -> tuple:
             at = _find(tables[dims[p] + 1][0], out)  # a repeated vertex or an absent prefix finds nothing
             return tables[dims[p] + 1][1][at[at >= 0]]
 
-        return by_dim, ends, head, cofaces
+        return head, cofaces
     p = int(failed[0])
     simplex = tuple(verts[p, : dims[p] + 1].tolist())
     if unsorted[p]:
@@ -164,7 +155,7 @@ def _validate(ff: FlagFiltration) -> tuple:
 
 
 def _reduce(heads, column, track: bool = False):
-    """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v) per column.
+    """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v, additions) per column.
 
     ``heads`` yields (key, pivot row of its unreduced column, None when it
     is empty) in reduction order, and ``column(key)`` builds that column as a
@@ -174,11 +165,12 @@ def _reduce(heads, column, track: bool = False):
     built only when a later column must add it, and a column's own set only
     when it needs an addition.  The pivot is None for a column that vanishes.
     With ``track`` set, ``v`` is the set of keys whose columns sum to the
-    reduced one (its V column); otherwise it is None.
+    reduced one (its V column); otherwise it is None.  ``additions`` counts
+    the earlier columns added to this one.
     """
     reduced: dict = {}  # pivot row -> key of an unreduced column, or (reduced column, its V column)
     for key, low in heads:
-        col, v = None, {key} if track else None
+        col, v, additions = None, {key} if track else None, 0
         while low is not None:
             other = reduced.get(low)
             if other is None:
@@ -189,10 +181,11 @@ def _reduce(heads, column, track: bool = False):
             if not isinstance(other, tuple):
                 other = reduced[low] = (column(other), {other} if track else None)
             col ^= other[0]
+            additions += 1
             if track:
                 v ^= other[1]
             low = min(col) if col else None
-        yield key, low, v
+        yield key, low, v, additions
 
 
 def persistent_homology(ff: FlagFiltration) -> Barcode:
@@ -204,51 +197,28 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     left-to-right boundary reduction; the returned multiset of intervals is
     independent of tie order among equal-valued simplices.
     """
-    by_dim, ends, head, cofaces = _validate(ff)
+    head, cofaces = _validate(ff)
     values = ff.values
-
-    intervals = []
-
-    def pair(k: int, i: int, j: int | None) -> None:
-        birth, death = float(values[i]), math.inf if j is None else float(values[j])
-        if death > birth and k < ff.dim_cap:
-            intervals.append(Interval(k=k, birth=birth, death=death, creator=i, destroyer=j))
-
-    parent = {i: i for i in by_dim[0].tolist()}  # union-find over vertex positions
-
-    def find(a: int) -> int:
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:  # path compression
-            parent[a], a = root, parent[a]
-        return root
-
-    cleared = set()  # every destroyer found so far; a pass skips those of its own dimension
-    for j, u, w in zip(by_dim[1].tolist(), *ends.T.tolist()):
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            young, old = max(ru, rw), min(ru, rw)
-            parent[young] = old
-            cleared.add(j)
-            pair(0, young, j)
-    for i in by_dim[0].tolist():
-        if find(i) == i:
-            pair(0, i, None)
-    counts = {"reduced_columns": {}, "cleared_columns": {}, "column_sets": 0}
+    intervals, cleared = [], set()  # cleared: every destroyer found so far; a pass skips those of its own dimension
+    counts = {"reduced_columns": {}, "cleared_columns": {}, "column_additions": {}, "column_sets": 0}
 
     def column(i):
         counts["column_sets"] += 1
         return set(cofaces(i).tolist())
 
-    for k in range(1, ff.dim_cap):
-        keys = [i for i in reversed(by_dim[k].tolist()) if i not in cleared]
-        counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), by_dim[k].size - len(keys)
+    for k in range(ff.dim_cap):
+        simplices = np.flatnonzero(ff.dims == k)[::-1].tolist()
+        keys = [i for i in simplices if i not in cleared]
+        counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), len(simplices) - len(keys)
+        counts["column_additions"][k] = 0
         heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
-        for i, j, _ in _reduce(heads, column):
+        for i, j, _, additions in _reduce(heads, column):
+            counts["column_additions"][k] += additions
             if j is not None:
                 cleared.add(j)
-            pair(k, i, j)
+            birth, death = float(values[i]), math.inf if j is None else float(values[j])
+            if death > birth:
+                intervals.append(Interval(k=k, birth=birth, death=death, creator=i, destroyer=j))
 
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
     destroyers = np.sort(np.fromiter(cleared, dtype=np.int64, count=len(cleared)))
@@ -292,7 +262,7 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
     rows = dict(zip(keys, bc.filtration.vertices[keys, : k + 1].tolist()))
     heads = ((key, tuple(row[:k])) for key, row in rows.items())  # a sorted row's smallest facet drops its last vertex
     column = lambda key: set(itertools.combinations(rows[key], k))
-    cycles = {g: sorted(v) for g, low, v in _reduce(heads, column, track=True) if low is None}
+    cycles = {g: sorted(v) for g, low, v, _ in _reduce(heads, column, track=True) if low is None}
     return [(iv, [tuple(rows[p]) for p in cycles[iv.creator]]) for iv in bars]
 
 

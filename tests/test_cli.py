@@ -308,6 +308,16 @@ class TestAmiAndEmbed:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["embed", "mscan"])
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-3"])
+    def test_non_integer_tau_names_the_flag(self, tmp_path, capsys, command, value):
+        sine_series_file(tmp_path / "s.txt")
+        flags = ["--m", 2, "--out", "c.csv"] if command == "embed" else ["--xi", 0.05, "--every", 100, "--m-max", 2]
+        rc = run(command, "--in", tmp_path / "s.txt", "--tau", value, *flags, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --tau must be a positive integer or 'auto', got '{value}'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_constant_series_fails_cleanly(self, tmp_path, capsys):
         save_series(ScalarSeries(np.ones(500), 1.0), tmp_path / "flat.txt")
         rc = run("ami", "--in", tmp_path / "flat.txt", "--tau-max", 10,
@@ -531,6 +541,23 @@ class TestMscan:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("complex", "--dim-cap", 0), ("complex", "--max-simplices", 0), ("complex", "--max-simplices", -3),
+         ("mscan", "--every", 0), ("mscan", "--dim-cap", 0)],
+    )
+    def test_bad_count_flags_rejected_before_any_input(self, tmp_path, capsys, command, flag, value):
+        # no input file exists, and --tau auto would run the AMI first: the flag must be refused before both
+        if command == "complex":
+            argv = ["--witnesses", tmp_path / "w.csv", "--landmarks", tmp_path / "lm.csv", "--epsilon", 0.5,
+                    "--out", "f.json"]
+        else:
+            argv = ["--in", tmp_path / "s.txt", "--tau", "auto", "--xi", 0.05]
+        rc = run(command, *argv, flag, value, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_render_heatmap_non_square_matrix(self, tmp_path, capsys):
         (tmp_path / "lifespan.csv").write_text("0,1\n1,0\n2,2\n")
         rc = run("render", "heatmap", "--in", tmp_path / "lifespan.csv", "--out", "heat.svg", "--out-dir", tmp_path)

@@ -256,7 +256,7 @@ class TestLazyColumns:
         built = []
         heads = [(0, 10), (1, 11), (2, None), (3, 12)]
         got = list(_reduce(iter(heads), lambda key: built.append(key) or set(), track=True))
-        assert got == [(0, 10, {0}), (1, 11, {1}), (2, None, {2}), (3, 12, {3})]
+        assert got == [(0, 10, {0}, 0), (1, 11, {1}, 0), (2, None, {2}, 0), (3, 12, {3}, 0)]
         assert built == []
 
     def test_only_added_columns_are_built(self):
@@ -265,7 +265,7 @@ class TestLazyColumns:
         heads = ((key, min(col)) for key, col in cols.items())
         got = list(_reduce(heads, lambda key: built.append(key) or set(cols[key]), track=True))
         # column 1 adds column 0 and pivots at 20; column 2 adds the column 0 already built
-        assert got == [(0, 10, {0}), (1, 20, {0, 1}), (2, 40, {0, 2}), (3, 50, {3})]
+        assert got == [(0, 10, {0}, 0), (1, 20, {0, 1}, 1), (2, 40, {0, 2}, 1), (3, 50, {3}, 0)]
         assert built == [1, 0, 2]
 
     def test_apparent_pairs_hold_no_set_per_column(self, monkeypatch):
@@ -293,9 +293,9 @@ class TestLazyColumns:
         finally:
             tracemalloc.stop()
         columns = n * (n - 1) // 2 - (n - 1)  # the edges left after the H0 pass clears the spanning forest
-        assert len(growth) == 1 and len(built) < columns / 20
+        assert len(growth) == 2 and len(built) < columns / 20  # one pass per degree, the vertices' included
         # every such column has n - 2 cofaces; one set of them per column would hold at least
-        assert growth[0] < columns * sys.getsizeof(set(range(n - 2))) / 10
+        assert all(g < columns * sys.getsizeof(set(range(n - 2))) / 10 for g in growth)
 
 
 class TestReductionMemory:
@@ -322,10 +322,25 @@ class TestReductionMemory:
 class TestReductionCounts:
     def test_counts_of_the_hollow_and_filled_square(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
-        # 4 edges: the 3 of the spanning forest are cleared, the 4th is reduced and has no coface
-        assert bc.counts == {"reduced_columns": {1: 1}, "cleared_columns": {1: 3}, "column_sets": 0}
+        # positions: vertices 0-3, edges 01=4, 03=5, 12=6, 23=7.  Vertex columns, last first:
+        # 3 {5, 7}, 2 {6, 7} and 1 {4, 6} pair at once; 0 {4, 5} adds 1, then 3, then 2 and
+        # vanishes, building its own set and those three (3 additions, 4 sets).  Of the edges,
+        # the destroyers 4, 5, 6 are cleared, and 7 is reduced and has no coface
+        assert bc.counts == {
+            "reduced_columns": {0: 4, 1: 1},
+            "cleared_columns": {0: 0, 1: 3},
+            "column_additions": {0: 3, 1: 0},
+            "column_sets": 4,
+        }
+        # filled: the diagonal 02=8 and triangles 012=9, 023=10.  The vertex pass runs as
+        # above, 0 {4, 5, 8} now vanishing with 2 {6, 7, 8}; edges 8 {9, 10} and 7 {10} pair at once
         ef = edge_filtration(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0, (0, 2): 2.0})
-        assert persistent_homology(flag_expand(ef, dim_cap=2)).counts["reduced_columns"] == {1: 2}
+        assert persistent_homology(flag_expand(ef, dim_cap=2)).counts == {
+            "reduced_columns": {0: 4, 1: 2},
+            "cleared_columns": {0: 0, 1: 3},
+            "column_additions": {0: 3, 1: 0},
+            "column_sets": 4,
+        }
 
     @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -343,12 +358,14 @@ class TestReductionCounts:
         finally:
             persistence_module._reduce = original
         by_dim = ff.counts_by_dim()
-        assert set(bc.counts["reduced_columns"]) == set(range(1, dim_cap))
-        for k in range(1, dim_cap):
+        assert set(bc.counts["reduced_columns"]) == set(bc.counts["column_additions"]) == set(range(dim_cap))
+        for k in range(dim_cap):
             assert bc.counts["reduced_columns"][k] + bc.counts["cleared_columns"][k] == by_dim.get(k, 0)
         if dim_cap > 1:  # the H0 pass clears exactly the spanning forest
             assert bc.counts["cleared_columns"][1] == np.count_nonzero(ff.dims[bc.destroyers] == 1)
         assert bc.counts["column_sets"] == len(built)
+        # an addition builds at most two sets: the column's own, first time, and the one it adds
+        assert bc.counts["column_sets"] <= 2 * sum(bc.counts["column_additions"].values())
 
 
 def circle_barcode(n_witness=200, stride=10, cap=1.5):
