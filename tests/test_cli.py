@@ -544,7 +544,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "command, flag, value",
         [("complex", "--dim-cap", 0), ("complex", "--max-simplices", 0), ("complex", "--max-simplices", -3),
-         ("mscan", "--every", 0), ("mscan", "--dim-cap", 0)],
+         ("mscan", "--every", 0)],
     )
     def test_bad_count_flags_rejected_before_any_input(self, tmp_path, capsys, command, flag, value):
         # no input file exists, and --tau auto would run the AMI first: the flag must be refused before both

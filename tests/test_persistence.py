@@ -323,8 +323,8 @@ class TestReductionCounts:
     def test_counts_of_the_hollow_and_filled_square(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
         # positions: vertices 0-3, edges 01=4, 03=5, 12=6, 23=7.  Vertex columns, last first:
-        # 3 {5, 7}, 2 {6, 7} and 1 {4, 6} pair at once; 0 {4, 5} adds 1, then 3, then 2 and
-        # vanishes, building its own set and those three (3 additions, 4 sets).  Of the edges,
+        # 3 {5, 7}, 2 {6, 7} and 1 {4, 6} pair at once; 0 {4, 5} adds the columns of 1, 3 and 2
+        # and vanishes, building its own set and those three (3 additions, 4 sets).  Of the edges,
         # the destroyers 4, 5, 6 are cleared, and 7 is reduced and has no coface
         assert bc.counts == {
             "reduced_columns": {0: 4, 1: 1},
