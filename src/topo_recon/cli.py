@@ -5,7 +5,8 @@ directory.  Its ``params`` hold every flag as parsed (flags left unset are
 left out), plus the values the step derived, such as an auto-selected
 delay.  It also holds a sha256 checksum of every artifact, the step's
 seconds and the process's peak RSS; for ``complex`` it counts the sizes of
-what it built, and for ``barcode`` and ``mscan`` the reduction's columns.
+what it built and the distances its births computed (``mscan`` records those
+per m), and for ``barcode`` and ``mscan`` the reduction's columns.
 The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
 arguments and seeds produce byte-identical artifacts.
@@ -152,8 +153,10 @@ def _scale_arg(value: float, flag: str) -> float:
     return value
 
 
-def _count_arg(value: int, flag: str) -> None:
-    """Refuse a count flag below 1 with a ValueError naming the flag."""
+def _count_arg(value: int, flag: str, top: int | None = None) -> None:
+    """Refuse a count flag below 1, or above ``top`` when one is given, with a ValueError naming the flag."""
+    if top is not None and not 1 <= value <= top:
+        raise ValueError(f"{flag} must be in 1..{top}, got {value}")
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
 
@@ -219,6 +222,7 @@ def cmd_ami(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _count_arg(args.m, "--m")
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     m_anchor = args.m_anchor if args.m_anchor is not None else args.m
@@ -228,6 +232,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_landmarks(args) -> int:
+    count, flag = (args.every, "--every") if args.every is not None else (args.maxmin, "--maxmin")
+    _count_arg(count, flag)
     cloud = load_cloud(args.input)
     if args.every is not None:
         lms, method = select_evenly_spaced(cloud, args.every), "evenly_spaced"
@@ -257,6 +263,7 @@ def cmd_complex(args) -> int:
         {
             "witnesses": len(cloud.points),
             "landmarks": lms.ell,
+            "births_distances": ef.distances,  # of the witnesses x landmarks, those the cap-aware births computed
             "edges_le_cap": int(np.count_nonzero(np.triu(ef.births <= eps, k=1))),
             "simplices_by_dim": ff.counts_by_dim(),
         },
@@ -310,6 +317,7 @@ def cmd_mscan(args) -> int:
         raise ValueError(f"--barcode-landmark must be nonnegative, got {args.barcode_landmark}")
     _count_arg(args.dim_cap, "--dim-cap")
     _count_arg(args.every, "--every")
+    _count_arg(args.m_max, "--m-max", 32)  # the bits of the sweep's existence mask
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)
@@ -322,7 +330,9 @@ def cmd_mscan(args) -> int:
     save_dimension_barcode_csv(sw, args.barcode_landmark, dimbar_out)
     bc = dm_filtration(sw, dim_cap=args.dim_cap).barcode
     save_barcode(bc, _out_path(args, "dm_barcode.csv"))
-    _write_run(args, {"ell": sw.ell, "diameters": sw.diameters, "epsilons": sw.epsilons, **derived}, bc.counts)
+    derived.update(ell=sw.ell, diameters=sw.diameters, epsilons=sw.epsilons, witnesses=sw.witnesses,
+                   births_distances=[ef.distances for ef in sw.per_m])  # per m, of witnesses x ell
+    _write_run(args, derived, bc.counts)
     return 0
 
 

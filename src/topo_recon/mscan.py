@@ -38,6 +38,7 @@ class DimensionSweep:
     epsilons: list
     per_m: list
     existence: np.ndarray  # (ell, ell) bitmask; bit (m-1) set when the edge exists at m
+    witnesses: int = 0  # the cloud's points, the same at every m
 
     @property
     def ell(self) -> int:
@@ -98,6 +99,7 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
         epsilons=epsilons,
         per_m=per_m,
         existence=existence,
+        witnesses=len(cloud.points),
     )
 
 

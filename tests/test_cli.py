@@ -15,7 +15,7 @@ from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.mscan import dm_filtration, sweep
 from topo_recon.persistence import load_barcode, persistent_homology
 from topo_recon.signal import ScalarSeries, integrate_lorenz, load_series, observe, save_series
-from topo_recon.witness import load_filtration
+from topo_recon.witness import distance_matrix, edge_births, load_filtration
 
 
 def run(*argv):
@@ -162,6 +162,15 @@ class TestRunRecords:
         assert counts["landmarks"] == load_landmarks(pipeline / "landmarks.csv").ell
         assert counts["simplices_by_dim"] == {str(d): n for d, n in filtration.counts_by_dim().items()}
         assert counts["edges_le_cap"] == filtration.counts_by_dim()[1]
+
+    def test_complex_records_the_distances_its_births_computed(self, pipeline):
+        (record,) = [r for r in read_run(pipeline)["previous"] if r["subcommand"] == "complex"]
+        cloud, lms = load_cloud(pipeline / "cloud.csv"), load_landmarks(pipeline / "landmarks.csv")
+        ef = edge_births(distance_matrix(cloud.points, lms.coords), cap=0.5)
+        counts = record["counts"]
+        assert counts["births_distances"] == ef.distances
+        # the cap prunes: the births computed fewer than the witnesses x landmarks distances
+        assert 0 < counts["births_distances"] < counts["witnesses"] * counts["landmarks"]
 
     def test_barcode_records_its_reduction(self, pipeline):
         last = read_run(pipeline)
@@ -489,7 +498,7 @@ class TestMscan:
                  "--out-dir", tmp_path / "out")
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: m_max must be in 1..32") and "got 33" in err[0]
+        assert err == ["error: --m-max must be in 1..32, got 33"]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", [0, -1])
@@ -509,6 +518,15 @@ class TestMscan:
         sw = sweep(load_series(tmp_path / "s.txt"), 25, 0.05, 100, 3)
         counts = dm_filtration(sw, dim_cap=2).barcode.counts
         assert counts["reduced_columns"] and read_run(tmp_path)["counts"] == json.loads(json.dumps(counts))
+
+    def test_records_the_distances_each_births_computed(self, tmp_path):
+        sine_series_file(tmp_path / "s.txt")
+        assert run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3,
+                   "--out-dir", tmp_path) == 0
+        params = read_run(tmp_path)["params"]
+        sw = sweep(load_series(tmp_path / "s.txt"), 25, 0.05, 100, 3)
+        assert params["witnesses"] == sw.witnesses == 2_001 - 2 * 25
+        assert params["births_distances"] == [ef.distances for ef in sw.per_m]
 
     @pytest.mark.parametrize("value", ["nan", -0.05])
     def test_bad_xi_rejected(self, tmp_path, capsys, value):
@@ -541,21 +559,35 @@ class TestMscan:
 
 
 class TestErrorPaths:
+    @staticmethod
+    def missing_input_argv(tmp_path, command):
+        """Flags that name input files which do not exist; embed and mscan also ask for --tau auto."""
+        return {
+            "complex": ["--witnesses", tmp_path / "w.csv", "--landmarks", tmp_path / "lm.csv", "--epsilon", 0.5,
+                        "--out", "f.json"],
+            "mscan": ["--in", tmp_path / "s.txt", "--tau", "auto", "--xi", 0.05],
+            "embed": ["--in", tmp_path / "s.txt", "--tau", "auto", "--out", "c.csv"],
+            "landmarks": ["--in", tmp_path / "cloud.csv", "--out", "l.csv"],
+        }[command]
+
     @pytest.mark.parametrize(
         "command, flag, value",
         [("complex", "--dim-cap", 0), ("complex", "--max-simplices", 0), ("complex", "--max-simplices", -3),
-         ("mscan", "--every", 0)],
+         ("mscan", "--every", 0), ("embed", "--m", 0), ("embed", "--m", -2), ("landmarks", "--every", 0),
+         ("landmarks", "--maxmin", 0), ("landmarks", "--maxmin", -1)],
     )
     def test_bad_count_flags_rejected_before_any_input(self, tmp_path, capsys, command, flag, value):
         # no input file exists, and --tau auto would run the AMI first: the flag must be refused before both
-        if command == "complex":
-            argv = ["--witnesses", tmp_path / "w.csv", "--landmarks", tmp_path / "lm.csv", "--epsilon", 0.5,
-                    "--out", "f.json"]
-        else:
-            argv = ["--in", tmp_path / "s.txt", "--tau", "auto", "--xi", 0.05]
-        rc = run(command, *argv, flag, value, "--out-dir", tmp_path / "out")
+        rc = run(command, *self.missing_input_argv(tmp_path, command), flag, value, "--out-dir", tmp_path / "out")
         assert rc == 1
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [0, -1, 33])
+    def test_m_max_out_of_range_rejected_before_any_input(self, tmp_path, capsys, value):
+        rc = run("mscan", *self.missing_input_argv(tmp_path, "mscan"), "--m-max", value, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --m-max must be in 1..32, got {value}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_render_heatmap_non_square_matrix(self, tmp_path, capsys):

@@ -23,10 +23,17 @@ from oracles import (
     random_edge_filtration,
     truncate_births,
 )
-from topo_recon.embed import delay_embed
+from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum
 from topo_recon import witness as witness_module
 from topo_recon.landmarks import select_evenly_spaced
-from topo_recon.signal import ScalarSeries, SeriesFormatError, integrate_lorenz, observe
+from topo_recon.signal import (
+    ScalarSeries,
+    SeriesFormatError,
+    Trajectory,
+    add_uniform_noise,
+    integrate_lorenz,
+    observe,
+)
 from topo_recon.witness import (
     EdgeFiltration,
     ResourceLimitError,
@@ -485,6 +492,95 @@ class TestBoundedRowFold:
         assert peak < 8 * (4 * ell * DEFAULT_BLOCK + 3 * 64 * ell * ell)
 
 
+SUB = witness_module._SUB  # witnesses per sub-run of the capped births' bound
+
+
+def pruned_cloud(kind, seed):
+    """Witnesses and landmarks on which the sub-run bound of capped births is tested.
+
+    Walks in time order keep each sub-run in a small ball, so a cap prunes most
+    landmarks; "shuffled" puts the same walk in random order, where every
+    sub-run reaches every landmark and each block takes the dense rows.
+    """
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(0.0, 0.05, size=(1_500, 3)), axis=0)
+    W = {
+        "gridded": np.round(walk, 1)[np.repeat(np.arange(0, 1_500, 2), 2)],  # ties, and each point twice in a row
+        "identical_runs": np.repeat(walk[::SUB], SUB, axis=0),  # every sub-run one point: radius 0
+        "m1": np.cumsum(rng.normal(0.02, 0.05, size=(1_500, 1)), axis=0),  # drifts, so it seldom comes back
+        "shuffled": walk[rng.permutation(1_500)],
+        "short": walk[: SUB // 2 + 1],
+    }.get(kind, walk)
+    if kind == "short":  # far landmarks keep the one sub-run pruned
+        return W, np.vstack([W[::2], walk[100::100]])
+    return W, W[700:701] if kind == "single_landmark" else W[::40]
+
+
+def attained_caps(ef, count, rng):
+    """Zero, then ``count`` of the lowest tenth of ``ef``'s births and vertex births, each with the floats beside it."""
+    values = np.unique(np.concatenate([ef.births[np.isfinite(ef.births)], ef.vertex_birth]))
+    low = values[: max(count, values.size // 10)]
+    caps = [0.0]
+    for v in rng.choice(low, size=min(count, low.size), replace=False).tolist():
+        caps += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    return [c for c in caps if c >= 0]
+
+
+def assert_births_equal(got, want):
+    assert got.max_value == want.max_value
+    assert np.array_equal(got.vertex_birth, want.vertex_birth)
+    assert np.array_equal(got.births, want.births)
+    assert np.array_equal(got.witness, want.witness)
+
+
+class TestPrunedBirths:
+    """Capped births compute only the distances a sub-run's bound keeps; referee: the landmark-row kernel."""
+
+    @pytest.mark.parametrize("block", [7, 100, DEFAULT_BLOCK])
+    @pytest.mark.parametrize(
+        "kind", ["walk", "gridded", "identical_runs", "m1", "shuffled", "short", "single_landmark"]
+    )
+    def test_bitwise_equal_to_row_kernel_at_attained_caps(self, kind, block):
+        # caps at exact birth values and one float either side of them, where a one-ulp error in the bound
+        # or in a pruned distance would add or drop an edge
+        rng = np.random.default_rng(sum(map(ord, kind)) + block)
+        W, L = pruned_cloud(kind, seed=block)
+        dm = distance_matrix(W, L)
+        for cap in attained_caps(edge_births_rows(W, L), 4, rng):
+            assert_births_equal(edge_births(dm, block=block, cap=cap), edge_births_rows(W, L, cap=cap))
+
+    @pytest.mark.parametrize("kind, pruned", [("walk", True), ("m1", True), ("shuffled", False)])
+    def test_distances_computed_show_the_path_taken(self, kind, pruned):
+        # on the walk a small cap leaves each sub-run a few landmarks; in random order every block takes the
+        # dense rows, and the count adds the sub-run centres' rows to the witnesses x landmarks
+        W, L = pruned_cloud(kind, seed=0)
+        ef = edge_births(distance_matrix(W, L), cap=0.05)
+        n, ell = len(W), len(L)
+        if pruned:
+            assert ef.distances < n * ell / 2
+        else:
+            assert ef.distances == ell * (n + sum(-(-min(DEFAULT_BLOCK, n - s) // SUB)
+                                               for s in range(0, n, DEFAULT_BLOCK)))
+        assert edge_births(distance_matrix(W, L)).distances == n * ell
+        assert_births_equal(ef, edge_births_rows(W, L, cap=0.05))
+
+    @pytest.mark.parametrize("spread", [0.25, 0.0])
+    def test_landmark_exactly_on_the_bound_is_kept(self, spread):
+        # each sub-run's centre sits on landmark 0 at 0.0 and its farthest witness at spread, so landmark 1 at
+        # 1 + 2 * spread has bound 1 + 2 * spread - 0 - 2 * spread = 1.0, exactly the cap; the witness at spread
+        # attains it (excess (1 + spread) - spread).  Thirty far landmarks keep the block on the pruned path
+        W = np.zeros((4 * SUB, 1))
+        W[::SUB] = spread
+        L = np.concatenate([[[0.0], [1.0 + 2.0 * spread]], 100.0 + np.arange(30.0)[:, None]])
+        dm = distance_matrix(W, L)
+        for cap, birth in [(1.0, 1.0), (math.nextafter(1.0, 0.0), np.inf), (math.nextafter(1.0, 2.0), 1.0)]:
+            ef = edge_births(dm, cap=cap)
+            assert ef.distances < len(W) * len(L) / 2
+            assert ef.vertex_birth[1] == ef.births[0, 1] == birth
+            assert ef.witness[0, 1] == (0 if birth == 1.0 else -1)
+            assert_births_equal(ef, edge_births_rows(W, L, cap=cap))
+
+
 @pytest.fixture(scope="module")
 def pinned_x():
     """4,001 samples of x from the pinned (5, 5, 5) trajectory, the acceptance battery's start."""
@@ -552,6 +648,43 @@ class TestBirthsMetamorphic:
         assert np.array_equal(big.vertex_birth, base.vertex_birth * 2.0**k)
         assert np.array_equal(big.births, base.births * 2.0**k)
         assert np.array_equal(big.witness, base.witness)
+
+
+@pytest.fixture(scope="module")
+def sweep8_series():
+    """The m = 1..8 sweep benchmark's series: x of the pinned trajectory, every 4th of 100,001 steps, and its delay."""
+    traj = integrate_lorenz(ic=(5.0, 5.0, 5.0), n_steps=100_001, transient_steps=10_000)
+    series = observe(Trajectory(np.ascontiguousarray(traj.points[::4]), traj.dt * 4), "x")
+    return series, first_minimum(ami_curve(series, tau_max=400))
+
+
+class TestNoiseStability:
+    """Uniform noise of width nu moves every birth by at most 2 nu sqrt(m): an exact bound, no referee needed."""
+
+    @pytest.mark.parametrize("nu", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_births_move_at_most_twice_the_noise(self, sweep8_series, m, nu):
+        # each sample moves by at most nu / 2, so each witness and landmark by at most nu sqrt(m) / 2, each
+        # distance and each n(w) by at most nu sqrt(m), and each excess, hence each vertex and edge birth,
+        # by at most 2 nu sqrt(m).  Both runs are capped at eps + bound, so a birth <= eps on either side is
+        # finite on both.  Slack: 64 ulps of the largest distance, for the rounding of the four distances
+        # behind the two births
+        series, tau = sweep8_series
+        runs = []
+        for s in (series, add_uniform_noise(series, nu, seed=m)):
+            cloud = delay_embed(s, m, tau, m_anchor=8)
+            runs.append((cloud, select_evenly_spaced(cloud, every=125)))
+        (clean, lms), (noisy, noisy_lms) = runs
+        assert np.array_equal(lms.indices, noisy_lms.indices)
+        eps, bound = 0.0054 * bbox_diameter(clean), 2.0 * nu * math.sqrt(m)
+        slack = 64 * np.spacing(2.0 * max(bbox_diameter(clean), bbox_diameter(noisy)))
+        a, b = (edge_births(distance_matrix(c.points, l.coords), cap=eps + bound + slack) for c, l in runs)
+        for x, y in [(a.vertex_birth, b.vertex_birth), (a.births, b.births)]:
+            near = np.minimum(x, y) <= eps
+            assert near.any() and np.isfinite(x[near]).all() and np.isfinite(y[near]).all()
+            assert np.abs(x[near] - y[near]).max() <= bound + slack
+        if nu < 1.0:  # the cap leaves each sub-run a few landmarks
+            assert max(a.distances, b.distances) < len(clean.points) * lms.ell / 2
 
 
 def triangle_filtration():
