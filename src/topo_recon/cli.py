@@ -6,7 +6,10 @@ left out), plus the values the step derived, such as an auto-selected
 delay.  It also holds a sha256 checksum of every artifact, the step's
 seconds and the process's peak RSS; for ``complex`` it counts the sizes of
 what it built and the distances its births computed (``mscan`` records those
-per m), and for ``barcode`` and ``mscan`` the reduction's columns.
+per m), and for ``barcode`` and ``mscan`` the reduction's columns.  Its
+``stage_seconds`` time the stages inside a step: births, expansion and
+writing for ``complex``, each m's births and the lifespan filtration for
+``mscan``.
 The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
 arguments and seeds produce byte-identical artifacts.
@@ -109,7 +112,14 @@ def _previous_records(run_path: Path) -> list:
 _NOT_PARAMS = ("command", "func", "seed", "out_dir", "started", "artifacts")
 
 
-def _write_run(args, derived: dict | None = None, counts: dict | None = None) -> None:
+def _lap(stages: dict, name: str, start: float) -> float:
+    """Record the seconds since ``start`` as stage ``name``; return the time now."""
+    now = time.perf_counter()
+    stages[name] = now - start
+    return now
+
+
+def _write_run(args, derived: dict | None = None, counts: dict | None = None, stages: dict | None = None) -> None:
     """Write the step's record: every flag that has a value, then the values the step ``derived``."""
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     record = {
@@ -128,6 +138,8 @@ def _write_run(args, derived: dict | None = None, counts: dict | None = None) ->
     }
     if counts is not None:
         record["counts"] = counts
+    if stages is not None:
+        record["stage_seconds"] = stages
     run_path = Path(args.out_dir) / "run.json"
     run_path.parent.mkdir(parents=True, exist_ok=True)
     record["previous"] = _previous_records(run_path)
@@ -153,12 +165,19 @@ def _scale_arg(value: float, flag: str) -> float:
     return value
 
 
-def _count_arg(value: int, flag: str, top: int | None = None) -> None:
-    """Refuse a count flag below 1, or above ``top`` when one is given, with a ValueError naming the flag."""
-    if top is not None and not 1 <= value <= top:
-        raise ValueError(f"{flag} must be in 1..{top}, got {value}")
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
+def _count_arg(value: int, flag: str, top: int | None = None, low: int = 1) -> None:
+    """Refuse a count flag below ``low``, or above ``top`` when one is given, with a ValueError naming the flag."""
+    if top is not None and not low <= value <= top:
+        raise ValueError(f"{flag} must be in {low}..{top}, got {value}")
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
+
+
+def _ami_args(args) -> None:
+    """Refuse bad AMI flags before any input is read: a curve needs three values for a minimum, a histogram two bins."""
+    _count_arg(args.tau_max, "--tau-max", low=2)
+    if args.bins is not None:
+        _count_arg(args.bins, "--bins", low=2)
 
 
 def _load_series_arg(args) -> "ScalarSeries":
@@ -213,6 +232,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_ami(args) -> int:
+    _ami_args(args)
     curve = ami_curve(_load_series_arg(args), tau_max=args.tau_max, bins=args.bins)
     out = _out_path(args, args.out)
     # values stay NumPy-scalar reprs, np.float64(...), until perfbench/reference.json recounts ami.csv
@@ -223,9 +243,12 @@ def cmd_ami(args) -> int:
 
 def cmd_embed(args) -> int:
     _count_arg(args.m, "--m")
+    m_anchor = args.m_anchor if args.m_anchor is not None else args.m
+    if m_anchor < args.m:
+        raise ValueError(f"--m-anchor must be at least --m {args.m}, got {m_anchor}")
+    _ami_args(args)
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
-    m_anchor = args.m_anchor if args.m_anchor is not None else args.m
     save_cloud(delay_embed(series, args.m, tau, m_anchor=m_anchor), _out_path(args, args.out))
     _write_run(args, {"m_anchor": m_anchor, **derived})
     return 0
@@ -252,11 +275,15 @@ def cmd_complex(args) -> int:
     _check_landmarks(args, cloud, lms)
     diam = bbox_diameter(cloud)
     eps = _scale_arg(args.xi, "--xi") * diam if args.xi is not None else _scale_arg(args.epsilon, "--epsilon")
+    stages, clock = {}, time.perf_counter()
     ef = edge_births(distance_matrix(cloud.points, lms.coords), cap=eps)
+    clock = _lap(stages, "births", clock)
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
+    clock = _lap(stages, "expansion", clock)
     save_filtration(ff, _out_path(args, args.out))
     if args.edges_out:
         skeleton_export(ff, eps, _out_path(args, args.edges_out))
+    _lap(stages, "writing", clock)
     _write_run(
         args,
         {"epsilon": eps, "diameter": diam, "simplex_count": len(ff)},
@@ -267,6 +294,7 @@ def cmd_complex(args) -> int:
             "edges_le_cap": int(np.count_nonzero(np.triu(ef.births <= eps, k=1))),
             "simplices_by_dim": ff.counts_by_dim(),
         },
+        stages,
     )
     return 0
 
@@ -318,6 +346,7 @@ def cmd_mscan(args) -> int:
     _count_arg(args.dim_cap, "--dim-cap")
     _count_arg(args.every, "--every")
     _count_arg(args.m_max, "--m-max", 32)  # the bits of the sweep's existence mask
+    _ami_args(args)
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)
@@ -328,11 +357,13 @@ def cmd_mscan(args) -> int:
     save_existence_csv(sw, _out_path(args, "existence.csv"))
     dimbar_out = _out_path(args, f"dimension_barcode_{args.barcode_landmark}.csv")
     save_dimension_barcode_csv(sw, args.barcode_landmark, dimbar_out)
+    stages, clock = {"births_per_m": sw.births_seconds}, time.perf_counter()
     bc = dm_filtration(sw, dim_cap=args.dim_cap).barcode
+    _lap(stages, "dm_filtration", clock)
     save_barcode(bc, _out_path(args, "dm_barcode.csv"))
     derived.update(ell=sw.ell, diameters=sw.diameters, epsilons=sw.epsilons, witnesses=sw.witnesses,
                    births_distances=[ef.distances for ef in sw.per_m])  # per m, of witnesses x ell
-    _write_run(args, derived, bc.counts)
+    _write_run(args, derived, bc.counts, stages)
     return 0
 
 

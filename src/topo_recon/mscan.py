@@ -10,7 +10,8 @@ epsilon(m) = xi * bbox_diameter(W_m), keeping the relative scale fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +40,7 @@ class DimensionSweep:
     per_m: list
     existence: np.ndarray  # (ell, ell) bitmask; bit (m-1) set when the edge exists at m
     witnesses: int = 0  # the cloud's points, the same at every m
+    births_seconds: list = field(default_factory=list)  # each m's edge births, in seconds
 
     @property
     def ell(self) -> int:
@@ -79,12 +81,15 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
     diameters: list[float] = []
     epsilons: list[float] = []
     per_m: list[EdgeFiltration] = []
+    seconds: list[float] = []
     existence = np.zeros((lms.ell, lms.ell), dtype=np.uint32)
     for m in range(1, m_max + 1):
         w_m = coords[:m].T
         diam = bbox_diameter(PointCloud(w_m, cloud.time_index))
         eps = xi * diam
+        start = time.perf_counter()
         ef = edge_births(distance_matrix(w_m, lms.coords[:, :m]), cap=eps)
+        seconds.append(time.perf_counter() - start)
         diameters.append(diam)
         epsilons.append(eps)
         per_m.append(ef)
@@ -100,6 +105,7 @@ def sweep(series: ScalarSeries, tau_steps: int, xi: float, every: int, m_max: in
         per_m=per_m,
         existence=existence,
         witnesses=len(cloud.points),
+        births_seconds=seconds,
     )
 
 

@@ -21,6 +21,20 @@ unique set of earlier k-simplices that destroyed a (k-1)-class whose
 boundaries sum to the creator's (Edelsbrunner, Letscher & Zomorodian,
 *Topological persistence and simplification*, 2002).  For k = 1 that is the
 creator edge closed through the H0 spanning forest.
+
+A filtration from ``flag_expand`` keeps its top dimension implicit, and its
+last degree is reduced with Ripser's implicit coboundary: a
+(dim_cap - 1)-simplex's cofaces are the vertices in the AND of its
+vertices' adjacency rows, each valued at the max of the simplex's value and
+its new edges' births.  Among equal values they run by vertex ascending,
+their (value, dim, vertices) order, so every pivot is a first-index argmin
+over a chunked (simplices x ell) value array and a column is one AND; no
+list of top simplices is made.  Creators and destroyers stay positions in
+the whole list: a listed simplex's is its index plus the top simplices of
+smaller value, and a top destroyer's is its rank, the listed simplices of
+value <= its own plus the top simplices before it, counted a chunk of
+(dim_cap - 1)-simplices at a time.  Only the listed simplices are checked;
+a loaded filtration lists every simplex, so all of it is.
 Homology is reported for k < dim_cap; intervals with equal birth and death
 are homologically invisible and omitted.
 """
@@ -37,6 +51,8 @@ from .signal import _read_table, _write_table
 from .witness import FlagFiltration
 
 _FACET_CHUNK = 1 << 14  # the simplices of one dimension whose facets _validate holds at once
+_COFACE_CELLS = 1 << 16  # the (simplices x ell) coface values an implicit top dimension holds at once
+_ROW_BOUND = 2**63  # top rows that could reach it are Python ints
 
 
 class ContractViolationError(ValueError):
@@ -74,6 +90,8 @@ class Barcode:
     # sorted positions of every simplex that destroyed a class, zero-length pairs included
     destroyers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
     counts: dict = field(default_factory=dict, repr=False)  # columns reduced, cleared and added per k, sets built
+    # the position of each listed simplex in the whole list, ascending
+    positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
 
     def by_dim(self, k: int) -> list:
         return [iv for iv in self.intervals if iv.k == k]
@@ -85,16 +103,17 @@ def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where(table[at] == x, at, -1) if table.size else np.full(x.shape, -1)
 
 
-def _validate(ff: FlagFiltration) -> tuple:
-    """Check canonical order and face closure; return the pivots and a coface lookup.
+def _validate(verts, dims, values, top: int) -> tuple:
+    """Check canonical order and face closure of the listed simplices; return the pivots and a coface lookup.
 
     ``head[p]`` is simplex p's first coface position (n if none), and
     ``cofaces(p)`` lists them all.  A k-simplex's key is the index of its
     first k vertices' key among the (k-1)-simplex keys, times the vertex
     count, plus its last vertex's rank, so keys stay below n * ell.  The first
-    failing position raises (order, value, duplicate, then faces).
+    failing position raises (order, value, duplicate, then faces).  Keys are
+    tabled through dimension ``top``, so the cofaces of simplices below it are found.
     """
-    verts, dims, values, n = ff.vertices, ff.dims, ff.values, len(ff)
+    n = values.size
     live = np.arange(1, verts.shape[1]) <= dims[:, None]
     unsorted = (dims < 0) | ((verts[:, 1:] <= verts[:, :-1]) & live).any(axis=1)
     low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
@@ -109,7 +128,7 @@ def _validate(ff: FlagFiltration) -> tuple:
             out = np.where((prefix >= 0) & (ranks[:, c] >= 0), prefix * ids.size + ranks[:, c], -1)
         return out
 
-    for d in range(max(ff.dim_cap, int(dims.max(initial=0))) + 1):
+    for d in range(max(top, int(dims.max(initial=0))) + 1):
         pos = np.flatnonzero(dims == d)
         keys, first = np.empty(pos.size, dtype=np.int64), np.append(tables[d - 1][1], n) if d else None
         for s in range(0, pos.size, _FACET_CHUNK):
@@ -188,6 +207,97 @@ def _reduce(heads, column, track: bool = False):
         yield key, low, v, additions
 
 
+class _TopRows:
+    """The implicit top dimension of a flag filtration: coface values, and top simplices as ordered integers.
+
+    A listed (dim_cap - 1)-simplex's cofaces are the vertices v whose
+    ``top_births`` are finite to each of its vertices; a coface's value is
+    the max of the simplex's value and those births, so it is an edge birth.
+    A top simplex's row is (rank of its value among the edge births) *
+    ell^(dim_cap + 1) plus its sorted vertices as base-ell digits, so rows
+    compare in (value, vertices) order; they are NumPy int64, or Python ints
+    (object arrays) when they could reach ``_ROW_BOUND``.
+    """
+
+    def __init__(self, ff: FlagFiltration):
+        self.verts, self.values, self.births, self.d = ff.listed_vertices, ff.listed_values, ff.top_births, ff.dim_cap
+        self.ell = self.births.shape[0]
+        self.levels = np.unique(self.births[np.isfinite(self.births)])
+        self.span = self.ell ** (self.d + 1)
+        self.dtype = np.int64 if max(1, self.levels.size) * self.span < _ROW_BOUND else object
+        self.powers = np.array([self.ell ** (self.d - c) for c in range(self.d + 1)], dtype=self.dtype)
+
+    def cofaces(self, rows) -> np.ndarray:
+        """The (rows, ell) values of the listed simplices ``rows`` plus each vertex, +inf where that is no simplex."""
+        out = self.births[self.verts[rows, 0]]
+        for c in range(1, self.d):
+            np.maximum(out, self.births[self.verts[rows, c]], out=out)
+        return np.maximum(out, self.values[rows, None], out=out)
+
+    def encode(self, faces, xs, vs) -> np.ndarray:
+        """The rows of the sorted ``faces`` (r or 1, dim_cap) plus the vertices ``vs``, at the values ``xs``."""
+        at = (faces < vs[:, None]).sum(axis=1)  # where v goes
+        out = np.searchsorted(self.levels, xs).astype(self.dtype) * self.span + vs.astype(self.dtype) * self.powers[at]
+        for c in range(self.d):
+            out += faces[:, c].astype(self.dtype) * self.powers[c + (c >= at)]
+        return out
+
+    def value(self, rows) -> np.ndarray:
+        """The values of ``rows``."""
+        return self.levels[(np.asarray(rows, dtype=self.dtype) // self.span).astype(np.int64)]
+
+
+def _top_coboundary(top: _TopRows, keys: list):
+    """The pivots of the listed (dim_cap - 1)-simplices ``keys`` and their column builder, from the implicit top.
+
+    Among equal values the cofaces run by v ascending, which is their
+    (value, vertices) order, so a pivot is a first-index argmin over v,
+    taken a chunk of ``_COFACE_CELLS`` values at a time.
+    """
+    order, step = np.asarray(keys, dtype=np.int64), max(1, _COFACE_CELLS // top.ell)
+    pivots = np.empty(order.size, dtype=top.dtype)
+    for s in range(0, order.size, step):
+        block = top.cofaces(order[s : s + step])
+        vs = block.argmin(axis=1)
+        xs = block[np.arange(vs.size), vs]
+        pivots[s : s + step] = np.where(xs < np.inf, top.encode(top.verts[order[s : s + step], : top.d], xs, vs), -1)
+    heads = ((i, None if low < 0 else low) for i, low in zip(keys, pivots.tolist()))
+
+    def column(i):
+        xs = top.cofaces([i])[0]
+        vs = np.flatnonzero(xs < np.inf)
+        return set(top.encode(top.verts[i : i + 1, : top.d], xs[vs], vs).tolist())
+
+    return heads, column
+
+
+def _positions(ff: FlagFiltration, top: _TopRows | None, tops: list) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in the whole (value, dim, vertices) list of every listed simplex and of the top rows ``tops``.
+
+    A listed simplex precedes the top simplices of its value, so its
+    position is its index plus the count of top rows of smaller value.  A
+    top simplex's is the count of listed simplices of value <= its own plus
+    that of the top rows below its own.  Each top simplex is counted once,
+    as its first dim_cap vertices (a listed simplex) plus a larger vertex, a
+    chunk of ``_COFACE_CELLS`` at a time, so no array grows with the top dimension.
+    """
+    values = ff.listed_values
+    if top is None:
+        return np.arange(values.size), np.empty(0, dtype=np.int64)
+    prefixes, higher = np.flatnonzero(ff.listed_dims == top.d - 1), np.arange(top.ell)
+    queries = np.concatenate((np.searchsorted(top.levels, values).astype(top.dtype) * top.span,
+                              np.asarray(tops, dtype=top.dtype)))  # a listed query: the least row of its value
+    before, step = np.zeros(queries.size, dtype=np.int64), max(1, _COFACE_CELLS // top.ell)
+    for s in range(0, prefixes.size, step):
+        p = prefixes[s : s + step]
+        cells = top.cofaces(p)
+        cells[higher <= top.verts[p, top.d - 1, None]] = np.inf
+        r, v = np.nonzero(cells < np.inf)
+        before += np.searchsorted(np.sort(top.encode(top.verts[p[r], : top.d], cells[r, v], v)), queries)
+    n = values.size
+    return np.arange(n) + before[:n], np.searchsorted(values, top.value(tops), side="right") + before[n:]
+
+
 def persistent_homology(ff: FlagFiltration) -> Barcode:
     """Compute the barcode of a flag filtration over Z/2.
 
@@ -195,34 +305,56 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     cofaces (the canonical (value, dim, lex) order always qualifies), else a
     ContractViolationError is raised.  The pairs are those of standard
     left-to-right boundary reduction; the returned multiset of intervals is
-    independent of tie order among equal-valued simplices.
+    independent of tie order among equal-valued simplices.  The listed
+    simplices are checked; an implicit top dimension is reduced through
+    ``_top_coboundary`` and its destroyers placed by ``_positions``.
     """
-    head, cofaces = _validate(ff)
-    values = ff.values
-    intervals, cleared = [], set()  # cleared: every destroyer found so far; a pass skips those of its own dimension
+    top = _TopRows(ff) if ff.top_births is not None else None
+    verts, dims, values = ff.listed_vertices, ff.listed_dims, ff.listed_values
+    head, cofaces = _validate(verts, dims, values, ff.dim_cap - (top is not None))
+    pairs, cleared, tops = [], set(), []  # cleared: the listed destroyers; a pass skips those of its own dimension
     counts = {"reduced_columns": {}, "cleared_columns": {}, "column_additions": {}, "column_sets": 0}
 
-    def column(i):
-        counts["column_sets"] += 1
-        return set(cofaces(i).tolist())
+    def counted(build):  # the column builder, counting the sets it builds
+        def column(i):
+            counts["column_sets"] += 1
+            return build(i)
+
+        return column
 
     for k in range(ff.dim_cap):
-        simplices = np.flatnonzero(ff.dims == k)[::-1].tolist()
+        simplices = np.flatnonzero(dims == k)[::-1].tolist()
         keys = [i for i in simplices if i not in cleared]
         counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), len(simplices) - len(keys)
         counts["column_additions"][k] = 0
-        heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
-        for i, j, _, additions in _reduce(heads, column):
+        implicit = top is not None and k == ff.dim_cap - 1
+        if implicit:
+            heads, build = _top_coboundary(top, keys)
+        else:
+            heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
+            build = lambda i: set(cofaces(i).tolist())
+        for i, j, _, additions in _reduce(heads, counted(build)):
             counts["column_additions"][k] += additions
             if j is not None:
-                cleared.add(j)
-            birth, death = float(values[i]), math.inf if j is None else float(values[j])
-            if death > birth:
-                intervals.append(Interval(k=k, birth=birth, death=death, creator=i, destroyer=j))
+                (tops.append if implicit else cleared.add)(j)
+            pairs.append((k, i, j, implicit))
 
+    positions, top_positions = _positions(ff, top, tops)
+    at, intervals = positions.tolist(), []
+    top_at = dict(zip(tops, zip(top_positions.tolist(), top.value(tops).tolist()))) if top else {}
+    for k, i, j, implicit in pairs:
+        if j is None:
+            destroyer, death = None, math.inf
+        elif implicit:
+            destroyer, death = top_at[j]
+        else:
+            destroyer, death = at[j], float(values[j])
+        if death > values[i]:
+            intervals.append(Interval(k=k, birth=float(values[i]), death=death, creator=at[i], destroyer=destroyer))
     intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
-    destroyers = np.sort(np.fromiter(cleared, dtype=np.int64, count=len(cleared)))
-    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, destroyers=destroyers, counts=counts)
+    listed = positions[np.fromiter(cleared, dtype=np.int64, count=len(cleared))]
+    return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, counts=counts, positions=positions,
+                   destroyers=np.sort(np.concatenate((listed, top_positions))))
 
 
 def betti_at(bc: Barcode, epsilon: float) -> list[int]:
@@ -257,13 +389,16 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
     bars = sorted(bc.by_dim(k), key=lambda iv: (-iv.length, iv.birth, iv.creator))[:top_n]
     if not bars:  # no bar, no reduction
         return []
-    creators, destroyers = [iv.creator for iv in bars], bc.destroyers
-    keys = [*destroyers[(bc.filtration.dims[destroyers] == k) & (destroyers < max(creators))].tolist(), *creators]
-    rows = dict(zip(keys, bc.filtration.vertices[keys, : k + 1].tolist()))
+    positions, ff = bc.positions, bc.filtration  # k < dim_cap, so every simplex used is listed
+    creators = np.searchsorted(positions, [iv.creator for iv in bars]).tolist()
+    at = np.minimum(np.searchsorted(positions, bc.destroyers), positions.size - 1)
+    listed = (positions[at] == bc.destroyers) & (ff.listed_dims[at] == k) & (at < max(creators))
+    keys = [*at[listed].tolist(), *creators]
+    rows = dict(zip(keys, ff.listed_vertices[keys, : k + 1].tolist()))
     heads = ((key, tuple(row[:k])) for key, row in rows.items())  # a sorted row's smallest facet drops its last vertex
     column = lambda key: set(itertools.combinations(rows[key], k))
     cycles = {g: sorted(v) for g, low, v, _ in _reduce(heads, column, track=True) if low is None}
-    return [(iv, [tuple(rows[p]) for p in cycles[iv.creator]]) for iv in bars]
+    return [(iv, [tuple(rows[p]) for p in cycles[g]]) for iv, g in zip(bars, creators)]
 
 
 def save_barcode(bc: Barcode, path) -> None:

@@ -21,10 +21,14 @@ triangle inequality to accelerate k-means*, 2003).
 Higher simplices are filled in flag-style: a simplex is present exactly when
 all its edges are, with filtration value the largest edge birth.  Computing
 births exactly makes every epsilon queryable instead of sampling a grid.  A
-flag filtration is held as NumPy arrays (padded vertex ids, dimensions,
-values), expanded a dimension at a time from the boolean adjacency and put
-in (value, dim, vertices) order by one ``np.lexsort``, as Ripser keeps its
-simplices as arrays (Bauer, *Ripser*, 2021).
+flag filtration holds its simplices below dim_cap as NumPy arrays (padded
+vertex ids, dimensions, values), expanded a dimension at a time from the
+boolean adjacency and put in (value, dim, vertices) order by one
+``np.lexsort``, as Ripser keeps its simplices as arrays (Bauer, *Ripser*,
+2021).  The top dimension is only counted: it is kept as the truncated
+births, from which the barcode reads each coboundary, and it is listed only
+when the whole list is asked for (``save_filtration``, ``simplices`` and
+the ``vertices``/``dims``/``values`` views).
 """
 
 from __future__ import annotations
@@ -119,31 +123,62 @@ class EdgeFiltration:
 class FlagFiltration:
     """Simplices up to dim_cap with filtration values, sorted by (value, dim, vertices).
 
-    Stored as arrays: simplex p has dimension ``dims[p]``, vertex ids
-    ``vertices[p, :dims[p] + 1]`` (the rest of the row is -1) and value
-    ``values[p]``.  When ``max_value`` is set, the filtration is truncated at
-    that scale: barcode queries at epsilon <= max_value are exact, and
-    intervals still open there report death = +inf.
+    The listed simplices are arrays: listed simplex i has dimension
+    ``listed_dims[i]``, vertex ids ``listed_vertices[i, :listed_dims[i] + 1]``
+    (the rest of the row is -1) and value ``listed_values[i]``.  A loaded
+    filtration lists every simplex.  One from ``flag_expand`` lists those below
+    dim_cap and keeps the top dimension implicit: ``top_births`` holds the
+    truncated edge births (symmetric, +inf at absent edges and on the
+    diagonal) and ``top_count`` the number of top simplices.  A top simplex
+    is a (dim_cap - 1)-simplex plus a vertex adjacent to all of its vertices,
+    valued at the largest birth among its edges.  ``arrays()``, and the
+    ``vertices``, ``dims``, ``values`` and ``simplices`` views over it, give
+    the whole list, the top dimension built on each call.  When ``max_value``
+    is set, the filtration is truncated at that scale: barcode queries at
+    epsilon <= max_value are exact, and intervals still open there report
+    death = +inf.
     """
 
-    vertices: np.ndarray
-    dims: np.ndarray
-    values: np.ndarray
+    listed_vertices: np.ndarray
+    listed_dims: np.ndarray
+    listed_values: np.ndarray
     dim_cap: int
     max_value: float | None = None
+    top_births: np.ndarray | None = None
+    top_count: int = 0
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.listed_values.size + self.top_count
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every simplex's (vertices, dims, values) rows in order; an implicit top dimension is listed on each call."""
+        if self.top_births is None:
+            return self.listed_vertices, self.listed_dims, self.listed_values
+        d, n = self.dim_cap, self.listed_values.size
+        vertices, values = np.full((len(self), d + 1), -1, dtype=np.int64), np.empty(len(self))
+        vertices[:n, :d], values[:n] = self.listed_vertices, self.listed_values
+        prefixes = self.listed_dims == d - 1
+        upper = np.triu(np.isfinite(self.top_births), k=1)
+        _children(upper, self.top_births, self.listed_vertices[prefixes, :d], self.listed_values[prefixes],
+                  vertices[n:], values[n:])
+        return _in_order(vertices, np.concatenate((self.listed_dims, np.full(self.top_count, d))), values)
+
+    vertices = property(lambda self: self.arrays()[0])
+    dims = property(lambda self: self.arrays()[1])
+    values = property(lambda self: self.arrays()[2])
 
     @property
     def simplices(self) -> list:
         """The (vertex tuple, value) pairs in order, built on each access; ``perfbench/tracing.py`` reads it."""
-        rows = zip(self.vertices.tolist(), self.dims.tolist(), self.values.tolist())
+        rows = zip(*(a.tolist() for a in self.arrays()))
         return [(tuple(verts[: d + 1]), value) for verts, d, value in rows]
 
     def counts_by_dim(self) -> dict:
-        dims, counts = np.unique(self.dims, return_counts=True)
-        return dict(zip(dims.tolist(), counts.tolist()))
+        dims, counts = np.unique(self.listed_dims, return_counts=True)
+        out = dict(zip(dims.tolist(), counts.tolist()))
+        if self.top_count:
+            out[self.dim_cap] = self.top_count
+        return out
 
 
 def distance_matrix(witnesses: np.ndarray, landmarks: np.ndarray) -> DistanceMatrix:
@@ -167,11 +202,17 @@ def _fold(excess, s, bound, births, witness, full) -> None:
     ``excess[j]`` is landmark j's excess over the witnesses from index ``s``.  A run in which some
     landmark's minimum is above ``bound`` lists only the pairs one of its witnesses has within the
     bound, else it takes every pair, ``full`` = (iu, ju, flat keys).  No witness of a run gives {i, j}
-    less than max(low[i], low[j]), so a pair whose bound is not below its birth is skipped.
+    less than max(low[i], low[j]), so a pair whose bound is not below its birth is skipped.  Uncapped,
+    every pair is first cut by the same test on the whole block's minima, which bound every run's.
     """
     n_l, n = excess.shape
     births, witness = births.reshape(-1), witness.reshape(-1)
     lows = np.minimum.reduceat(excess, np.arange(0, n, 64), axis=1).T  # each run's smallest excess per landmark
+    if bound == np.inf:  # no run lowers a pair the whole block's minima cannot (on a trajectory ~28 % are left)
+        block_low = lows.min(axis=0)
+        iu, ju, key = full
+        left = np.flatnonzero(np.maximum(block_low[iu], block_low[ju]) < births[key])
+        full = iu[left], ju[left], key[left]
     for r, low in zip(range(0, n, 64), lows):  # runs of 32/64/128/256, 3-d trajectory: 0.83/0.47-0.69/1.0/1.8 s
         run = excess[:, r : r + 64]
         near = np.flatnonzero(low <= bound)
@@ -302,7 +343,42 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     return EdgeFiltration(vertex_birth, births, witness, max_value=cap, distances=computed)
 
 
-_MASK_CELLS = 1 << 20  # the largest candidate mask flag_expand holds, in cells
+_MASK_CELLS = 1 << 20  # the largest candidate mask flag expansion holds, in cells
+
+
+def _masks(adj, rows):
+    """(first row, mask) per chunk of ``rows``: the AND of its vertices' rows of the adjacency ``adj``."""
+    step = max(1, _MASK_CELLS // max(1, adj.shape[0]))
+    for s in range(0, len(rows), step):
+        mask = adj[rows[s : s + step, 0]]
+        for c in range(1, rows.shape[1]):
+            mask &= adj[rows[s : s + step, c]]
+        yield s, mask
+
+
+def _children(adj, births, rows, vals, out_rows, out_vals) -> None:
+    """Write the one-vertex extensions of the k-vertex ``rows`` along the upper-triangular ``adj``.
+
+    A child's value is the max of its parent's and its new edges' births; the
+    children go to the first rows of ``out_rows`` and ``out_vals``, a column
+    at a time, so a chunk holds few temporaries.
+    """
+    at, k = 0, rows.shape[1]
+    for s, mask in _masks(adj, rows):
+        r, u = np.nonzero(mask)
+        new, r = slice(at, at + r.size), r + s
+        out_rows[new, k], out_vals[new], at = u, vals[r], at + r.size
+        for c in range(k):
+            out_rows[new, c] = rows[r, c]
+            np.maximum(out_vals[new], births[out_rows[new, c], u], out=out_vals[new])
+
+
+def _in_order(vertices, dims, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows in (value, dim, vertices) order, by one ``np.lexsort`` applied a vertex column at a time."""
+    order = np.lexsort((*vertices.T[::-1], dims, values))
+    for c in range(vertices.shape[1]):
+        vertices[:, c] = vertices[order, c]
+    return vertices, dims[order], values[order]
 
 
 def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = None,
@@ -312,14 +388,15 @@ def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = 
     A clique's value is the largest birth among its edges.  ``max_value``
     truncates the filtration at that scale; ``max_simplices`` bounds the
     total count and raises ResourceLimitError, with the bytes it would take,
-    when exceeded.  A truncated ``ef`` needs a ``max_value`` no larger than its own.
+    when exceeded.  A truncated ``ef`` needs a ``max_value`` no larger than
+    its own, and every edge kept needs a birth no smaller than its vertices'.
 
     A k-simplex's cofaces are its common upper neighbours: the AND of its
     vertices' rows of the upper-triangular adjacency below the cap, in
     chunks of at most ``_MASK_CELLS`` cells.  Every dimension is counted
-    before the arrays are made once, at the total, so the budget fires before
-    that memory is spent; the top dimension is written into them a chunk at
-    a time.  A child's value is the max of its parent's and its new edges'.
+    before any is made, so the budget fires before that memory is spent.
+    The simplices below dim_cap are listed; the top dimension is only
+    counted, and kept as the truncated births (see ``FlagFiltration``).
     """
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
@@ -330,66 +407,50 @@ def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = 
         raise ValueError(f"max_value must be a number, got {max_value}")
     adj = np.triu(np.isfinite(births) & (births <= top), k=1)
     kept, (iu, ju) = np.flatnonzero(~(vb > top)), np.nonzero(adj)
+    early = np.flatnonzero(births[iu, ju] < np.maximum(vb[iu], vb[ju]))
+    if early.size:
+        i, j = int(iu[early[0]]), int(ju[early[0]])
+        raise ValueError(f"edge ({i}, {j}) is born at {births[i, j]}, before its vertices ({vb[i]}, {vb[j]})")
     levels = [(kept[:, None], vb[kept]), (np.column_stack((iu, ju)), births[iu, ju])]  # rows below the top
-    counts, step = [kept.size, iu.size], max(1, _MASK_CELLS // max(1, vb.size))
-
-    def masks(rows, k):  # (first row, candidate mask) per chunk of the k-vertex rows
-        for s in range(0, len(rows), step):
-            mask = adj[rows[s : s + step, 0]]
-            for c in range(1, k):
-                mask &= adj[rows[s : s + step, c]]
-            yield s, mask
-
-    def children(rows, vals, k, out_rows, out_vals):  # write the (k + 1)-vertex children of the k-vertex rows
-        at = 0
-        for s, mask in masks(rows, k):
-            r, u = np.nonzero(mask)
-            new, r = slice(at, at + r.size), r + s
-            out_rows[new, k], out_vals[new], at = u, vals[r], at + r.size
-            for c in range(k):  # a column at a time, so a chunk holds few temporaries
-                out_rows[new, c] = rows[r, c]
-                np.maximum(out_vals[new], births[out_rows[new, c], u], out=out_vals[new])
-
+    counts = [kept.size, iu.size]
     for k in range(1, dim_cap + 1):
         if k > 1:
-            counts.append(sum(int(np.count_nonzero(mask)) for _, mask in masks(levels[-1][0], k)))
+            counts.append(sum(int(np.count_nonzero(mask)) for _, mask in _masks(adj, levels[-1][0])))
         if (total := sum(counts)) > max_simplices:  # each simplex: dim_cap + 1 vertex ids, a dim and a value
             raise ResourceLimitError(f"simplex count {total} through dimension {k} exceeds budget {max_simplices}:"
                                      f" its arrays would take {total * (dim_cap + 3) * 8} bytes")
         if 1 < k < dim_cap:
             levels.append((np.empty((counts[-1], k + 1), dtype=np.int64), np.empty(counts[-1])))
-            children(*levels[-2], k, *levels[-1])
-    vertices, values = np.full((sum(counts), dim_cap + 1), -1, dtype=np.int64), np.empty(sum(counts))
-    dims, at = np.repeat(np.arange(dim_cap + 1), counts), np.cumsum([0] + counts)
-    for d in range(len(levels)):
+            _children(adj, births, *levels[-2], *levels[-1])
+    listed = counts[:dim_cap]
+    vertices, values = np.full((sum(listed), dim_cap), -1, dtype=np.int64), np.empty(sum(listed))
+    at = np.cumsum([0] + listed)
+    for d in range(dim_cap):
         vertices[at[d] : at[d + 1], : d + 1], values[at[d] : at[d + 1]] = levels[d]
-    if dim_cap > 1:
-        children(*levels[-1], dim_cap, vertices[at[-2] :], values[at[-2] :])
     del levels
-    order = np.lexsort((*vertices.T[::-1], dims, values))
-    for c in range(dim_cap + 1):
-        vertices[:, c] = vertices[order, c]
-    return FlagFiltration(
-        dim_cap=dim_cap, max_value=max_value, vertices=vertices, dims=dims[order], values=values[order]
-    )
+    upper = np.where(adj, births, np.inf)
+    return FlagFiltration(*_in_order(vertices, np.repeat(np.arange(dim_cap), listed), values), dim_cap=dim_cap,
+                          max_value=max_value, top_births=np.minimum(upper, upper.T), top_count=counts[-1])
 
 
 def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
     """Write the 1-skeleton at a scale as an edge CSV (i, j, birth).
 
     Returns the number of edges written; the file is header-only when the
-    complex has no edges at this scale.
+    complex has no edges at this scale.  The edges are read from the listed
+    simplices, or from the whole list when they are the top dimension.
     """
     if not epsilon <= (np.inf if ff.max_value is None else ff.max_value):  # NaN fails too
         raise ValueError(f"epsilon {epsilon} is NaN or exceeds the filtration cap {ff.max_value}")
-    edges = np.flatnonzero(ff.dims[: np.searchsorted(ff.values, epsilon, side="right")] == 1)
-    _write_table(edges_path, ["i,j,birth"], *ff.vertices[edges, :2].T, ff.values[edges])
+    verts, dims, values = ff.arrays() if ff.dim_cap == 1 else (ff.listed_vertices, ff.listed_dims, ff.listed_values)
+    edges = np.flatnonzero(dims[: np.searchsorted(values, epsilon, side="right")] == 1)
+    _write_table(edges_path, ["i,j,birth"], *verts[edges, :2].T, values[edges])
     return edges.size
 
 
 def save_filtration(ff: FlagFiltration, path) -> None:
-    """Write the filtration as a JSON array of {vertices, value}, canonically sorted."""
-    rows = zip(ff.vertices.tolist(), ff.dims.tolist(), ff.values.tolist())
+    """Write the filtration as a JSON array of {vertices, value}, canonically sorted; its whole list is built."""
+    rows = zip(*(a.tolist() for a in ff.arrays()))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
         fh.write(",\n".join(json.dumps({"vertices": verts[: d + 1], "value": value}) for verts, d, value in rows))

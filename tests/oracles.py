@@ -22,6 +22,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist  # the bitwise referee for witness.DistanceMatrix.rows
 
 from topo_recon.mscan import DimensionSweep
@@ -212,6 +213,21 @@ def random_edge_filtration(rng: np.random.Generator, n_max: int = 12) -> EdgeFil
                 b = max(round(b, 1), vb[i], vb[j])  # deliberate ties
             births[i, j] = births[j, i] = b
     return EdgeFiltration(vertex_birth=vb, births=births)
+
+
+def tied_edge_filtration(data, n: int):
+    """A hypothesis-drawn edge filtration on n vertices and a cap (or None).
+
+    Vertex births are 0 or 0.25 and edge births few distinct values, so ties
+    are common; some edges are +inf, and the caps lie below, among and above
+    the births.
+    """
+    vb = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=n, max_size=n)))
+    births = np.full((n, n), np.inf)
+    birth = st.one_of(st.sampled_from([0.5, 1.0, 1.5, np.inf]), st.floats(0.5, 2.0))
+    for i, j in itertools.combinations(range(n), 2):
+        births[i, j] = births[j, i] = max(data.draw(birth), vb[i], vb[j])
+    return EdgeFiltration(vb, births), data.draw(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5]))
 
 
 def truncate_births(ef: EdgeFiltration, cap: float) -> EdgeFiltration:

@@ -172,6 +172,12 @@ class TestRunRecords:
         # the cap prunes: the births computed fewer than the witnesses x landmarks distances
         assert 0 < counts["births_distances"] < counts["witnesses"] * counts["landmarks"]
 
+    def test_complex_records_its_stage_seconds(self, pipeline):
+        (record,) = [r for r in read_run(pipeline)["previous"] if r["subcommand"] == "complex"]
+        stages = record["stage_seconds"]
+        assert sorted(stages) == ["births", "expansion", "writing"]
+        assert all(s >= 0 for s in stages.values()) and sum(stages.values()) <= record["seconds"]
+
     def test_barcode_records_its_reduction(self, pipeline):
         last = read_run(pipeline)
         (record,) = [r for r in last["previous"] if r["subcommand"] == "barcode"]
@@ -519,6 +525,16 @@ class TestMscan:
         counts = dm_filtration(sw, dim_cap=2).barcode.counts
         assert counts["reduced_columns"] and read_run(tmp_path)["counts"] == json.loads(json.dumps(counts))
 
+    def test_records_its_stage_seconds(self, tmp_path):
+        sine_series_file(tmp_path / "s.txt")
+        assert run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3,
+                   "--out-dir", tmp_path) == 0
+        record = read_run(tmp_path)
+        stages = record["stage_seconds"]
+        assert sorted(stages) == ["births_per_m", "dm_filtration"]
+        assert len(stages["births_per_m"]) == 3 and min(stages["births_per_m"]) >= 0 and stages["dm_filtration"] >= 0
+        assert sum(stages["births_per_m"]) + stages["dm_filtration"] <= record["seconds"]
+
     def test_records_the_distances_each_births_computed(self, tmp_path):
         sine_series_file(tmp_path / "s.txt")
         assert run("mscan", "--in", tmp_path / "s.txt", "--tau", 25, "--xi", 0.05, "--every", 100, "--m-max", 3,
@@ -568,6 +584,7 @@ class TestErrorPaths:
             "mscan": ["--in", tmp_path / "s.txt", "--tau", "auto", "--xi", 0.05],
             "embed": ["--in", tmp_path / "s.txt", "--tau", "auto", "--out", "c.csv"],
             "landmarks": ["--in", tmp_path / "cloud.csv", "--out", "l.csv"],
+            "ami": ["--in", tmp_path / "s.txt", "--out", "ami.csv"],
         }[command]
 
     @pytest.mark.parametrize(
@@ -581,6 +598,24 @@ class TestErrorPaths:
         rc = run(command, *self.missing_input_argv(tmp_path, command), flag, value, "--out-dir", tmp_path / "out")
         assert rc == 1
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [("ami", ["--tau-max", 1], "--tau-max must be at least 2, got 1"),
+         ("ami", ["--tau-max", 50, "--bins", 0], "--bins must be at least 2, got 0"),
+         ("ami", ["--tau-max", 50, "--bins", 1], "--bins must be at least 2, got 1"),
+         ("embed", ["--m", 2, "--tau-max", 1], "--tau-max must be at least 2, got 1"),
+         ("embed", ["--m", 2, "--bins", -4], "--bins must be at least 2, got -4"),
+         ("embed", ["--m", 3, "--m-anchor", 2], "--m-anchor must be at least --m 3, got 2"),
+         ("mscan", ["--tau-max", 0], "--tau-max must be at least 2, got 0"),
+         ("mscan", ["--bins", 0], "--bins must be at least 2, got 0")],
+    )
+    def test_bad_ami_and_anchor_flags_rejected_before_any_input(self, tmp_path, capsys, command, flags, message):
+        # the input file does not exist, and embed and mscan ask for --tau auto: the flag is refused before both
+        rc = run(command, *self.missing_input_argv(tmp_path, command), *flags, "--out-dir", tmp_path / "out")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [0, -1, 33])

@@ -19,9 +19,11 @@ from oracles import (
     components_unionfind,
     dense_betti,
     first_violation,
+    flag_expand_tuples,
     flag_filtration,
     kernel_cycles_bigint,
     random_edge_filtration,
+    tied_edge_filtration,
 )
 from topo_recon.persistence import (
     _reduce,
@@ -34,9 +36,19 @@ from topo_recon.persistence import (
     representative_cycles,
     save_barcode,
 )
+from topo_recon import mscan as mscan_module
 from topo_recon import persistence as persistence_module
-from topo_recon.signal import SeriesFormatError
-from topo_recon.witness import EdgeFiltration, flag_expand, load_filtration, save_filtration
+from topo_recon.embed import PointCloud, ami_curve, first_minimum
+from topo_recon.landmarks import select_evenly_spaced
+from topo_recon.signal import SeriesFormatError, Trajectory, integrate_lorenz, observe
+from topo_recon.witness import (
+    EdgeFiltration,
+    distance_matrix,
+    edge_births,
+    flag_expand,
+    load_filtration,
+    save_filtration,
+)
 
 
 def edge_filtration(n, edges, vertex_birth=None):
@@ -247,6 +259,84 @@ class TestAgainstBoundaryReduction:
         assert betti_at(sphere, 8.0) == [1, 0, 1]
         (h2,) = sphere.by_dim(2)
         assert (h2.birth, h2.death, h2.creator, h2.destroyer) == (8.0, math.inf, len(sims) - 1, None)
+
+
+def materialized(ef, dim_cap, max_value=None):
+    """The same flag filtration with every simplex listed, from the tuple expansion: the explicit path's input."""
+    return flag_filtration(flag_expand_tuples(ef, dim_cap, max_value), dim_cap=dim_cap, max_value=max_value)
+
+
+def check_implicit_top(ef, dim_cap, max_value=None):
+    """The implicit top dimension gives the materialized path's bars, creators, destroyers, counts and cycles."""
+    ff, ref = flag_expand(ef, dim_cap=dim_cap, max_value=max_value), materialized(ef, dim_cap, max_value)
+    assert ff.top_births is not None and ref.top_births is None
+    bc, want = persistent_homology(ff), persistent_homology(ref)
+    assert interval_tuples(bc) == interval_tuples(want)
+    if len(ref):  # the bigint referee needs a simplex
+        assert interval_tuples(bc) == boundary_reduction(ref)
+    assert bc.destroyers.tolist() == want.destroyers.tolist()
+    assert bc.counts == want.counts
+    listed = ref.simplices
+    assert [listed[p] for p in bc.positions.tolist()] == [
+        (tuple(v[: d + 1]), x) for v, d, x in zip(ff.listed_vertices.tolist(), ff.listed_dims.tolist(),
+                                                  ff.listed_values.tolist())
+    ]
+    for k in range(1, dim_cap):
+        for top_n in (1, len(want.by_dim(k))):
+            assert representative_cycles(bc, k, top_n) == representative_cycles(want, k, top_n)
+    return bc
+
+
+class TestImplicitTop:
+    """The top dimension of a flag filtration is reduced without its list, with the listed path's results."""
+
+    @given(data=st.data(), n=st.integers(1, 9), dim_cap=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_random_edge_filtrations(self, data, n, dim_cap):
+        ef, cap = tied_edge_filtration(data, n)
+        check_implicit_top(ef, dim_cap, cap)
+
+    @given(data=st.data(), n=st.integers(1, 8), dim_cap=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_top_position(self, data, n, dim_cap):
+        # every top simplex, not only the destroyers: its rank is its index in the whole list
+        ef, cap = tied_edge_filtration(data, n)
+        ff = flag_expand(ef, dim_cap=dim_cap, max_value=cap)
+        whole = ff.simplices
+        tops = [(verts, value) for verts, value in whole if len(verts) == dim_cap + 1]
+        verts = np.array([v for v, _ in tops], dtype=np.int64).reshape(-1, dim_cap + 1)
+        top = persistence_module._TopRows(ff)
+        rows = top.encode(verts[:, :dim_cap], np.array([x for _, x in tops]), verts[:, dim_cap]).tolist()
+        positions, top_positions = persistence_module._positions(ff, top, rows)
+        assert [whole[p] for p in top_positions.tolist()] == tops
+        assert len(set(positions.tolist()) | set(top_positions.tolist())) == len(ff)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_python_int_rows(self, seed, monkeypatch):
+        # rows that could pass int64 are Python ints in object arrays, with the same results
+        monkeypatch.setattr(persistence_module, "_ROW_BOUND", 0)
+        ef = random_edge_filtration(np.random.default_rng(seed), n_max=9)
+        for dim_cap in (1, 2, 3):
+            check_implicit_top(ef, dim_cap)
+
+    def test_sweep8_lifespan_filtration(self, monkeypatch):
+        # the lifespan filtration of the m = 1..8 sweep benchmark, captured on its way into flag_expand
+        traj = integrate_lorenz(ic=(5.0, 5.0, 5.0), n_steps=100_001, transient_steps=10_000)
+        series = observe(Trajectory(np.ascontiguousarray(traj.points[::4]), traj.dt * 4), "x")
+        sw = mscan_module.sweep(series, first_minimum(ami_curve(series, tau_max=400)), 0.0054, 125, 8)
+        captured = []
+        monkeypatch.setattr(mscan_module, "flag_expand", lambda ef, **kw: captured.append(ef) or flag_expand(ef, **kw))
+        dmf = mscan_module.dm_filtration(sw, dim_cap=2)
+        bc = check_implicit_top(captured[0], 2)
+        assert interval_tuples(bc) == interval_tuples(dmf.barcode) and len(dmf.filtration) > 7000
+
+    def test_lorenz_trajectory_at_cap(self):
+        # the 3-d trajectory over 201 landmarks, read to 1.2, where it has its two loops
+        traj = integrate_lorenz(ic=(5.0, 5.0, 5.0), n_steps=100_001, transient_steps=10_000)
+        lms = select_evenly_spaced(PointCloud(traj.points, np.arange(len(traj))), 500)
+        ef = edge_births(distance_matrix(traj.points, lms.coords), cap=1.2)
+        bc = check_implicit_top(ef, 2, 1.2)
+        assert betti_at(bc, 1.2) == [1, 2]
 
 
 class TestLazyColumns:

@@ -21,6 +21,7 @@ from oracles import (
     flag_expand_tuples,
     flag_filtration,
     random_edge_filtration,
+    tied_edge_filtration,
     truncate_births,
 )
 from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum
@@ -848,20 +849,39 @@ class TestFlagExpand:
 
     @given(data=st.data(), n=st.integers(1, 8), dim_cap=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
-    def test_matches_tuple_referee_bitwise(self, data, n, dim_cap):
-        # few distinct births, so ties are common; caps 0.0 and 0.25 lie below every edge
-        vb = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=n, max_size=n)))
-        births = np.full((n, n), np.inf)
-        birth = st.one_of(st.sampled_from([0.5, 1.0, 1.5, np.inf]), st.floats(0.5, 2.0))
-        for i, j in itertools.combinations(range(n), 2):
-            births[i, j] = births[j, i] = max(data.draw(birth), vb[i], vb[j])
-        ef = EdgeFiltration(vb, births)
-        cap = data.draw(st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5]))
+    def test_matches_tuple_referee_bitwise(self, tmp_path_factory, data, n, dim_cap):
+        # few distinct births, so ties are common; caps 0.0 and 0.25 lie below every edge.  The top
+        # dimension is not listed, and every view of the whole list matches the listed referee
+        ef, cap = tied_edge_filtration(data, n)
         ff = flag_expand(ef, dim_cap=dim_cap, max_value=cap)
         want = flag_expand_tuples(ef, dim_cap, cap)
-        assert ff.simplices == want
+        assert ff.simplices == want and len(ff) == len(want) and (ff.listed_dims < dim_cap).all()
         assert ff.values.tobytes() == np.array([v for _, v in want], dtype=np.float64).tobytes()
         assert ff.counts_by_dim() == {d: c for d, c in Counter(len(s) - 1 for s, _ in want).items()}
+        ref, d = flag_filtration(want, dim_cap=dim_cap, max_value=cap), tmp_path_factory.mktemp("flag")
+        for name, f in (("ff", ff), ("ref", ref)):
+            save_filtration(f, d / f"{name}.json")
+            skeleton_export(f, max((v for _, v in want), default=0.0), d / f"{name}.csv")
+        assert (d / "ff.json").read_bytes() == (d / "ref.json").read_bytes()
+        assert (d / "ff.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("dim_cap", [1, 2, 3])
+    def test_no_array_has_a_row_per_top_simplex(self, dim_cap):
+        # a complete graph on 40 vertices: 780 edges, 9,880 triangles and 91,390 tetrahedra
+        n = 40
+        births = np.add.outer(np.arange(n), np.arange(n)) / n
+        np.fill_diagonal(births, np.inf)
+        ff = flag_expand(EdgeFiltration(np.zeros(n), births), dim_cap=dim_cap)
+        assert ff.top_count == math.comb(n, dim_cap + 1)
+        arrays = [a for a in vars(ff).values() if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4 and all(len(a) < ff.top_count for a in arrays)
+
+    @pytest.mark.parametrize("dim_cap", [1, 2])
+    def test_edge_born_before_its_vertex_rejected(self, dim_cap):
+        # such an edge would precede its own vertex in the list, which no barcode accepts
+        ef = EdgeFiltration(np.array([0.0, 0.5]), np.array([[np.inf, 0.25], [0.25, np.inf]]))
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) is born at 0.25, before its vertices \(0.0, 0.5\)"):
+            flag_expand(ef, dim_cap=dim_cap)
 
     def test_single_vertex_and_edge_free(self):
         single = flag_expand(EdgeFiltration(np.zeros(1), np.full((1, 1), np.inf)), dim_cap=3)
