@@ -5,8 +5,9 @@ directory.  Its ``params`` hold every flag as parsed (flags left unset are
 left out), plus the values the step derived, such as an auto-selected
 delay.  It also holds a sha256 checksum of every artifact, the step's
 seconds and the process's peak RSS; for ``complex`` it counts the sizes of
-what it built and the distances its births computed (``mscan`` records those
-per m), and for ``barcode`` and ``mscan`` the reduction's columns.  Its
+what it built, and the distances its births computed, the (witness, pair)
+entries they listed and the chunks they folded by runs (``mscan`` records
+those per m), and for ``barcode`` and ``mscan`` the reduction's columns.  Its
 ``stage_seconds`` time the stages inside a step: births, expansion and
 writing for ``complex``, each m's births and the lifespan filtration for
 ``mscan``.
@@ -291,6 +292,8 @@ def cmd_complex(args) -> int:
             "witnesses": len(cloud.points),
             "landmarks": lms.ell,
             "births_distances": ef.distances,  # of the witnesses x landmarks, those the cap-aware births computed
+            "births_listed": ef.listed,  # (witness, pair) entries listed
+            "births_run_chunks": ef.run_chunks,  # chunks folded by sub-runs instead
             "edges_le_cap": int(np.count_nonzero(np.triu(ef.births <= eps, k=1))),
             "simplices_by_dim": ff.counts_by_dim(),
         },
@@ -362,7 +365,9 @@ def cmd_mscan(args) -> int:
     _lap(stages, "dm_filtration", clock)
     save_barcode(bc, _out_path(args, "dm_barcode.csv"))
     derived.update(ell=sw.ell, diameters=sw.diameters, epsilons=sw.epsilons, witnesses=sw.witnesses,
-                   births_distances=[ef.distances for ef in sw.per_m])  # per m, of witnesses x ell
+                   births_distances=[ef.distances for ef in sw.per_m],  # per m, of witnesses x ell
+                   births_listed=[ef.listed for ef in sw.per_m],
+                   births_run_chunks=[ef.run_chunks for ef in sw.per_m])
     _write_run(args, derived, bc.counts, stages)
     return 0
 

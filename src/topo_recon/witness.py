@@ -10,13 +10,15 @@ closed-form birth value
 
 Witnesses and landmarks come in as 2-d coordinate arrays.  The distances
 are computed a block of witnesses at a time inside ``edge_births``, so no
-array grows with the witness count, and folded in runs of 64 witnesses.
-Under a cap a run lists only the landmark pairs one of its witnesses holds
-within the cap, exact below it by the lazy-witness restriction of de Silva &
-Carlsson (2004), and a block computes only the distances that can fall
-within it: the triangle inequality bounds the excesses of a sub-run of 16
+array grows with the witness count.  Uncapped, a block is folded in runs of
+64 witnesses.  Under a cap only the distances that can fall within it are
+computed: the triangle inequality bounds the excesses of a sub-run of 16
 witnesses from its middle one, as Elkan's k-means bounds do (*Using the
-triangle inequality to accelerate k-means*, 2003).
+triangle inequality to accelerate k-means*, 2003), over spans of 4,096
+witnesses.  Then each witness's landmarks within the cap are listed and only
+the pairs it holds are folded, exact below the cap by the lazy-witness
+restriction of de Silva & Carlsson (2004); where a sub-run's witnesses hold
+the same landmarks, its held pairs are folded over the sub-run at once.
 
 Higher simplices are filled in flag-style: a simplex is present exactly when
 all its edges are, with filtration value the largest edge birth.  Computing
@@ -33,6 +35,7 @@ the ``vertices``/``dims``/``values`` views).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -73,8 +76,6 @@ class DistanceMatrix:
         shape = (self.landmarks.shape[0], e - s)
         out = np.empty(shape) if out is None else out
         scratch = np.empty(shape) if scratch is None else scratch
-        if not self.coords.shape[0]:
-            out.fill(0.0)
         return _distances(zip(self.coords[:, s:e], self.landmarks.T[:, :, None]), out, scratch)
 
 
@@ -85,11 +86,14 @@ def _distances(terms, out, scratch) -> np.ndarray:
     order, so every entry is bitwise ``cdist``.  The first square is written
     as it is (0.0 + x is x for x >= 0); ``scratch`` holds the others.
     """
+    c = -1
     for c, (a, b) in enumerate(terms):
         sq = scratch if c else out
         np.square(np.subtract(a, b, out=sq), out=sq)
         if c:
             out += sq
+    if c < 0:  # no coordinates: every distance is 0
+        out.fill(0.0)
     return np.sqrt(out, out=out)
 
 
@@ -102,7 +106,9 @@ class EdgeFiltration:
     the birth (-1 where absent or not applicable).  When ``max_value`` is set
     the filtration is truncated at that scale: every value <= max_value is
     exact, and every larger one reads +inf (witness -1).  ``distances``
-    counts the witness-landmark distances ``edge_births`` computed.
+    counts the witness-landmark distances ``edge_births`` computed,
+    ``listed`` the (witness, pair) entries it listed, and ``run_chunks`` the
+    chunks it folded by runs of witnesses.
     """
 
     vertex_birth: np.ndarray
@@ -110,6 +116,8 @@ class EdgeFiltration:
     witness: np.ndarray | None = None
     max_value: float | None = None
     distances: int | None = None
+    listed: int | None = None
+    run_chunks: int | None = None
 
     def __post_init__(self):
         self.vertex_birth = np.asarray(self.vertex_birth, dtype=np.float64)
@@ -196,34 +204,23 @@ def distance_matrix(witnesses: np.ndarray, landmarks: np.ndarray) -> DistanceMat
     return DistanceMatrix(coords=np.ascontiguousarray(W.T), landmarks=L)
 
 
-def _fold(excess, s, bound, births, witness, full) -> None:
-    """Fold one block into the running minima of the landmark pairs, a run of 64 witnesses at a time.
+def _fold(excess, s, births, witness, full) -> None:
+    """Fold one uncapped block into the running minima of the landmark pairs, a run of 64 witnesses at a time.
 
-    ``excess[j]`` is landmark j's excess over the witnesses from index ``s``.  A run in which some
-    landmark's minimum is above ``bound`` lists only the pairs one of its witnesses has within the
-    bound, else it takes every pair, ``full`` = (iu, ju, flat keys).  No witness of a run gives {i, j}
-    less than max(low[i], low[j]), so a pair whose bound is not below its birth is skipped.  Uncapped,
-    every pair is first cut by the same test on the whole block's minima, which bound every run's.
+    ``excess[j]`` is landmark j's excess over the witnesses from index ``s``, and ``full`` = (iu, ju, flat
+    keys) lists every pair.  No witness of a run gives {i, j} less than max(low[i], low[j]), so a pair
+    whose bound is not below its birth is skipped; every pair is first cut by the same test on the whole
+    block's minima, which bound every run's.
     """
-    n_l, n = excess.shape
+    n = excess.shape[1]
     births, witness = births.reshape(-1), witness.reshape(-1)
     lows = np.minimum.reduceat(excess, np.arange(0, n, 64), axis=1).T  # each run's smallest excess per landmark
-    if bound == np.inf:  # no run lowers a pair the whole block's minima cannot (on a trajectory ~28 % are left)
-        block_low = lows.min(axis=0)
-        iu, ju, key = full
-        left = np.flatnonzero(np.maximum(block_low[iu], block_low[ju]) < births[key])
-        full = iu[left], ju[left], key[left]
+    block_low = lows.min(axis=0)
+    iu, ju, key = full
+    left = np.flatnonzero(np.maximum(block_low[iu], block_low[ju]) < births[key])  # on a trajectory ~28 % are left
+    iu, ju, key = iu[left], ju[left], key[left]
     for r, low in zip(range(0, n, 64), lows):  # runs of 32/64/128/256, 3-d trajectory: 0.83/0.47-0.69/1.0/1.8 s
         run = excess[:, r : r + 64]
-        near = np.flatnonzero(low <= bound)
-        if near.size < n_l:  # a pair's count of witnesses holding it is at most 64, exact in float32
-            hit = (run[near] <= bound).astype(np.float32)
-            a, b = np.nonzero(hit @ hit.T)
-            upper = a < b
-            iu, ju = near[a[upper]], near[b[upper]]
-            key = iu * n_l + ju
-        else:
-            iu, ju, key = full
         cand = np.flatnonzero(np.maximum(low[iu], low[ju]) < births[key])
         for c in range(0, cand.size, 512):  # chunks bound the temporaries of a run that folds most pairs
             pick = cand[c : c + 512]
@@ -234,36 +231,141 @@ def _fold(excess, s, bound, births, witness, full) -> None:
             births[k[better]], witness[k[better]] = vals[better], s + r + w_idx[better]
 
 
-_SUB = 16  # witnesses per sub-run of a capped block's bound
+_SUB = 16  # witnesses per sub-run of a capped call's bound
 _SLACK = 1e-12  # the bound's slack, relative to the distances in it; their rounding is under 1e-13 of them
-_GATHER = 5  # a kept pair's gather and scatter cost about five coordinate passes of the dense rows
+_GATHER = 5  # a kept row's gather costs about five coordinate passes of the dense rows
+_SPAN = 256  # sub-runs per span of the bound: 4,096 witnesses, its overhead paid 8x less often than per block
+_RUN_PAIRS = 1  # a held row pair costs about as much to fold as a witness's held pair (forced folds cross at 0.7-1.3)
 
 
-def _capped_rows(dm, s, e, cap, buffers) -> tuple[np.ndarray, int]:
-    """Witnesses s..e-1's distances under ``cap`` as an (ell, e - s) view of ``buffers``, and the count computed.
+def _span_bound(dm, s, e, cap, buffers) -> tuple[np.ndarray, np.ndarray]:
+    """Witnesses s..e-1 as (m, n_sub, 16) sub-runs, and the (n_sub, ell) mask of the landmarks their bound keeps.
 
-    Exact at every landmark its sub-run's bound keeps, +inf at the others
-    (see ``edge_births``).  The last sub-run is padded with the block's last
-    witness.  A kept pair's distance sums the same squares in the same order
-    as ``DistanceMatrix.rows``, so it is bitwise the dense entry.
+    The centres' distances are taken in ``buffers``.  Only a span shorter than a sub-run is padded, with
+    its last witness, so only it is copied.
     """
-    n_l, n = dm.landmarks.shape[0], e - s
-    n_sub, m = -(-n // _SUB), dm.coords.shape[0]
-    runs = dm.coords[:, s:e][:, np.minimum(np.arange(n_sub * _SUB), n - 1)].reshape(m, n_sub, _SUB)
-    centres = np.ascontiguousarray(runs[:, :, _SUB // 2])
-    d_c = DistanceMatrix(centres, dm.landmarks).rows(0, n_sub)
-    reach = d_c.min(axis=0) + 2 * np.sqrt(np.square(runs - centres[:, :, None]).sum(axis=0).max(axis=1))
-    li, si = np.nonzero(d_c - reach <= cap + _SLACK * (d_c + reach))  # (landmark, sub-run) pairs kept
-    if li.size * (m + _GATHER) > d_c.size * m:  # the dense rows cost less
-        return dm.rows(s, e, *(buf[: n_l * n].reshape(n_l, n) for buf in buffers)), n_l * (n + n_sub)
-    out, scratch = buffers
-    acc, sq = (buf[: li.size * _SUB].reshape(-1, _SUB) for buf in (scratch, out))
-    terms = ((np.take(runs[c], si, axis=0, out=sq if c else acc), dm.landmarks[li, c, None]) for c in range(m))
-    _distances(terms, acc, sq)
-    excess = out[: n_l * n_sub * _SUB].reshape(n_l, n_sub, _SUB)
-    excess.fill(np.inf)
-    excess[li, si] = acc
-    return excess.reshape(n_l, -1)[:, :n], n_l * n_sub + acc.size
+    m, n_l, n = dm.coords.shape[0], dm.landmarks.shape[0], e - s
+    n_sub = -(-n // _SUB)
+    coords = dm.coords[:, s:e] if n % _SUB == 0 else dm.coords[:, s:e][:, np.minimum(np.arange(_SUB), n - 1)]
+    runs = coords.reshape(m, n_sub, _SUB)
+    centres = runs[:, :, _SUB // 2, None]
+    d_c, scratch = (buf[: n_sub * n_l].reshape(n_sub, n_l) for buf in buffers)
+    _distances(zip(centres, dm.landmarks.T[:, None, :]), d_c, scratch)
+    spread = _distances(zip(runs, centres), np.empty((n_sub, _SUB)), np.empty((n_sub, _SUB)))
+    reach = d_c.min(axis=1, keepdims=True) + 2 * spread.max(axis=1, keepdims=True)
+    slack = np.multiply(np.add(d_c, reach, out=scratch), _SLACK, out=scratch)
+    slack += cap
+    return runs, np.subtract(d_c, reach, out=d_c) <= slack
+
+
+def _chunk_rows(dm, runs, keep, buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distances of a chunk of sub-runs as (k, 16) rows in ``buffers[0]``, with each row's sub-run and landmark.
+
+    ``keep`` is the chunk's (n_sub, ell) mask of kept rows, or None for every row, computed without a
+    gather.  Rows are in (sub-run, landmark) order, and a kept row sums the same squares in the same
+    order as ``DistanceMatrix.rows``, so it is bitwise the dense entries.
+    """
+    m, n_sub, n_l = runs.shape[0], runs.shape[1], dm.landmarks.shape[0]
+    if keep is None:
+        acc, sq = (buf[: n_sub * n_l * _SUB].reshape(n_sub, n_l, _SUB) for buf in buffers)
+        _distances(zip(runs[:, :, None, :], dm.landmarks.T[:, None, :, None]), acc, sq)
+        sub, lm = np.divmod(np.arange(n_sub * n_l), n_l)
+        return acc.reshape(-1, _SUB), sub, lm
+    sub, lm = np.divmod(np.flatnonzero(keep), n_l)
+    acc, sq = (buf[: sub.size * _SUB].reshape(-1, _SUB) for buf in buffers)
+    terms = ((np.take(runs[c], sub, axis=0, out=sq if c else acc), dm.landmarks[lm, c, None]) for c in range(m))
+    return _distances(terms, acc, sq), sub, lm
+
+
+def _fold_pairs(vals, low, lm, first, group, births, witness, step, hold=None) -> int:
+    """Fold the landmark pairs that items of one group hold into the running births; the count of pairs.
+
+    Item i holds landmark ``lm[i]`` with the excesses ``vals[i]`` of consecutive witnesses from
+    ``first[i]``, whose smallest is ``low[i]``, and ``hold[i]`` marks the witnesses within the cap as bits.
+    Items are grouped by ``group`` (nondecreasing, landmarks ascending within a group), and the pairs are
+    taken about ``step`` at a time, whole items, so the temporaries are bounded.  A pair that no witness
+    holds, or whose bound max(low) is not below its birth, is dropped; the rest take the smallest max
+    over their witnesses, the first on a tie.  One ``np.lexsort`` on (key, value, witness) keeps each
+    pair's minimum and, on a tie, its lowest witness, and a birth is replaced only when strictly
+    smaller, so an earlier step keeps its ties.
+    """
+    n_l = births.shape[0]
+    births, witness = births.reshape(-1), witness.reshape(-1)
+    after = np.searchsorted(group, group, side="right") - np.arange(group.size) - 1  # later items of its group
+    start = np.cumsum(after) - after  # item i's first pair
+    i = 0
+    while i < group.size:
+        j = int(np.searchsorted(start, start[i] + step, side="right"))  # whole items, about step pairs
+        a = np.repeat(np.arange(i, j), after[i:j])
+        b = a + 1 + np.arange(a.size) - np.repeat(start[i:j] - start[i], after[i:j])
+        key = lm[a] * n_l + lm[b]
+        left = np.maximum(low[a], low[b]) < births[key]
+        if hold is not None:
+            left &= (hold[a] & hold[b]) != 0
+        left = np.flatnonzero(left)
+        a, b, key = a[left], b[left], key[left]
+        pm = np.maximum(vals[a], vals[b])
+        t = pm.argmin(axis=1)
+        value, w = pm[np.arange(t.size), t], first[a] + t
+        left = np.flatnonzero(value < births[key])
+        order = left[np.lexsort((w[left], value[left], key[left]))]
+        key, value, w = key[order], value[order], w[order]
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])  # the first of each pair: its minimum, lowest witness
+        births[key[new]], witness[key[new]] = value[new], w[new]
+        i = j
+    return int(after.sum())
+
+
+def _capped_births(dm, cap, width, buffers, vertex_birth, births, witness) -> tuple[int, int, int]:
+    """Fold every witness's pairs within ``cap`` (see ``edge_births``); the distances, pairs listed and run chunks."""
+    n_w, n_l = dm.shape
+    m, rows = dm.coords.shape[0], buffers[0].size // _SUB  # a chunk's rows: its distances fill a buffer
+    computed = listed = run_chunks = 0
+    s = 0
+    while s < n_w:
+        e = min(s + _SUB * min(width, _SPAN), n_w)  # its centres' distances fit a buffer
+        if e % _SUB and e - s > _SUB:  # the last, padded sub-run is a span of its own
+            e -= e % _SUB
+        runs, keep = _span_bound(dm, s, e, cap, buffers)
+        kept = keep.sum(axis=1)
+        computed += keep.size
+        if kept.sum() * (m + _GATHER) > keep.size * m:  # the dense rows cost less than the gather
+            keep, kept = None, np.full(kept.size, n_l)
+        ends = np.cumsum(kept)
+        a = 0
+        while a < kept.size:
+            b = int(np.searchsorted(ends, ends[a] - kept[a] + rows, side="right"))  # whole sub-runs that fit
+            acc, sub, lm = _chunk_rows(dm, runs[:, a:b], None if keep is None else keep[a:b], buffers)
+            computed += acc.size if keep is not None else n_l * (min(b * _SUB, e - s) - a * _SUB)
+            starts = ends[a:b] - kept[a:b] - ends[a] + kept[a]  # each sub-run's first row
+            near = np.minimum.reduceat(acc, starts, axis=0)  # n(w): every witness's nearest landmark is kept
+            acc -= np.take(near, sub, axis=0, out=buffers[1][: acc.size].reshape(acc.shape))
+            inside = acc <= cap
+            hold = np.packbits(inside.reshape(-1), bitorder="little").view(np.uint16)  # each row's as 16 bits
+            r, t = np.divmod(np.flatnonzero(inside), _SUB)  # the entries within the cap, row-major
+            at = sub[r] * _SUB + t  # their witnesses, from the chunk's first
+            per_run = np.add.reduceat(hold != 0, starts, dtype=np.int64)
+            per_witness = np.bincount(at)
+            first = s + a * _SUB
+            if _RUN_PAIRS * (per_run * (per_run - 1)).sum() < (per_witness * (per_witness - 1)).sum():
+                run_chunks += 1
+                items = np.flatnonzero(hold)
+                vals = np.take(acc, items, axis=0, out=buffers[1][: items.size * _SUB].reshape(-1, _SUB))
+                low = functools.reduce(np.minimum, vals.T)  # a column at a time: min(axis=1) is ~5x slower
+                np.minimum.at(vertex_birth, lm[items], low)
+                _fold_pairs(vals, low, lm[items], first + sub[items] * _SUB, sub[items], births, witness, rows,
+                            hold[items])
+            else:
+                x = acc[r, t]
+                np.minimum.at(vertex_birth, lm[r], x)
+                order = np.argsort(at.astype(np.uint16), kind="stable")  # a radix sort: a span is 4,096 witnesses
+                order = order[: np.count_nonzero(at < n_w - first)]  # witness-major; the padding sorts last
+                x, at = x[order], at[order]
+                listed += _fold_pairs(x[:, None], x, lm[r[order]], first + at, at, births, witness, rows)
+            a = b
+        s = e
+    return computed, listed, run_chunks
 
 
 def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) -> EdgeFiltration:
@@ -272,23 +374,23 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     vertex_birth[j] = min over w of (d(w, j) - n(w)) and
     births[i, j]    = min over w of (max(d(w, i), d(w, j)) - n(w)),
     with the lowest witness index achieving each edge minimum recorded.
-    ``dm.rows`` computes each block of ``block`` witnesses' (ell, block)
-    distances into two buffers made once; n(w) is the block's minimum over
-    landmarks and the excesses are taken in place, so memory is set by
-    ell x block and ell^2, not by the witness count.  ``_fold`` takes a block
-    in runs of 64 witnesses, skipping the pairs a run cannot lower (which pays
-    when consecutive witnesses lie close, as along a trajectory), and replaces
-    a running minimum only when strictly smaller, so ties go to the lowest
-    witness.
+    Distances are computed into two (ell, block) buffers made once, so
+    memory is set by ell x block and ell^2, not by the witness count.
+    Uncapped, ``dm.rows`` computes each block of ``block`` witnesses; n(w) is
+    the block's minimum over landmarks, the excesses are taken in place, and
+    ``_fold`` takes the block in runs of 64 witnesses, skipping the pairs a
+    run cannot lower (which pays when consecutive witnesses lie close, as
+    along a trajectory, and costs up to 2.5x the full evaluation when they
+    do not).  A running minimum is replaced only when strictly smaller, so
+    ties go to the lowest witness.
 
     With ``cap`` set, the result is truncated at that scale: every birth
     <= cap is bitwise the uncapped value with the same witness, and every
     larger one is +inf with witness -1.  A witness gives {i, j} a value
-    <= cap only if both its excesses are <= cap, so the pairs a run lists
-    include every pair it can give a value <= cap, and the truncation drops
-    the rest.
+    <= cap only if it holds both within the cap (both excesses <= cap), so
+    folding, for each witness, the pairs it holds is exact below the cap.
 
-    A capped block computes only the distances it can use.  With c the
+    A capped call computes only the distances it can use.  With c the
     middle witness of a sub-run of 16 and r = max ||w - c|| over it, the
     triangle inequality gives each of its witnesses d(w, j) - n(w) >=
     d(c, j) - n(c) - 2r.  A landmark whose bound is above cap + 1e-12 x
@@ -296,17 +398,36 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     witness's nearest landmark (that bound is <= 0).  Computed distances are
     within (m/2 + 2) ulps, so rounding moves the bound and the excesses by
     under 1e-13 of those distances for m up to several hundred: the slack
-    keeps it from dropping a landmark the exact bound keeps.  Kept pairs get
-    their distances, bitwise the dense entries, the rest read +inf, so
-    n(w), the vertex births and ``_fold`` see every value <= cap of the
-    dense rows.  A block whose bound keeps over m / (m + 5) of its pairs,
-    where the gather (about five coordinate passes a pair) costs more than
-    it saves, takes the dense rows; uncapped calls compute no bound.
-    ``distances`` counts what was computed: on the sweep benchmark's cloud
-    (24,721 witnesses, 198 landmarks) 65 % of N x ell at m = 1 and 11-17 %
-    at m = 2..8, the eight births taking 0.51-0.62 s against 0.83-0.86 s
-    dense; on the 100,001-point 3-d trajectory, 9, 13 and 21 % at caps 1, 3
-    and 6 (0.17, 0.20 and 0.34 s against 0.30, 0.34 and 0.41 s).
+    keeps it from dropping a landmark the exact bound keeps.  The bound is
+    taken over a span of 256 sub-runs (4,096 witnesses; fewer when ``block``
+    is under 256), whose centres' distances fill one buffer.  The kept
+    (sub-run, landmark) rows get their distances, bitwise the dense entries,
+    in chunks of whole sub-runs that fill the buffers; a span whose bound
+    keeps over m / (m + 5) of its rows, where the gather (about five
+    coordinate passes a row) costs more than it saves, computes every row,
+    ``block`` witnesses (rounded up to whole sub-runs) at a time.  n(w) is
+    the minimum of each witness's kept rows.
+
+    Each chunk then lists its (witness, landmark, excess) entries within the
+    cap, witness-major: the vertex births are their per-landmark minima,
+    and a witness's pairs are its entries two at a time.  A pair whose value
+    is not below its running birth is dropped, and one ``np.lexsort`` keeps
+    each remaining pair's minimum and lowest witness.  Where a sub-run's
+    witnesses hold the same landmarks, as along a trajectory, folding each
+    held row pair over the 16 witnesses at once costs less: a chunk takes
+    that fold when its held row pairs are fewer than its witnesses' held
+    pairs (with each fold forced on the sweep's and the 3-d trajectory's
+    clouds, they cross between 0.7 and 1.3 witness pairs a row pair).  Both
+    folds give the same births, and the listing's cost does not depend on
+    the witness order, so capped births do not slow down on witnesses in
+    random order.  ``distances``, ``listed`` and ``run_chunks`` count the
+    distances computed, the (witness, pair) entries listed, and the chunks
+    (uncapped: blocks) folded by runs.  On the sweep benchmark's cloud
+    (24,721 witnesses, 198 landmarks) capped births compute 37 % of N x ell
+    at m = 1 and 11-17 % at m = 2..8, and the eight take 0.14-0.16 s against
+    0.32 s when runs of 64 folded the dense excesses; on the 100,001-point
+    3-d trajectory, caps 0.5 to 6 take 0.03-0.18 s in time order and
+    0.28-0.94 s shuffled, against 0.11-0.21 and 0.34-2.75 s.
     """
     if cap is not None and not cap >= 0:
         raise ValueError(f"cap must be a nonnegative number, got {cap}")
@@ -318,21 +439,19 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     witness = np.full((n_l, n_l), -1, dtype=np.int64)
     width = min(block, n_w) if cap is None else -(-min(block, n_w) // _SUB) * _SUB  # whole sub-runs
     buffers = np.empty(n_l * width), np.empty(n_l * width)
-    iu, ju = np.triu_indices(n_l, k=1)
-    full, bound = (iu, ju, iu * n_l + ju), np.inf if cap is None else cap
-    computed = 0
-    for s in range(0, n_w, block):
-        e = min(s + block, n_w)
-        # excess[j] is landmark j's row over this block's witnesses
-        if cap is None:
+    if cap is not None:
+        counts = _capped_births(dm, cap, width, buffers, vertex_birth, births, witness)
+    else:
+        iu, ju = np.triu_indices(n_l, k=1)
+        full = iu, ju, iu * n_l + ju
+        for s in range(0, n_w, block):
+            e = min(s + block, n_w)
+            # excess[j] is landmark j's row over this block's witnesses
             excess = dm.rows(s, e, *(buf[: n_l * (e - s)].reshape(n_l, e - s) for buf in buffers))
-            computed += excess.size
-        else:
-            excess, count = _capped_rows(dm, s, e, cap, buffers)
-            computed += count
-        excess -= excess.min(axis=0)
-        np.minimum(vertex_birth, excess.min(axis=1), out=vertex_birth)
-        _fold(excess, s, bound, births, witness, full)
+            excess -= excess.min(axis=0)
+            np.minimum(vertex_birth, excess.min(axis=1), out=vertex_birth)
+            _fold(excess, s, births, witness, full)
+        counts = n_w * n_l, 0, -(-n_w // block)
     lower = np.tril_indices(n_l, k=-1)
     births[lower], witness[lower] = births.T[lower], witness.T[lower]
     if cap is not None:
@@ -340,7 +459,7 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
         over = births > cap
         births[over] = np.inf
         witness[over] = -1
-    return EdgeFiltration(vertex_birth, births, witness, max_value=cap, distances=computed)
+    return EdgeFiltration(vertex_birth, births, witness, cap, *counts)
 
 
 _MASK_CELLS = 1 << 20  # the largest candidate mask flag expansion holds, in cells

@@ -169,6 +169,8 @@ class TestRunRecords:
         ef = edge_births(distance_matrix(cloud.points, lms.coords), cap=0.5)
         counts = record["counts"]
         assert counts["births_distances"] == ef.distances
+        assert (counts["births_listed"], counts["births_run_chunks"]) == (ef.listed, ef.run_chunks)
+        assert counts["births_listed"] + counts["births_run_chunks"] > 0
         # the cap prunes: the births computed fewer than the witnesses x landmarks distances
         assert 0 < counts["births_distances"] < counts["witnesses"] * counts["landmarks"]
 
@@ -543,6 +545,8 @@ class TestMscan:
         sw = sweep(load_series(tmp_path / "s.txt"), 25, 0.05, 100, 3)
         assert params["witnesses"] == sw.witnesses == 2_001 - 2 * 25
         assert params["births_distances"] == [ef.distances for ef in sw.per_m]
+        assert params["births_listed"] == [ef.listed for ef in sw.per_m]
+        assert params["births_run_chunks"] == [ef.run_chunks for ef in sw.per_m]
 
     @pytest.mark.parametrize("value", ["nan", -0.05])
     def test_bad_xi_rejected(self, tmp_path, capsys, value):

@@ -365,10 +365,12 @@ class TestEdgeBirths:
 
 
 class _FoldCounter:
-    """Forwards to numpy, counting the rows of every 2-d maximum: the (pair, run) terms the fold takes."""
+    """Forwards to numpy, counting the rows of every 2-d maximum (the (pair, run) terms the uncapped fold
+    takes) and keeping the pair keys of every ``lexsort`` (the pairs a capped fold merges)."""
 
     def __init__(self):
         self.rows = 0
+        self.keys = []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -377,6 +379,10 @@ class _FoldCounter:
         out = np.maximum(*args, **kwargs)
         self.rows += out.shape[0] if out.ndim == 2 else 0
         return out
+
+    def lexsort(self, keys, *args, **kwargs):
+        self.keys += keys[-1].tolist()
+        return np.lexsort(keys, *args, **kwargs)
 
 
 class TestBoundedRowFold:
@@ -436,23 +442,34 @@ class TestBoundedRowFold:
         assert np.array_equal(got.witness, want.witness)
 
     def test_capped_run_folds_only_the_pairs_its_witnesses_hold(self, monkeypatch):
-        # one run of 64 witnesses alternating between two clusters of three landmarks, and a
-        # far landmark that keeps the run on listed pairs: every clustered landmark has a run
-        # minimum within the cap, so the run bound alone would fold all 15 of their pairs, but
-        # no witness holds a cross-cluster pair within the cap, so only the 6 within-cluster
-        # pairs are folded; uncapped, the run takes all 21 pairs
+        # 64 witnesses alternating between two clusters of three landmarks, and a far landmark: every
+        # clustered landmark is held within the cap in every sub-run, but no witness holds a cross-cluster
+        # pair, so the merge sees only the 6 within-cluster pairs, whichever fold the chunk takes (the
+        # switch as it is, and forced to either fold); the listing lists each witness's 3 pairs.
+        # Uncapped, the run fold takes all 21 pairs
         W = np.tile([[0.1], [10.1]], (32, 1))
         L = np.array([[0.0], [0.1], [0.2], [10.0], [10.1], [10.2], [100.0]])
         dm = distance_matrix(W, L)
-        for cap, pairs in [(1.0, 6), (None, 21)]:
+        within = {i * 7 + j for c in (0, 3) for i, j in itertools.combinations(range(c, c + 3), 2)}
+        for switch in ["default", "listing", "runs"]:
+            if switch != "default":
+                monkeypatch.setattr(witness_module, "_RUN_PAIRS", 1e300 if switch == "listing" else 0)
             counter = _FoldCounter()
             monkeypatch.setattr(witness_module, "np", counter)
-            got = edge_births(dm, cap=cap)
+            got = edge_births(dm, cap=1.0)
             monkeypatch.undo()
-            assert counter.rows == pairs
-            want = edge_births_rows(W, L, cap=cap)
-            assert np.array_equal(got.births, want.births)
-            assert np.array_equal(got.witness, want.witness)
+            assert set(counter.keys) == within
+            if switch == "listing":
+                assert (got.listed, got.run_chunks) == (64 * 3, 0)
+            if switch == "runs":
+                assert got.listed == 0 and got.run_chunks > 0
+            assert_births_equal(got, edge_births_rows(W, L, cap=1.0))
+        counter = _FoldCounter()
+        monkeypatch.setattr(witness_module, "np", counter)
+        got = edge_births(dm)
+        monkeypatch.undo()
+        assert counter.rows == 21 and not counter.keys
+        assert_births_equal(got, edge_births_rows(W, L))
 
     @pytest.mark.parametrize("n", [20_000, 80_000])
     def test_uncapped_peak_memory_is_independent_of_witness_count(self, n):
@@ -473,6 +490,27 @@ class TestBoundedRowFold:
             tracemalloc.stop()
         assert peak < 6 * ell * DEFAULT_BLOCK * 8
 
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("n", [20_000, 80_000])
+    def test_capped_peak_memory_is_independent_of_witness_count(self, n, shuffled):
+        # the same helix under a small cap: in time order the chunks fold by sub-runs, in random order
+        # they list each witness's pairs; the entries and pairs are bounded per chunk, so the peak is
+        # the uncapped one's bound at either count
+        rng = np.random.default_rng(0)
+        t = np.linspace(0.0, 20.0 * np.pi, n)
+        W = np.column_stack([np.cos(t), np.sin(t), 0.05 * t]) + 0.01 * rng.standard_normal((n, 3))
+        L = W[:: n // 200]
+        if shuffled:
+            W = W[rng.permutation(n)]
+        dm = distance_matrix(W, L)
+        tracemalloc.start()
+        try:
+            ef = edge_births(dm, cap=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(ef.births).any() and (ef.listed > 0) == shuffled
+        assert peak < 6 * len(L) * DEFAULT_BLOCK * 8
 
     @pytest.mark.parametrize("cap", [None, 5.0])
     def test_million_witnesses_peak_is_set_by_landmarks_and_block(self, cap):
@@ -580,6 +618,106 @@ class TestPrunedBirths:
             assert ef.vertex_birth[1] == ef.births[0, 1] == birth
             assert ef.witness[0, 1] == (0 if birth == 1.0 else -1)
             assert_births_equal(ef, edge_births_rows(W, L, cap=cap))
+
+
+SWITCHES = {"default": None, "listing": 1e300, "runs": 0}  # the switch as it is, and forced to either fold
+
+
+def held_cloud(kind, seed):
+    """A 3-d walk of 2,000 witnesses with every 50th a landmark, in time order or shuffled, and caps either
+    side of the listing/run-fold switch: in time order a sub-run's witnesses hold the same few landmarks
+    (runs pay), in random order each witness holds its own (the listing pays)."""
+    rng = np.random.default_rng(seed)
+    W = np.cumsum(rng.normal(0.0, 0.05, size=(2_000, 3)), axis=0)
+    L = W[::50]
+    if kind == "shuffled":
+        W = W[rng.permutation(len(W))]
+    elif kind == "gridded":  # ties, and each point twice in a row
+        W = np.round(W, 1)[np.repeat(np.arange(0, 2_000, 2), 2)]
+    return W, L
+
+
+class TestHeldPairs:
+    """Capped births list each witness's held pairs, or fold a chunk's by sub-runs; referee: the landmark-row kernel."""
+
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    @pytest.mark.parametrize("kind", ["walk", "shuffled", "gridded"])
+    @pytest.mark.parametrize("block", [1, 3, 7, 100, "n-1", "n", "n+1", DEFAULT_BLOCK])
+    def test_bitwise_equal_to_row_kernel(self, monkeypatch, block, kind, switch):
+        W, L = held_cloud(kind, seed=7)
+        block = {"n-1": len(W) - 1, "n": len(W), "n+1": len(W) + 1}.get(block, block)
+        if SWITCHES[switch] is not None:
+            monkeypatch.setattr(witness_module, "_RUN_PAIRS", SWITCHES[switch])
+        dm = distance_matrix(W, L)
+        for cap in [0.0, 0.05, 0.3, 1.0]:
+            got = edge_births(dm, block=block, cap=cap)
+            assert_births_equal(got, edge_births_rows(W, L, cap=cap))
+            if switch == "listing":
+                assert got.run_chunks == 0
+            if switch == "runs":
+                assert got.listed == 0
+
+    def test_the_switch_takes_each_fold(self):
+        # on the walk in time order the chunks fold by sub-runs; shuffled, every chunk lists its witnesses'
+        # pairs, and the pairs listed are the pairs the witnesses hold, whatever their order
+        W, L = held_cloud("walk", seed=7)
+        ordered = edge_births(distance_matrix(W, L), cap=0.3)
+        assert ordered.run_chunks > 0 and ordered.listed == 0
+        perm = np.random.default_rng(1).permutation(len(W))
+        shuffled = edge_births(distance_matrix(W[perm], L), cap=0.3)
+        assert shuffled.run_chunks == 0
+        dist = cdist(W, L)
+        held = np.count_nonzero(dist - dist.min(axis=1)[:, None] <= 0.3, axis=1)
+        assert shuffled.listed == int((held * (held - 1) // 2).sum()) > 0
+        assert np.array_equal(shuffled.births, ordered.births)
+        assert np.array_equal(shuffled.vertex_birth, ordered.vertex_birth)
+
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    @pytest.mark.parametrize("block, pos", [(DEFAULT_BLOCK, 512), (DEFAULT_BLOCK, 4_096), (DEFAULT_BLOCK, 4_608),
+                                            (16, 16), (16, 256), (7, 240)])
+    def test_tie_across_chunks_and_spans_keeps_lowest_witness(self, monkeypatch, block, pos, switch):
+        # witnesses at 0.9 except pos - 1 and pos at 0.5, where edge {0, 1} is born at 0; pos is the first
+        # witness of a chunk (512 witnesses of two landmarks fill a default buffer) or of a span (4,096
+        # witnesses; 256 at block 16), so the earlier chunk or span must keep the tie
+        if SWITCHES[switch] is not None:
+            monkeypatch.setattr(witness_module, "_RUN_PAIRS", SWITCHES[switch])
+        W = np.full((pos + 2 * DEFAULT_BLOCK + 5, 1), 0.9)
+        W[pos - 1] = W[pos] = 0.5
+        L = np.array([[0.0], [1.0]])
+        for cap in [0.0, 0.5]:
+            ef = edge_births(distance_matrix(W, L), block=block, cap=cap)
+            assert ef.births[0, 1] == 0.0 and ef.witness[0, 1] == ef.witness[1, 0] == pos - 1
+            assert_births_equal(ef, edge_births_rows(W, L, cap=cap))
+
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    @pytest.mark.parametrize("n", [SUB * 3 + 1, SUB * 3 + 5, SUB * 3 + 15, SUB * 300 + 7])
+    def test_padded_witness_never_wins_a_tie(self, monkeypatch, n, switch):
+        # the last witness alone gives edge {0, 1} its birth, and the last sub-run is padded with copies of it;
+        # it is the one witness holding a pair, and the listing lists no padding
+        if SWITCHES[switch] is not None:
+            monkeypatch.setattr(witness_module, "_RUN_PAIRS", SWITCHES[switch])
+        W = np.full((n, 1), 0.9)
+        W[-1] = 0.375
+        L = np.array([[0.0], [1.0], [5.0]])
+        for block in [7, DEFAULT_BLOCK]:
+            ef = edge_births(distance_matrix(W, L), block=block, cap=0.5)
+            assert ef.births[0, 1] == 0.25 and ef.witness[0, 1] == n - 1
+            assert ef.listed <= 1 and (switch == "default" or ef.listed == (switch == "listing"))
+            assert_births_equal(ef, edge_births_rows(W, L, cap=0.5))
+
+    @pytest.mark.parametrize("switch", list(SWITCHES))
+    def test_chunk_where_no_witness_holds_two_landmarks(self, monkeypatch, switch):
+        # the first 600 witnesses sit on the landmarks, each holding only its own within the cap; the
+        # next chunk's midpoints between landmarks 0 and 1 hold both
+        if SWITCHES[switch] is not None:
+            monkeypatch.setattr(witness_module, "_RUN_PAIRS", SWITCHES[switch])
+        L = np.arange(10.0)[:, None]
+        W = np.vstack([L[np.arange(600) % 10], np.full((100, 1), 0.5)])
+        alone = edge_births(distance_matrix(W[:600], L), cap=0.1)
+        assert alone.listed == 0 and np.isinf(alone.births).all() and (alone.vertex_birth == 0.0).all()
+        ef = edge_births(distance_matrix(W, L), cap=0.1)
+        assert ef.births[0, 1] == 0.0 and ef.witness[0, 1] == 600
+        assert_births_equal(ef, edge_births_rows(W, L, cap=0.1))
 
 
 @pytest.fixture(scope="module")
