@@ -74,7 +74,7 @@ from .witness import (
     skeleton_export,
 )
 
-# bad input or flags; SeriesFormatError, DegenerateSeriesError and ContractViolationError are ValueErrors
+# bad input or flags; SeriesFormatError and DegenerateSeriesError are ValueErrors
 _USER_ERRORS = (ValueError, OSError, IntegrationError, ResourceLimitError)
 
 
@@ -303,6 +303,8 @@ def cmd_complex(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    if args.dim_cap is not None:
+        _count_arg(args.dim_cap, "--dim-cap")
     if args.cycles_k < 1:
         raise ValueError(f"--cycles-k must be at least 1, got {args.cycles_k}")
     if args.cycles_top < 0:
@@ -313,12 +315,7 @@ def cmd_barcode(args) -> int:
             raise ValueError(
                 f"--eps-grid needs a finite lo, a finite hi and a positive integral count, got {args.eps_grid!r}"
             )
-    ff = load_filtration(args.filtration)
-    if args.dim_cap is not None:
-        top = int(ff.dims.max()) + 1  # one above the top simplex dimension
-        if not 1 <= args.dim_cap <= top:
-            raise ValueError(f"--dim-cap must be in 1..{top} for this filtration, got {args.dim_cap}")
-        ff.dim_cap = args.dim_cap
+    ff = load_filtration(args.filtration, args.dim_cap)  # up to one above the file's top dimension
     if args.cycles_out and args.cycles_k >= ff.dim_cap:  # no bar of that degree is reported
         raise ValueError(f"--cycles-k must be below the barcode's dim_cap {ff.dim_cap}, got {args.cycles_k}")
     bc = persistent_homology(ff)
@@ -462,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("barcode", parents=[common], help="persistent homology of a filtration")
     p.add_argument("--filtration", required=True, help="filtration JSON input")
     p.add_argument("--out", required=True, help="barcode CSV output")
-    p.add_argument("--dim-cap", type=int, default=None, help="report H_k for k < this (default: top dim)")
+    p.add_argument("--dim-cap", type=int, default=None,
+                   help="report H_k for k < this, up to top dim + 1 (default: top dim)")
     p.add_argument("--eps-grid", default=None, help="min,max,count for a sampled Betti table")
     p.add_argument("--grid-out", default=None, help="output CSV for --eps-grid")
     p.add_argument("--cycles-out", default=None, help="output CSV of representative cycles")

@@ -1,42 +1,39 @@
-"""Persistent homology over Z/2: one coboundary reduction for every degree.
+"""Persistent homology over Z/2: one coboundary reduction for every degree of a flag filtration.
 
 H_k reduces the coboundary columns of the k-simplices in reverse filtration
-order, each the set of positions of its (k+1)-cofaces with the smallest one
-as pivot (de Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent
-(co)homology*, 2011); for k = 0 the columns are the vertices and the rows
-their edges.  Dimensions run upwards with clearing (Bauer, *Ripser*, 2021):
-a k-simplex that destroyed a (k-1)-class in the pass below is skipped, so
-most columns pair at once with a free pivot (an apparent pair) and need no
-addition.  The pairs are those of the standard boundary reduction, so
-creators and destroyers are positions in the filtration's simplex list.
-Facets are found a chunk of simplices at a time by ``np.searchsorted`` over
-sorted integer keys, and ``np.minimum.at`` folds each chunk into its facets'
-first cofaces, every column's pivot.  Columns are built only when added, as
-Ripser computes coboundaries on demand: a column with a free pivot is kept
-as its key alone, and its rows are looked up only when it needs an addition
-or a later column must add it: the one-vertex extensions of a k-simplex
-whose keys are (k+1)-simplex keys.  One routine, ``_reduce``, does every
-reduction, representative cycles included: a k-cycle is its creator plus the
-unique set of earlier k-simplices that destroyed a (k-1)-class whose
-boundaries sum to the creator's (Edelsbrunner, Letscher & Zomorodian,
-*Topological persistence and simplification*, 2002).  For k = 1 that is the
-creator edge closed through the H0 spanning forest.
+order, each the set of its (k+1)-cofaces with the smallest one as pivot (de
+Silva, Morozov & Vejdemo-Johansson, *Dualities in persistent (co)homology*,
+2011); for k = 0 the columns are the vertices and the rows their edges.
+Dimensions run upwards with clearing (Bauer, *Ripser*, 2021): a k-simplex
+that destroyed a (k-1)-class in the pass below is skipped, so most columns
+pair at once with a free pivot (an apparent pair) and need no addition.  The
+pairs are those of the standard boundary reduction, so creators and
+destroyers are positions in the filtration's simplex list.  One routine,
+``_reduce``, does every reduction, representative cycles included: a
+k-cycle is its creator plus the unique set of earlier k-simplices that
+destroyed a (k-1)-class whose boundaries sum to the creator's (Edelsbrunner,
+Letscher & Zomorodian, *Topological persistence and simplification*, 2002).
+For k = 1 that is the creator edge closed through the H0 spanning forest.
 
-A filtration from ``flag_expand`` keeps its top dimension implicit, and its
-last degree is reduced with Ripser's implicit coboundary: a
-(dim_cap - 1)-simplex's cofaces are the vertices in the AND of its
-vertices' adjacency rows, each valued at the max of the simplex's value and
-its new edges' births.  Among equal values they run by vertex ascending,
-their (value, dim, vertices) order, so every pivot is a first-index argmin
-over a chunked (simplices x ell) value array and a column is one AND; no
-list of top simplices is made.  Creators and destroyers stay positions in
+Every filtration comes from ``flag_expand`` (a loaded file is rebuilt by
+it), so every degree is reduced with Ripser's implicit coboundary: a
+k-simplex's cofaces are the vertices in the AND of its vertices' adjacency
+rows, each valued at the max of the simplex's value and its new edges'
+births.  Among equal values they run by vertex ascending, their (value, dim,
+vertices) order, so every pivot is a first-index argmin over a chunked
+(simplices x ell) value array.  Columns are built only when added, as Ripser
+computes coboundaries on demand: a column with a free pivot is kept as its
+key alone, and its cofaces are read from the adjacency only when it needs an
+addition or a later column must add it.  A coface is an integer row, its
+value's rank and its vertices as base-ell digits; a destroyer below the top
+dimension is found among its dimension's listed rows by one search, and the
+top dimension is never listed.  Creators and destroyers stay positions in
 the whole list: a listed simplex's is its index plus the top simplices of
 smaller value, and a top destroyer's is its rank, the listed simplices of
 value <= its own plus the top simplices before it, counted a chunk of
-(dim_cap - 1)-simplices at a time.  Only the listed simplices are checked;
-a loaded filtration lists every simplex, so all of it is.
-Homology is reported for k < dim_cap; intervals with equal birth and death
-are homologically invisible and omitted.
+(dim_cap - 1)-simplices at a time.  Homology is reported for k < dim_cap;
+intervals with equal birth and death are homologically invisible and
+omitted.
 """
 
 from __future__ import annotations
@@ -50,13 +47,8 @@ import numpy as np
 from .signal import _read_table, _write_table
 from .witness import FlagFiltration
 
-_FACET_CHUNK = 1 << 14  # the simplices of one dimension whose facets _validate holds at once
-_COFACE_CELLS = 1 << 16  # the (simplices x ell) coface values an implicit top dimension holds at once
-_ROW_BOUND = 2**63  # top rows that could reach it are Python ints
-
-
-class ContractViolationError(ValueError):
-    """The input filtration is not sorted or not closed under faces."""
+_COFACE_CELLS = 1 << 16  # the (simplices x ell) coface values a pass holds at once
+_ROW_BOUND = 2**63  # coface rows that could reach it are Python ints
 
 
 @dataclass(frozen=True)
@@ -97,82 +89,6 @@ class Barcode:
         return [iv for iv in self.intervals if iv.k == k]
 
 
-def _find(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The index of each entry of ``x`` in the sorted array ``table``, or -1 where absent."""
-    at = np.minimum(np.searchsorted(table, x), max(table.size - 1, 0))
-    return np.where(table[at] == x, at, -1) if table.size else np.full(x.shape, -1)
-
-
-def _validate(verts, dims, values, top: int) -> tuple:
-    """Check canonical order and face closure of the listed simplices; return the pivots and a coface lookup.
-
-    ``head[p]`` is simplex p's first coface position (n if none), and
-    ``cofaces(p)`` lists them all.  A k-simplex's key is the index of its
-    first k vertices' key among the (k-1)-simplex keys, times the vertex
-    count, plus its last vertex's rank, so keys stay below n * ell.  The first
-    failing position raises (order, value, duplicate, then faces).  Keys are
-    tabled through dimension ``top``, so the cofaces of simplices below it are found.
-    """
-    n = values.size
-    live = np.arange(1, verts.shape[1]) <= dims[:, None]
-    unsorted = (dims < 0) | ((verts[:, 1:] <= verts[:, :-1]) & live).any(axis=1)
-    low = ~(values >= np.concatenate(([-np.inf], values[:-1])))
-    dup, missing, head = np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int8), np.full(n + 1, n)
-    ids = np.unique(verts[dims == 0, 0])
-    tables = []  # tables[k]: the k-simplex keys, sorted, and the first position of each
-
-    def key(ranks):
-        out = ranks[:, 0]
-        for c in range(1, ranks.shape[1]):
-            prefix = out if c == 1 else _find(tables[c - 1][0], out)  # a vertex's key index is its rank
-            out = np.where((prefix >= 0) & (ranks[:, c] >= 0), prefix * ids.size + ranks[:, c], -1)
-        return out
-
-    for d in range(max(top, int(dims.max(initial=0))) + 1):
-        pos = np.flatnonzero(dims == d)
-        keys, first = np.empty(pos.size, dtype=np.int64), np.append(tables[d - 1][1], n) if d else None
-        for s in range(0, pos.size, _FACET_CHUNK):
-            p = pos[s : s + _FACET_CHUNK]
-            ranks = _find(ids, verts[p, : d + 1]).reshape(p.size, d + 1)  # without d-simplices, verts may be narrower
-            keys[s : s + p.size] = key(ranks)
-            if d:  # facet i drops vertex d - i; an absent facet reads position n
-                f = np.column_stack([first[_find(tables[d - 1][0], key(np.delete(ranks, d - i, axis=1)))]
-                                     for i in range(d + 1)])
-                missing[p] = np.where((late := f > p[:, None]).any(axis=1), late.argmax(axis=1), -1)
-                np.minimum.at(head, f, p[:, None])
-        order = np.argsort(keys, kind="stable")  # a duplicate key's first position is kept
-        keys = keys[order]
-        new = np.ones(keys.size, dtype=bool)  # the first of each key
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        dup[pos[order[~new]]] = True
-        new &= keys >= 0
-        keys = keys[new]
-        order = order[new]
-        tables.append((keys, pos[order]))
-    failed = np.flatnonzero(unsorted | low | dup | (missing >= 0))
-    if not failed.size:
-        def cofaces(p):  # p plus each vertex v, carried into order through p's ranks (then ids.size) and keyed
-            out, carry = None, np.arange(ids.size)
-            for c, r in enumerate(np.searchsorted(ids, verts[p, : dims[p] + 1]).tolist() + [ids.size]):
-                x, carry = np.minimum(carry, r), np.maximum(carry, r)
-                out = x if c == 0 else (out if c == 1 else _find(tables[c - 1][0], out)) * ids.size + x
-            at = _find(tables[dims[p] + 1][0], out)  # a repeated vertex or an absent prefix finds nothing
-            return tables[dims[p] + 1][1][at[at >= 0]]
-
-        return head, cofaces
-    p = int(failed[0])
-    simplex = tuple(verts[p, : dims[p] + 1].tolist())
-    if unsorted[p]:
-        raise ContractViolationError(f"simplex {simplex} at position {p} is not strictly sorted")
-    if low[p]:
-        prev = values[p - 1] if p else -math.inf
-        raise ContractViolationError(f"filtration value {values[p]} at position {p} is NaN or below {prev} before it")
-    if dup[p]:
-        raise ContractViolationError(f"duplicate simplex {simplex}")
-    drop = dims[p] - missing[p]  # the vertex that the first missing facet leaves out
-    raise ContractViolationError(f"face {simplex[:drop] + simplex[drop + 1:]} of {simplex} missing or out of order")
-
-
 def _reduce(heads, column, track: bool = False):
     """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v, additions) per column.
 
@@ -207,71 +123,75 @@ def _reduce(heads, column, track: bool = False):
         yield key, low, v, additions
 
 
-class _TopRows:
-    """The implicit top dimension of a flag filtration: coface values, and top simplices as ordered integers.
+class _Rows:
+    """The coboundaries of a flag filtration: coface values, and simplices above a degree as ordered integers.
 
-    A listed (dim_cap - 1)-simplex's cofaces are the vertices v whose
-    ``top_births`` are finite to each of its vertices; a coface's value is
-    the max of the simplex's value and those births, so it is an edge birth.
-    A top simplex's row is (rank of its value among the edge births) *
-    ell^(dim_cap + 1) plus its sorted vertices as base-ell digits, so rows
-    compare in (value, vertices) order; they are NumPy int64, or Python ints
-    (object arrays) when they could reach ``_ROW_BOUND``.
+    A listed k-simplex's cofaces are the vertices v whose ``top_births`` are
+    finite to each of its vertices; a coface's value is the max of the
+    simplex's value and those births, so it is an edge birth.  A
+    (k+1)-simplex's row is (rank of its value among the edge births) *
+    ell^(k+2) plus its sorted vertices as base-ell digits, so the rows of one
+    dimension compare in (value, vertices) order; they are NumPy int64, or
+    Python ints (object arrays) when the top dimension's could reach ``_ROW_BOUND``.
     """
 
     def __init__(self, ff: FlagFiltration):
+        if ff.top_births is None:
+            raise ValueError("the barcode needs a flag filtration from flag_expand, which keeps its top_births")
         self.verts, self.values, self.births, self.d = ff.listed_vertices, ff.listed_values, ff.top_births, ff.dim_cap
         self.ell = self.births.shape[0]
         self.levels = np.unique(self.births[np.isfinite(self.births)])
-        self.span = self.ell ** (self.d + 1)
-        self.dtype = np.int64 if max(1, self.levels.size) * self.span < _ROW_BOUND else object
-        self.powers = np.array([self.ell ** (self.d - c) for c in range(self.d + 1)], dtype=self.dtype)
+        self.dtype = np.int64 if max(1, self.levels.size) * self.ell ** (self.d + 1) < _ROW_BOUND else object
+        self.powers = np.array([self.ell ** (self.d + 1 - c) for c in range(self.d + 2)], dtype=self.dtype)
 
-    def cofaces(self, rows) -> np.ndarray:
-        """The (rows, ell) values of the listed simplices ``rows`` plus each vertex, +inf where that is no simplex."""
+    def cofaces(self, rows, k: int) -> np.ndarray:
+        """The (rows, ell) values of the listed k-simplices ``rows`` plus each vertex, +inf where that is no simplex."""
         out = self.births[self.verts[rows, 0]]
-        for c in range(1, self.d):
+        for c in range(1, k + 1):
             np.maximum(out, self.births[self.verts[rows, c]], out=out)
         return np.maximum(out, self.values[rows, None], out=out)
 
     def encode(self, faces, xs, vs) -> np.ndarray:
-        """The rows of the sorted ``faces`` (r or 1, dim_cap) plus the vertices ``vs``, at the values ``xs``."""
-        at = (faces < vs[:, None]).sum(axis=1)  # where v goes
-        out = np.searchsorted(self.levels, xs).astype(self.dtype) * self.span + vs.astype(self.dtype) * self.powers[at]
-        for c in range(self.d):
-            out += faces[:, c].astype(self.dtype) * self.powers[c + (c >= at)]
+        """The rows of the sorted ``faces`` (r or 1, k + 1) plus the vertices ``vs``, at the values ``xs``."""
+        k = faces.shape[1] - 1
+        at, powers = (faces < vs[:, None]).sum(axis=1), self.powers[-(k + 3) :]  # where v goes; ell^(k+2) .. 1
+        out = np.searchsorted(self.levels, xs).astype(self.dtype) * powers[0] + vs.astype(self.dtype) * powers[1:][at]
+        for c in range(k + 1):
+            out += faces[:, c].astype(self.dtype) * powers[1:][c + (c >= at)]
         return out
 
     def value(self, rows) -> np.ndarray:
-        """The values of ``rows``."""
-        return self.levels[(np.asarray(rows, dtype=self.dtype) // self.span).astype(np.int64)]
+        """The values of the top simplex ``rows``."""
+        return self.levels[(np.asarray(rows, dtype=self.dtype) // self.powers[0]).astype(np.int64)]
 
 
-def _top_coboundary(top: _TopRows, keys: list):
-    """The pivots of the listed (dim_cap - 1)-simplices ``keys`` and their column builder, from the implicit top.
+def _coboundary(rows: _Rows, k: int, keys: list, counts: dict):
+    """The pivots of the listed k-simplices ``keys`` and their column builder, from the adjacency.
 
     Among equal values the cofaces run by v ascending, which is their
     (value, vertices) order, so a pivot is a first-index argmin over v,
-    taken a chunk of ``_COFACE_CELLS`` values at a time.
+    taken a chunk of ``_COFACE_CELLS`` values at a time.  The builder counts
+    the sets it builds in ``counts["column_sets"]``.
     """
-    order, step = np.asarray(keys, dtype=np.int64), max(1, _COFACE_CELLS // top.ell)
-    pivots = np.empty(order.size, dtype=top.dtype)
+    order, step = np.asarray(keys, dtype=np.int64), max(1, _COFACE_CELLS // max(1, rows.ell))
+    pivots = np.empty(order.size, dtype=rows.dtype)
     for s in range(0, order.size, step):
-        block = top.cofaces(order[s : s + step])
+        block = rows.cofaces(order[s : s + step], k)
         vs = block.argmin(axis=1)
         xs = block[np.arange(vs.size), vs]
-        pivots[s : s + step] = np.where(xs < np.inf, top.encode(top.verts[order[s : s + step], : top.d], xs, vs), -1)
+        pivots[s : s + step] = np.where(xs < np.inf, rows.encode(rows.verts[order[s : s + step], : k + 1], xs, vs), -1)
     heads = ((i, None if low < 0 else low) for i, low in zip(keys, pivots.tolist()))
 
     def column(i):
-        xs = top.cofaces([i])[0]
+        counts["column_sets"] += 1
+        xs = rows.cofaces([i], k)[0]
         vs = np.flatnonzero(xs < np.inf)
-        return set(top.encode(top.verts[i : i + 1, : top.d], xs[vs], vs).tolist())
+        return set(rows.encode(rows.verts[i : i + 1, : k + 1], xs[vs], vs).tolist())
 
     return heads, column
 
 
-def _positions(ff: FlagFiltration, top: _TopRows | None, tops: list) -> tuple[np.ndarray, np.ndarray]:
+def _positions(ff: FlagFiltration, top: _Rows, tops: list) -> tuple[np.ndarray, np.ndarray]:
     """The positions in the whole (value, dim, vertices) list of every listed simplex and of the top rows ``tops``.
 
     A listed simplex precedes the top simplices of its value, so its
@@ -281,71 +201,57 @@ def _positions(ff: FlagFiltration, top: _TopRows | None, tops: list) -> tuple[np
     as its first dim_cap vertices (a listed simplex) plus a larger vertex, a
     chunk of ``_COFACE_CELLS`` at a time, so no array grows with the top dimension.
     """
-    values = ff.listed_values
-    if top is None:
-        return np.arange(values.size), np.empty(0, dtype=np.int64)
-    prefixes, higher = np.flatnonzero(ff.listed_dims == top.d - 1), np.arange(top.ell)
-    queries = np.concatenate((np.searchsorted(top.levels, values).astype(top.dtype) * top.span,
+    values, k = ff.listed_values, top.d - 1
+    prefixes, higher = np.flatnonzero(ff.listed_dims == k), np.arange(top.ell)
+    queries = np.concatenate((np.searchsorted(top.levels, values).astype(top.dtype) * top.powers[0],
                               np.asarray(tops, dtype=top.dtype)))  # a listed query: the least row of its value
-    before, step = np.zeros(queries.size, dtype=np.int64), max(1, _COFACE_CELLS // top.ell)
+    before, step = np.zeros(queries.size, dtype=np.int64), max(1, _COFACE_CELLS // max(1, top.ell))
     for s in range(0, prefixes.size, step):
         p = prefixes[s : s + step]
-        cells = top.cofaces(p)
-        cells[higher <= top.verts[p, top.d - 1, None]] = np.inf
+        cells = top.cofaces(p, k)
+        cells[higher <= top.verts[p, k, None]] = np.inf
         r, v = np.nonzero(cells < np.inf)
-        before += np.searchsorted(np.sort(top.encode(top.verts[p[r], : top.d], cells[r, v], v)), queries)
+        before += np.searchsorted(np.sort(top.encode(top.verts[p[r], : k + 1], cells[r, v], v)), queries)
     n = values.size
     return np.arange(n) + before[:n], np.searchsorted(values, top.value(tops), side="right") + before[n:]
 
 
 def persistent_homology(ff: FlagFiltration) -> Barcode:
-    """Compute the barcode of a flag filtration over Z/2.
+    """Compute the barcode of a flag filtration from ``flag_expand`` over Z/2.
 
-    The filtration must be sorted by value with every face preceding its
-    cofaces (the canonical (value, dim, lex) order always qualifies), else a
-    ContractViolationError is raised.  The pairs are those of standard
-    left-to-right boundary reduction; the returned multiset of intervals is
-    independent of tie order among equal-valued simplices.  The listed
-    simplices are checked; an implicit top dimension is reduced through
-    ``_top_coboundary`` and its destroyers placed by ``_positions``.
+    The pairs are those of standard left-to-right boundary reduction of the
+    whole (value, dim, vertices) list; the returned multiset of intervals is
+    independent of tie order among equal-valued simplices.  Every degree is
+    reduced through ``_coboundary`` from the adjacency, and the top
+    destroyers are placed by ``_positions``.  A filtration without
+    ``top_births`` raises ValueError.
     """
-    top = _TopRows(ff) if ff.top_births is not None else None
-    verts, dims, values = ff.listed_vertices, ff.listed_dims, ff.listed_values
-    head, cofaces = _validate(verts, dims, values, ff.dim_cap - (top is not None))
+    rows, dims, values, top = _Rows(ff), ff.listed_dims, ff.listed_values, ff.dim_cap - 1
     pairs, cleared, tops = [], set(), []  # cleared: the listed destroyers; a pass skips those of its own dimension
     counts = {"reduced_columns": {}, "cleared_columns": {}, "column_additions": {}, "column_sets": 0}
-
-    def counted(build):  # the column builder, counting the sets it builds
-        def column(i):
-            counts["column_sets"] += 1
-            return build(i)
-
-        return column
-
     for k in range(ff.dim_cap):
         simplices = np.flatnonzero(dims == k)[::-1].tolist()
         keys = [i for i in simplices if i not in cleared]
         counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), len(simplices) - len(keys)
-        counts["column_additions"][k] = 0
-        implicit = top is not None and k == ff.dim_cap - 1
-        if implicit:
-            heads, build = _top_coboundary(top, keys)
-        else:
-            heads = ((i, None if low == values.size else low) for i, low in zip(keys, head[keys].tolist()))
-            build = lambda i: set(cofaces(i).tolist())
-        for i, j, _, additions in _reduce(heads, counted(build)):
-            counts["column_additions"][k] += additions
-            if j is not None:
-                (tops.append if implicit else cleared.add)(j)
-            pairs.append((k, i, j, implicit))
+        reduced = [(i, j, additions) for i, j, _, additions in _reduce(*_coboundary(rows, k, keys, counts))]
+        counts["column_additions"][k] = sum(additions for _, _, additions in reduced)
+        found = [j for _, j, _ in reduced if j is not None]
+        if k == top:
+            tops = found
+        else:  # the destroyers as listed indices, by one search over their dimension's rows; the next pass skips them
+            above = np.flatnonzero(dims == k + 1)
+            table = rows.encode(rows.verts[above, : k + 1], values[above], rows.verts[above, k + 1])
+            found = dict(zip(found, above[np.searchsorted(table, np.asarray(found, dtype=rows.dtype))].tolist()))
+            cleared.update(found.values())
+        pairs += [(k, i, j if j is None or k == top else found[j]) for i, j, _ in reduced]
 
-    positions, top_positions = _positions(ff, top, tops)
+    positions, top_positions = _positions(ff, rows, tops)
     at, intervals = positions.tolist(), []
-    top_at = dict(zip(tops, zip(top_positions.tolist(), top.value(tops).tolist()))) if top else {}
-    for k, i, j, implicit in pairs:
+    top_at = dict(zip(tops, zip(top_positions.tolist(), rows.value(tops).tolist())))
+    for k, i, j in pairs:
         if j is None:
             destroyer, death = None, math.inf
-        elif implicit:
+        elif k == top:
             destroyer, death = top_at[j]
         else:
             destroyer, death = at[j], float(values[j])

@@ -133,11 +133,13 @@ class FlagFiltration:
 
     The listed simplices are arrays: listed simplex i has dimension
     ``listed_dims[i]``, vertex ids ``listed_vertices[i, :listed_dims[i] + 1]``
-    (the rest of the row is -1) and value ``listed_values[i]``.  A loaded
-    filtration lists every simplex.  One from ``flag_expand`` lists those below
-    dim_cap and keeps the top dimension implicit: ``top_births`` holds the
-    truncated edge births (symmetric, +inf at absent edges and on the
-    diagonal) and ``top_count`` the number of top simplices.  A top simplex
+    (the rest of the row is -1) and value ``listed_values[i]``.
+    ``flag_expand`` makes every filtration (``load_filtration`` rebuilds a
+    file with it): it lists the simplices below dim_cap and keeps the top
+    dimension implicit.  ``top_births`` holds the truncated edge births
+    (symmetric, +inf at absent edges and on the diagonal), from which the
+    barcode reads every coboundary, and ``top_count`` the number of top
+    simplices.  A top simplex
     is a (dim_cap - 1)-simplex plus a vertex adjacent to all of its vertices,
     valued at the largest birth among its edges.  ``arrays()``, and the
     ``vertices``, ``dims``, ``values`` and ``simplices`` views over it, give
@@ -159,9 +161,7 @@ class FlagFiltration:
         return self.listed_values.size + self.top_count
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every simplex's (vertices, dims, values) rows in order; an implicit top dimension is listed on each call."""
-        if self.top_births is None:
-            return self.listed_vertices, self.listed_dims, self.listed_values
+        """Every simplex's (vertices, dims, values) rows in order; the implicit top dimension is listed on each call."""
         d, n = self.dim_cap, self.listed_values.size
         vertices, values = np.full((len(self), d + 1), -1, dtype=np.int64), np.empty(len(self))
         vertices[:n, :d], values[:n] = self.listed_vertices, self.listed_values
@@ -517,6 +517,11 @@ def flag_expand(ef: EdgeFiltration, dim_cap: int = 3, max_value: float | None = 
     The simplices below dim_cap are listed; the top dimension is only
     counted, and kept as the truncated births (see ``FlagFiltration``).
     """
+    return _expand(ef, dim_cap, max_value, max_simplices)
+
+
+def _expand(ef, dim_cap, max_value, max_simplices) -> FlagFiltration:
+    """``flag_expand``; ``load_filtration`` calls it here, so a traced run counts its rebuild as loading."""
     if dim_cap < 1:
         raise ValueError("dim_cap must be at least 1")
     births, vb, top = ef.births, ef.vertex_birth, np.inf if max_value is None else max_value
@@ -576,11 +581,16 @@ def save_filtration(ff: FlagFiltration, path) -> None:
         fh.write("\n]\n" if len(ff) else "]\n")
 
 
-def load_filtration(path) -> FlagFiltration:
-    """Read a filtration JSON array; dim_cap is inferred from the largest simplex.
+def load_filtration(path, dim_cap: int | None = None) -> FlagFiltration:
+    """Read a filtration JSON array, as ``save_filtration`` writes it: the flag expansion of its vertices and edges.
 
-    Each entry must hold a list of integer vertex ids (int64) and a number;
-    order and face closure are checked by the barcode.
+    Each entry must hold a nonempty, strictly increasing list of integer
+    vertex ids in 0..n-1, for the file's n vertex entries, and a non-NaN
+    number; no edge may be valued below its vertices.  The file is rebuilt by
+    ``flag_expand`` from those entries, with its entry count as the budget,
+    and must list exactly that expansion, else a ValueError names the first
+    entry that differs.  ``dim_cap`` defaults to the top simplex dimension
+    (at least 1) and may be one more, the next dimension read from the edges.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -600,8 +610,41 @@ def load_filtration(path) -> FlagFiltration:
         ):
             raise ValueError(f"{path}: entry {pos} is not an object with integer 'vertices' and a numeric 'value'")
     dims = np.array([len(entry["vertices"]) - 1 for entry in raw], dtype=np.int64)
-    vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
+    top, n = int(dims.max()), int(np.count_nonzero(dims == 0))
+    vertices = np.full((dims.size, max(1, top) + 1), -1, dtype=np.int64)
     for row, entry in zip(vertices, raw):
         row[: len(entry["vertices"])] = entry["vertices"]
     values = np.array([float(entry["value"]) for entry in raw])
-    return FlagFiltration(vertices, dims, values, dim_cap=max(1, int(dims.max())))
+    live = np.arange(vertices.shape[1]) <= dims[:, None]
+    bad = (dims < 0) | np.isnan(values) | (live & ((vertices < 0) | (vertices >= n))).any(axis=1)
+    bad |= (live[:, 1:] & (vertices[:, 1:] <= vertices[:, :-1])).any(axis=1)
+    if bad.any():  # checked before any n x n array is made
+        p = int(bad.argmax())
+        raise ValueError(f"{path}: entry {p} ({raw[p]['vertices']} at {values[p]}) is not a nonempty increasing list"
+                         f" of vertex ids in 0..{n - 1} with a non-NaN value")
+    vertex_birth, births, edges = np.full(n, np.inf), np.full((n, n), np.inf), np.flatnonzero(dims == 1)
+    vertex_birth[vertices[dims == 0, 0]] = values[dims == 0]
+    (i, j), x = vertices[edges, :2].T, values[edges]
+    births[i, j] = births[j, i] = x
+    if (early := np.flatnonzero(x < np.maximum(vertex_birth[i], vertex_birth[j]))).size:
+        p = int(edges[early[0]])
+        raise ValueError(f"{path}: entry {p} ({raw[p]['vertices']} at {values[p]}) is an edge valued below its"
+                         f" vertices ({vertex_birth[i[early[0]]]}, {vertex_birth[j[early[0]]]})")
+    ef = EdgeFiltration(vertex_birth, births)
+    try:
+        ff = _expand(ef, max(1, top), None, dims.size)
+    except ResourceLimitError:
+        raise ValueError(f"{path}: the flag expansion of its vertex and edge entries has more than its"
+                         f" {dims.size} entries") from None
+    want, m = ff.arrays(), len(ff)  # the budget holds m <= dims.size
+    differ = (want[1] != dims[:m]) | (want[2] != values[:m]) | (want[0] != vertices[:m]).any(axis=1)
+    if differ.any() or m < dims.size:
+        p = int(differ.argmax()) if differ.any() else m
+        has = f"{want[0][p, : want[1][p] + 1].tolist()} at {want[2][p]}" if p < m else "no entry"
+        raise ValueError(f"{path}: entry {p} ({raw[p]['vertices']} at {values[p]}) differs from the flag expansion"
+                         f" of the file's vertex and edge entries, which has {has} there")
+    if dim_cap is None or dim_cap == ff.dim_cap:
+        return ff
+    if not 1 <= dim_cap <= top + 1:
+        raise ValueError(f"{path}: dim_cap must be in 1..{top + 1} for this filtration, got {dim_cap}")
+    return flag_expand(ef, dim_cap=dim_cap)

@@ -3,9 +3,9 @@
 Everything here is deliberately naive and shares no code with the package:
 SciPy's ``cdist`` (the package itself does not import SciPy), the
 conversion of a (vertex tuple, value) list into a ``FlagFiltration``,
-brute-force clique enumeration, the tuple-based flag expansion and
-dict-based filtration checks that the package used before its arrays,
-the fixed-scale simplex list ``complex_at``,
+brute-force clique enumeration, the tuple-based flag expansion that the
+package used before its arrays and the loader's contract checked against
+it, the fixed-scale simplex list ``complex_at``,
 dense Gaussian elimination over Z/2,
 the bigint boundary-matrix reduction and V-tracked kernel pass that the
 package used before its coboundary reduction, the landmark-row edge-birth
@@ -29,14 +29,21 @@ from topo_recon.mscan import DimensionSweep
 from topo_recon.witness import EdgeFiltration, FlagFiltration
 
 
+class ListedFiltration(FlagFiltration):
+    """A ``FlagFiltration`` that lists every simplex, its top dimension included, and keeps no ``top_births``."""
+
+    def arrays(self):
+        return self.listed_vertices, self.listed_dims, self.listed_values
+
+
 def flag_filtration(simplices, dim_cap: int = 1, max_value: float | None = None) -> FlagFiltration:
-    """A ``FlagFiltration`` holding a list of (vertex tuple, value) pairs as given, unchecked."""
+    """A ``ListedFiltration`` holding a list of (vertex tuple, value) pairs as given, unchecked."""
     dims = np.array([len(verts) - 1 for verts, _ in simplices], dtype=np.int64)
     vertices = np.full((dims.size, int(dims.max(initial=0)) + 1), -1, dtype=np.int64)
     for row, (verts, _) in zip(vertices, simplices):
         row[: len(verts)] = verts
     values = np.array([value for _, value in simplices], dtype=np.float64)
-    return FlagFiltration(vertices, dims, values, dim_cap=dim_cap, max_value=max_value)
+    return ListedFiltration(vertices, dims, values, dim_cap=dim_cap, max_value=max_value)
 
 
 def brute_force_cliques(present_vertices, edge_set, dim_cap):
@@ -150,27 +157,32 @@ def flag_expand_tuples(ef: EdgeFiltration, dim_cap: int, max_value: float | None
     return sorted(sims, key=lambda sv: (sv[1], len(sv[0]), sv[0]))
 
 
-def first_violation(simplices):
-    """The message of the first broken filtration contract, by one pass over a tuple dict; None if valid.
+def flag_refusal(simplices):
+    """Where a (vertex tuple, value) list stops being the flag expansion of its own vertex and edge entries.
 
-    The checks the package ran position by position before its array
-    validator: strictly sorted vertices, nondecreasing non-NaN values, no
-    duplicates, and every facet at an earlier position.
+    None when it is that expansion through its top dimension.  Otherwise the
+    first entry that is empty, unsorted, NaN-valued or holds a vertex id
+    outside 0..n-1 for its n vertex entries; else the first edge valued below
+    its vertices; else -1 when ``flag_expand_tuples`` of those entries is
+    longer than the list, or the first entry where the two differ.
     """
-    index = {}
-    prev = -math.inf
+    n = sum(len(verts) == 1 for verts, _ in simplices)
     for pos, (verts, value) in enumerate(simplices):
-        if not verts or any(a >= b for a, b in zip(verts, verts[1:])):
-            return f"simplex {verts} at position {pos} is not strictly sorted"
-        if not value >= prev:
-            return f"filtration value {value} at position {pos} is NaN or below {prev} before it"
-        prev = value
-        if index.setdefault(verts, pos) != pos:
-            return f"duplicate simplex {verts}"
-        for f in itertools.combinations(verts, len(verts) - 1) if len(verts) > 1 else ():
-            if f not in index:
-                return f"face {f} of {verts} missing or out of order"
-    return None
+        if not verts or math.isnan(value) or not all(0 <= v < n for v in verts) or list(verts) != sorted(set(verts)):
+            return pos
+    vb, births = np.full(n, math.inf), np.full((n, n), math.inf)
+    for verts, value in simplices:
+        if len(verts) == 1:
+            vb[verts[0]] = value
+        elif len(verts) == 2:
+            births[verts] = births[verts[::-1]] = value
+    for pos, (verts, value) in enumerate(simplices):
+        if len(verts) == 2 and value < max(vb[verts[0]], vb[verts[1]]):
+            return pos
+    want = flag_expand_tuples(EdgeFiltration(vb, births), max(1, max(len(verts) for verts, _ in simplices) - 1))
+    if len(want) > len(simplices):
+        return -1
+    return next((pos for pos, (a, b) in enumerate(itertools.zip_longest(simplices, want)) if a != b), None)
 
 
 def complex_below(ef: EdgeFiltration, epsilon: float, dim_cap: int):
@@ -307,13 +319,15 @@ def existence_set(sw: DimensionSweep, i: int, j: int) -> list[int]:
     return [m for m in range(1, sw.m_max + 1) if mask >> (m - 1) & 1]
 
 
-def boundary_reduction(ff: FlagFiltration):
+def boundary_reduction(ff: FlagFiltration, destroyers: bool = False):
     """Barcode of a filtration by left-to-right reduction of bigint boundary columns.
 
     Reduces every dimension from the top down with clearing.  Returns
     ``(k, birth, death, creator, destroyer)`` for k < dim_cap, positive
     length only, sorted by (k, birth, death, creator); death is +inf and
-    destroyer None for an open class.  Assumes a valid filtration.
+    destroyer None for an open class.  With ``destroyers`` set, also the
+    sorted positions of every simplex that destroyed a class, zero-length
+    pairs included.  Assumes a valid filtration.
     """
     sims = ff.simplices
     index = {verts: pos for pos, (verts, _) in enumerate(sims)}
@@ -334,7 +348,8 @@ def boundary_reduction(ff: FlagFiltration):
     bars = [(dims[i], values[i], values[j], i, j) for i, j in pivot.items()]
     bars += [(dims[p], values[p], math.inf, p, None) for p in range(len(sims))
              if p not in pivot and p not in reduced]
-    return sorted(bar for bar in bars if bar[0] < ff.dim_cap and bar[2] > bar[1])
+    bars = sorted(bar for bar in bars if bar[0] < ff.dim_cap and bar[2] > bar[1])
+    return (bars, sorted(pivot.values())) if destroyers else bars
 
 
 def kernel_cycles_bigint(ff: FlagFiltration, k: int) -> dict:

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior: pipelines, provenance, and error paths."""
 
 import hashlib
-import itertools
 import json
 import math
 
@@ -10,7 +9,7 @@ import pytest
 
 from topo_recon import __version__
 from topo_recon.cli import main
-from topo_recon.embed import load_cloud
+from topo_recon.embed import PointCloud, load_cloud, save_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.mscan import dm_filtration, sweep
 from topo_recon.persistence import load_barcode, persistent_homology
@@ -412,32 +411,55 @@ class TestComplexScales:
         assert not (cloud_dir / "nan.json").exists()
 
 
-def hollow_tetrahedron_file(path):
-    """All faces of a tetrahedron but not its interior: H2 is born with the last triangle."""
-    sims = [((v,), 0.0) for v in range(4)]
-    sims += [(e, 1.0) for e in itertools.combinations(range(4), 2)]
-    sims += [(t, 2.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
-    path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
-    return path
+@pytest.fixture(scope="module")
+def octahedron(tmp_path_factory):
+    """A filtration written by ``complex --dim-cap 2``: landmarks at the six unit axis points among 2,000
+    witnesses on the unit sphere, read to epsilon 0.5.  Antipodal landmarks are born at 0.64 or later,
+    so the complex is the octahedron: its flag complex at dim_cap 3 has one H2 class."""
+    d = tmp_path_factory.mktemp("octahedron")
+    sphere = np.random.default_rng(0).normal(size=(2_000, 3))
+    axes = np.vstack((np.eye(3), -np.eye(3)))
+    points = np.vstack((axes, sphere / np.linalg.norm(sphere, axis=1, keepdims=True)))
+    save_cloud(PointCloud(points, np.arange(len(points))), d / "sphere.csv")
+    save_landmarks(LandmarkSet(np.arange(6), axes, np.arange(6)), d / "axes.csv")
+    assert run("complex", "--witnesses", d / "sphere.csv", "--landmarks", d / "axes.csv", "--epsilon", 0.5,
+               "--dim-cap", 2, "--out", "octahedron.json", "--out-dir", d) == 0
+    return d / "octahedron.json"
 
 
 class TestBarcode:
-    def test_dim_cap_reports_top_dimension(self, tmp_path):
-        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
-        assert run("barcode", "--filtration", tetra, "--out", "default.csv", "--out-dir", tmp_path) == 0
-        assert [k for k, _, _ in load_barcode(tmp_path / "default.csv")] == [0, 0, 0, 0, 1, 1, 1]
+    def test_dim_cap_reports_top_dimension(self, tmp_path, octahedron):
+        assert run("barcode", "--filtration", octahedron, "--out", "default.csv", "--out-dir", tmp_path) == 0
+        assert {k for k, _, _ in load_barcode(tmp_path / "default.csv")} == {0, 1}
         assert "dim_cap" not in read_run(tmp_path)["params"]
-        assert run("barcode", "--filtration", tetra, "--out", "b.csv", "--dim-cap", 3, "--out-dir", tmp_path) == 0
-        assert [row for row in load_barcode(tmp_path / "b.csv") if row[0] == 2] == [(2, 5.0, math.inf)]
+        assert run("barcode", "--filtration", octahedron, "--out", "b.csv", "--dim-cap", 3,
+                   "--out-dir", tmp_path) == 0
+        last = max(entry["value"] for entry in json.loads(octahedron.read_text()))  # the last triangle's
+        assert [row for row in load_barcode(tmp_path / "b.csv") if row[0] == 2] == [(2, last, math.inf)]
         assert read_run(tmp_path)["params"]["dim_cap"] == 3
 
     @pytest.mark.parametrize("value", [0, 4, -1])
-    def test_dim_cap_out_of_range_rejected(self, tmp_path, capsys, value):
-        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
-        rc = run("barcode", "--filtration", tetra, "--out", "b.csv", "--dim-cap", value, "--out-dir", tmp_path)
+    def test_dim_cap_out_of_range_rejected(self, tmp_path, capsys, value, octahedron):
+        rc = run("barcode", "--filtration", octahedron, "--out", "b.csv", "--dim-cap", value, "--out-dir", tmp_path)
         assert rc == 1
-        assert f"error: --dim-cap must be in 1..3 for this filtration, got {value}" in capsys.readouterr().err
+        if value < 1:  # refused before the file is read
+            assert capsys.readouterr().err == f"error: --dim-cap must be at least 1, got {value}\n"
+        else:
+            assert f"error: {octahedron}: dim_cap must be in 1..3 for this filtration, got {value}" in (
+                capsys.readouterr().err)
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("dim_cap", [1, 2, 3])
+    def test_dim_cap_reads_as_complex_writes(self, tmp_path, out, dim_cap):
+        # a file of complex --dim-cap 2 read at D gives the barcode of complex --dim-cap D, byte for byte;
+        # at D = 3 that is H2 of the clique complex, its tetrahedra read from the edges
+        assert run("complex", "--witnesses", out / "cloud.csv", "--landmarks", out / "landmarks.csv",
+                   "--epsilon", 1.0, "--dim-cap", dim_cap, "--out", "f.json", "--out-dir", tmp_path) == 0
+        assert run("barcode", "--filtration", tmp_path / "f.json", "--out", "want.csv", "--out-dir", tmp_path) == 0
+        assert run("barcode", "--filtration", out / "filtration.json", "--dim-cap", dim_cap, "--out", "got.csv",
+                   "--out-dir", tmp_path) == 0
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert {k for k, _, _ in load_barcode(tmp_path / "got.csv")} <= set(range(dim_cap))
 
     @pytest.mark.parametrize("entries", ['[{"x": 1}]', "[1, 2]"])
     def test_malformed_entry_rejected(self, tmp_path, capsys, entries):
@@ -451,7 +473,8 @@ class TestBarcode:
         (tmp_path / "f.json").write_text(json.dumps(entries))
         rc = run("barcode", "--filtration", tmp_path / "f.json", "--out", "b.csv", "--out-dir", tmp_path)
         assert rc == 1
-        assert "error: filtration value nan at position 1 is NaN or below 0.0" in capsys.readouterr().err
+        assert (f"error: {tmp_path / 'f.json'}: entry 1 ([1] at nan) is not a nonempty increasing list of vertex"
+                " ids in 0..2 with a non-NaN value") in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
     def test_truncated_filtration_is_located(self, tmp_path, capsys):
@@ -479,9 +502,8 @@ class TestBarcode:
                            (("--dim-cap", 1, "--cycles-k", 1),
                             "--cycles-k must be below the barcode's dim_cap 1, got 1")]
     )
-    def test_bad_cycle_flags_rejected_before_writing(self, tmp_path, capsys, flags, message):
-        tetra = hollow_tetrahedron_file(tmp_path / "tetra.json")
-        rc = run("barcode", "--filtration", tetra, "--out", "b.csv", "--cycles-out", "c.csv", *flags,
+    def test_bad_cycle_flags_rejected_before_writing(self, tmp_path, capsys, flags, message, octahedron):
+        rc = run("barcode", "--filtration", octahedron, "--out", "b.csv", "--cycles-out", "c.csv", *flags,
                  "--out-dir", tmp_path / "out")
         assert rc == 1
         err = capsys.readouterr().err
@@ -589,13 +611,14 @@ class TestErrorPaths:
             "embed": ["--in", tmp_path / "s.txt", "--tau", "auto", "--out", "c.csv"],
             "landmarks": ["--in", tmp_path / "cloud.csv", "--out", "l.csv"],
             "ami": ["--in", tmp_path / "s.txt", "--out", "ami.csv"],
+            "barcode": ["--filtration", tmp_path / "f.json", "--out", "b.csv"],
         }[command]
 
     @pytest.mark.parametrize(
         "command, flag, value",
         [("complex", "--dim-cap", 0), ("complex", "--max-simplices", 0), ("complex", "--max-simplices", -3),
          ("mscan", "--every", 0), ("embed", "--m", 0), ("embed", "--m", -2), ("landmarks", "--every", 0),
-         ("landmarks", "--maxmin", 0), ("landmarks", "--maxmin", -1)],
+         ("landmarks", "--maxmin", 0), ("landmarks", "--maxmin", -1), ("barcode", "--dim-cap", 0)],
     )
     def test_bad_count_flags_rejected_before_any_input(self, tmp_path, capsys, command, flag, value):
         # no input file exists, and --tau auto would run the AMI first: the flag must be refused before both

@@ -1,6 +1,5 @@
 """Barcode reduction, Betti queries, union-find oracle, and cycle extraction."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -18,9 +17,8 @@ from oracles import (
     complex_below,
     components_unionfind,
     dense_betti,
-    first_violation,
-    flag_expand_tuples,
     flag_filtration,
+    flag_refusal,
     kernel_cycles_bigint,
     random_edge_filtration,
     tied_edge_filtration,
@@ -28,7 +26,6 @@ from oracles import (
 from topo_recon.persistence import (
     _reduce,
     Barcode,
-    ContractViolationError,
     Interval,
     betti_at,
     load_barcode,
@@ -38,6 +35,7 @@ from topo_recon.persistence import (
 )
 from topo_recon import mscan as mscan_module
 from topo_recon import persistence as persistence_module
+from topo_recon import witness as witness_module
 from topo_recon.embed import PointCloud, ami_curve, first_minimum
 from topo_recon.landmarks import select_evenly_spaced
 from topo_recon.signal import SeriesFormatError, Trajectory, integrate_lorenz, observe
@@ -104,6 +102,16 @@ class TestSmallBarcodes:
         bc = persistent_homology(flag_expand(ef, dim_cap=2))
         inf_bars = [iv for iv in bc.by_dim(0) if math.isinf(iv.death)]
         assert len(inf_bars) == 2
+
+    @pytest.mark.parametrize("dim_cap", [1, 2, 3])
+    def test_no_vertices(self, dim_cap):
+        bc = persistent_homology(flag_expand(EdgeFiltration(np.zeros(0), np.zeros((0, 0))), dim_cap=dim_cap))
+        assert bc.intervals == [] and bc.destroyers.size == bc.positions.size == 0
+
+    def test_listed_filtration_without_births_refused(self):
+        # every degree reads the truncated births, so a filtration that lists its simplices alone is refused
+        with pytest.raises(ValueError, match="needs a flag filtration from flag_expand, which keeps its top_births"):
+            persistent_homology(flag_filtration([((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)], dim_cap=2))
 
     def test_interval_length(self):
         assert Interval(k=1, birth=0.5, death=2.0, creator=0).length == 1.5
@@ -202,32 +210,24 @@ def check_against_referees(ff):
     return bc
 
 
-def random_complex(rng, dim_cap):
-    """A random simplicial complex through dim_cap on at most 7 vertices, in canonical order, with tied values.
-
-    Its simplices are the faces of a few random top simplices, so it is in general not a flag complex.
-    """
-    n = int(rng.integers(3, 8))
-    simplices = set()
-    for _ in range(int(rng.integers(1, 12))):
-        top = sorted(rng.choice(n, size=min(n, int(rng.integers(1, dim_cap + 2))), replace=False).tolist())
-        simplices.update(face for size in range(1, len(top) + 1) for face in itertools.combinations(top, size))
-    value = {}
-    for s in sorted(simplices, key=len):  # a face's value first, then its cofaces' at least as large
-        faces = itertools.combinations(s, len(s) - 1) if len(s) > 1 else ()
-        value[s] = max([round(float(rng.uniform(0.0, 3.0)), 1), *(value[f] for f in faces)])
-    return flag_filtration(sorted(value.items(), key=lambda sv: (sv[1], len(sv[0]), sv[0])), dim_cap=dim_cap)
+def write_filtration(path, sims):
+    """Write (vertex tuple, value) pairs as a filtration file, as given."""
+    path.write_text(json.dumps([{"vertices": list(verts), "value": value} for verts, value in sims]))
+    return path
 
 
-def load_hollow_tetrahedron(tmp_path):
-    """All faces of a tetrahedron but not its interior, saved and loaded: no flag filtration
-    has this shape, so cofaces come from the simplex list alone."""
+def hollow_tetrahedron(tmp_path):
+    """All faces of a tetrahedron but not its interior, the triangles valued above their edges: no flag filtration."""
     sims = [((v,), 0.0) for v in range(4)]
-    sims += [(e, 1.0 + 0.5 * i) for i, e in enumerate(itertools.combinations(range(4), 2))]
+    sims += [(e, 1.0) for e in itertools.combinations(range(4), 2)]
     sims += [(t, 5.0 + i) for i, t in enumerate(itertools.combinations(range(4), 3))]
-    path = tmp_path / "tetra.json"
-    path.write_text(json.dumps([{"vertices": list(s), "value": v} for s, v in sims]))
-    return load_filtration(path)
+    return write_filtration(tmp_path / "tetra.json", sims)
+
+
+def octahedron():
+    """The octahedron's edges: six vertices, all pairs but the three antipodal ones (0-1, 2-3, 4-5)."""
+    edges = [e for e in itertools.combinations(range(6), 2) if e not in ((0, 1), (2, 3), (4, 5))]
+    return edge_filtration(6, {e: 1.0 + 0.25 * i for i, e in enumerate(edges)})
 
 
 class TestAgainstBoundaryReduction:
@@ -242,53 +242,49 @@ class TestAgainstBoundaryReduction:
             max_value = float(rng.choice(finite)) if finite.size else 0.5
         check_against_referees(flag_expand(ef, dim_cap=dim_cap, max_value=max_value))
 
-    @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_random_complexes(self, seed, dim_cap):
-        check_against_referees(random_complex(np.random.default_rng(seed), dim_cap))
-
     def test_loaded_hollow_tetrahedron(self, tmp_path):
-        loaded = load_hollow_tetrahedron(tmp_path)
-        sims = loaded.simplices
-        assert loaded.dim_cap == 2
-        bc = check_against_referees(loaded)
-        assert betti_at(bc, 8.0) == [1, 0]
-        sphere = check_against_referees(dataclasses.replace(loaded, dim_cap=3))
-        assert betti_at(sphere, 4.5) == [1, 3, 0]
-        assert betti_at(sphere, 7.9) == [1, 0, 0]
-        assert betti_at(sphere, 8.0) == [1, 0, 1]
+        # its edges fill in the tetrahedron's triangles at 1.0, so the file is refused at its first triangle
+        path = hollow_tetrahedron(tmp_path)
+        with pytest.raises(ValueError) as exc:
+            load_filtration(path)
+        assert str(exc.value) == (f"{path}: entry 10 ([0, 1, 2] at 5.0) differs from the flag expansion of the"
+                                  " file's vertex and edge entries, which has [0, 1, 2] at 1.0 there")
+
+    def test_flag_octahedron(self, tmp_path):
+        # the octahedron's clique complex is a 2-sphere: one H2 bar, born with its last triangles at 3.75
+        ff = flag_expand(octahedron(), dim_cap=3)
+        assert ff.counts_by_dim() == {0: 6, 1: 12, 2: 8}
+        sphere = check_against_referees(ff)
+        assert betti_at(sphere, 3.7) == [1, 0, 0]
+        assert betti_at(sphere, 3.75) == [1, 0, 1]
         (h2,) = sphere.by_dim(2)
-        assert (h2.birth, h2.death, h2.creator, h2.destroyer) == (8.0, math.inf, len(sims) - 1, None)
-
-
-def materialized(ef, dim_cap, max_value=None):
-    """The same flag filtration with every simplex listed, from the tuple expansion: the explicit path's input."""
-    return flag_filtration(flag_expand_tuples(ef, dim_cap, max_value), dim_cap=dim_cap, max_value=max_value)
+        assert (h2.birth, h2.death, h2.creator, h2.destroyer) == (3.75, math.inf, len(ff) - 1, None)
+        # written at dim_cap 2 and read one dimension higher, as ``barcode --dim-cap 3`` does
+        save_filtration(flag_expand(octahedron(), dim_cap=2), tmp_path / "octahedron.json")
+        loaded = load_filtration(tmp_path / "octahedron.json", dim_cap=3)
+        assert interval_tuples(persistent_homology(loaded)) == interval_tuples(sphere)
 
 
 def check_implicit_top(ef, dim_cap, max_value=None):
-    """The implicit top dimension gives the materialized path's bars, creators, destroyers, counts and cycles."""
-    ff, ref = flag_expand(ef, dim_cap=dim_cap, max_value=max_value), materialized(ef, dim_cap, max_value)
-    assert ff.top_births is not None and ref.top_births is None
-    bc, want = persistent_homology(ff), persistent_homology(ref)
-    assert interval_tuples(bc) == interval_tuples(want)
-    if len(ref):  # the bigint referee needs a simplex
-        assert interval_tuples(bc) == boundary_reduction(ref)
-    assert bc.destroyers.tolist() == want.destroyers.tolist()
-    assert bc.counts == want.counts
-    listed = ref.simplices
-    assert [listed[p] for p in bc.positions.tolist()] == [
+    """Every degree reduced from the adjacency, the top one unlisted, gives the bigint referee's bars, destroyers
+    and cycles, and places each listed simplex at its position in the whole list."""
+    ff = flag_expand(ef, dim_cap=dim_cap, max_value=max_value)
+    bc, whole = persistent_homology(ff), ff.simplices
+    if whole:  # the bigint referee needs a simplex
+        assert (interval_tuples(bc), bc.destroyers.tolist()) == boundary_reduction(ff, destroyers=True)
+    assert [whole[p] for p in bc.positions.tolist()] == [
         (tuple(v[: d + 1]), x) for v, d, x in zip(ff.listed_vertices.tolist(), ff.listed_dims.tolist(),
                                                   ff.listed_values.tolist())
     ]
     for k in range(1, dim_cap):
-        for top_n in (1, len(want.by_dim(k))):
-            assert representative_cycles(bc, k, top_n) == representative_cycles(want, k, top_n)
+        want = kernel_cycles_bigint(ff, k)
+        for top_n in (1, len(bc.by_dim(k))):
+            assert all(cycle == want[iv.creator] for iv, cycle in representative_cycles(bc, k, top_n))
     return bc
 
 
 class TestImplicitTop:
-    """The top dimension of a flag filtration is reduced without its list, with the listed path's results."""
+    """The top dimension of a flag filtration is reduced without its list, with the bigint referee's results."""
 
     @given(data=st.data(), n=st.integers(1, 9), dim_cap=st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
@@ -305,7 +301,7 @@ class TestImplicitTop:
         whole = ff.simplices
         tops = [(verts, value) for verts, value in whole if len(verts) == dim_cap + 1]
         verts = np.array([v for v, _ in tops], dtype=np.int64).reshape(-1, dim_cap + 1)
-        top = persistence_module._TopRows(ff)
+        top = persistence_module._Rows(ff)
         rows = top.encode(verts[:, :dim_cap], np.array([x for _, x in tops]), verts[:, dim_cap]).tolist()
         positions, top_positions = persistence_module._positions(ff, top, rows)
         assert [whole[p] for p in top_positions.tolist()] == tops
@@ -390,9 +386,9 @@ class TestLazyColumns:
 
 class TestReductionMemory:
     def test_peak_above_the_filtration_is_near_its_arrays(self):
-        # 90 random points in the plane, complete through triangles: 121,575 simplices.  The
-        # triangles' facets are checked in chunks and folded into the pivots, and a column's
-        # cofaces are looked up by key, so no per-simplex facet table or coface CSR is held
+        # 90 random points in the plane, complete through triangles: 121,575 simplices.  Every
+        # degree's pivots are taken a chunk of coface values at a time, and a column's cofaces
+        # are read from the adjacency, so no per-simplex facet table or coface CSR is held
         rng = np.random.default_rng(0)
         P = rng.uniform(size=(90, 2))
         D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
@@ -506,17 +502,19 @@ class TestRepresentativeCycles:
         monkeypatch.setattr(persistence_module, "_reduce", refuse)
         assert representative_cycles(bc, k=2, top_n=5) == []
 
-    def test_cycles_read_no_second_validation(self, tmp_path, monkeypatch):
+    def test_cycles_read_no_second_validation(self, monkeypatch):
         # the H2 cycle comes from the destroyers the barcode kept, not from another pass over the filtration
-        sphere = persistent_homology(dataclasses.replace(load_hollow_tetrahedron(tmp_path), dim_cap=3))
+        sphere = persistent_homology(flag_expand(octahedron(), dim_cap=3))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("filtration validated again")
+            raise AssertionError("filtration expanded or its coboundaries read again")
 
-        monkeypatch.setattr(persistence_module, "_validate", refuse)
+        for module, name in ((witness_module, "flag_expand"), (persistence_module, "_coboundary"),
+                             (persistence_module, "_Rows")):
+            monkeypatch.setattr(module, name, refuse)
         (iv, cycle), = representative_cycles(sphere, k=2)
         assert cycle == kernel_cycles_bigint(sphere.filtration, 2)[iv.creator]
-        assert len(cycle) == 4
+        assert len(cycle) == 8
 
     def test_k_zero_rejected(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
@@ -543,30 +541,31 @@ class TestRepresentativeCycles:
 
 
 class TestContractValidation:
-    def test_decreasing_values_rejected(self):
-        ff = flag_filtration([((0,), 1.0), ((1,), 0.5)], dim_cap=1)
-        with pytest.raises(ContractViolationError):
-            persistent_homology(ff)
+    """Filtrations that are not the flag expansion of their vertices and edges, refused by the loader at an entry."""
 
-    def test_nan_value_rejected(self):
-        ff = flag_filtration([((0,), 0.0), ((1,), math.nan), ((2,), 1.0)], dim_cap=1)
-        with pytest.raises(ContractViolationError, match="at position 1 is NaN or below 0.0"):
-            persistent_homology(ff)
+    @staticmethod
+    def refused(tmp_path, sims):
+        with pytest.raises(ValueError) as exc:
+            load_filtration(write_filtration(tmp_path / "f.json", sims))
+        return str(exc.value).removeprefix(f"{tmp_path / 'f.json'}: ")
 
-    def test_missing_face_rejected(self):
-        ff = flag_filtration([((0,), 0.0), ((0, 1), 1.0)], dim_cap=1)
-        with pytest.raises(ContractViolationError):
-            persistent_homology(ff)
+    def test_decreasing_values_rejected(self, tmp_path):
+        assert self.refused(tmp_path, [((0,), 1.0), ((1,), 0.5)]).startswith("entry 0 ([0] at 1.0) differs from ")
 
-    def test_duplicate_simplex_rejected(self):
-        ff = flag_filtration([((0,), 0.0), ((0,), 0.0)], dim_cap=1)
-        with pytest.raises(ContractViolationError):
-            persistent_homology(ff)
+    def test_nan_value_rejected(self, tmp_path):
+        assert self.refused(tmp_path, [((0,), 0.0), ((1,), math.nan), ((2,), 1.0)]) == (
+            "entry 1 ([1] at nan) is not a nonempty increasing list of vertex ids in 0..2 with a non-NaN value")
 
-    def test_unsorted_vertex_tuple_rejected(self):
-        ff = flag_filtration([((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)], dim_cap=1)
-        with pytest.raises(ContractViolationError):
-            persistent_homology(ff)
+    def test_missing_face_rejected(self, tmp_path):
+        assert self.refused(tmp_path, [((0,), 0.0), ((0, 1), 1.0)]).startswith("entry 1 ([0, 1] at 1.0) is not a ")
+
+    def test_duplicate_simplex_rejected(self, tmp_path):
+        assert self.refused(tmp_path, [((0,), 0.0), ((0,), 0.0)]) == (
+            "entry 1 ([0] at 0.0) differs from the flag expansion of the file's vertex and edge entries,"
+            " which has [1] at inf there")
+
+    def test_unsorted_vertex_tuple_rejected(self, tmp_path):
+        assert self.refused(tmp_path, [((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)]).startswith("entry 2 ([1, 0] at 1.0)")
 
 
 def mutated(data, sims):
@@ -598,21 +597,27 @@ def mutated(data, sims):
 class TestContractReferee:
     @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_same_first_violation_as_tuple_checks(self, seed, dim_cap, data):
+    def test_same_first_violation_as_tuple_checks(self, tmp_path_factory, seed, dim_cap, data):
+        # a list is accepted exactly when it is the tuple expansion of its own vertex and edge entries
         ef = random_edge_filtration(np.random.default_rng(seed), n_max=7)
         sims = mutated(data, flag_expand(ef, dim_cap=dim_cap).simplices)
-        want = first_violation(sims)
-        ff = flag_filtration(sims, dim_cap=dim_cap)
+        path = write_filtration(tmp_path_factory.mktemp("referee") / "f.json", sims)
+        want = flag_refusal(sims)
         if want is None:
-            assert interval_tuples(persistent_homology(ff)) == boundary_reduction(ff)
+            loaded = load_filtration(path)
+            assert loaded.simplices == sims
+            assert interval_tuples(persistent_homology(loaded)) == boundary_reduction(loaded)
+            return
+        with pytest.raises(ValueError) as exc:
+            load_filtration(path)
+        if want < 0:
+            assert str(exc.value).startswith(f"{path}: the flag expansion of its vertex and edge entries has more than")
         else:
-            with pytest.raises(ContractViolationError) as exc:
-                persistent_homology(ff)
-            assert str(exc.value) == want
+            assert str(exc.value).startswith(f"{path}: entry {want} ({list(sims[want][0])} at {sims[want][1]})")
 
 
 def fuzz_filtration_file(data, path):
-    """Write a saved flag filtration with one defect that must make loading or the barcode fail."""
+    """Write a saved flag filtration with one defect that must make loading fail."""
     ef = random_edge_filtration(np.random.default_rng(data.draw(st.integers(0, 10_000))), n_max=6)
     ff = flag_expand(ef, dim_cap=2)
     save_filtration(ff, path)
@@ -654,11 +659,11 @@ class TestFiltrationFileFuzz:
     def test_bad_filtration_file_fails_with_a_located_error(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("fuzz") / "filtration.json"
         fuzz_filtration_file(data, path)
-        with pytest.raises(ValueError) as exc:  # SeriesFormatError and ContractViolationError are ValueErrors
-            persistent_homology(load_filtration(path))
-        assert isinstance(exc.value, (SeriesFormatError, ContractViolationError)) or str(path) in str(exc.value)
-        if isinstance(exc.value, ContractViolationError):  # names the position or the simplex
-            assert re.search(r"at position \d+|^duplicate simplex \(|^face \(.* of \(", str(exc.value))
+        with pytest.raises(ValueError) as exc:  # SeriesFormatError is a ValueError
+            load_filtration(path)
+        if not isinstance(exc.value, SeriesFormatError):  # names the file and the entry
+            assert re.match(rf"{re.escape(str(path))}: (entry \d+ |expected a JSON array|filtration is empty)",
+                            str(exc.value))
 
 
 class TestBarcodeFiles:

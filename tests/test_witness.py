@@ -1136,6 +1136,85 @@ class TestFiltrationFiles:
         save_filtration(ff, path)
         assert load_filtration(path).dim_cap == 1
 
+    def test_loaded_filtration_is_the_expansion_of_its_edges(self, tmp_path):
+        # the loader returns flag_expand's filtration, its top dimension implicit; dim_cap may be one more
+        ff = flag_expand(random_edge_filtration(np.random.default_rng(3)), dim_cap=2)
+        save_filtration(ff, tmp_path / "f.json")
+        back = load_filtration(tmp_path / "f.json")
+        assert back.top_births is not None and back.top_count == ff.top_count and back.simplices == ff.simplices
+        assert load_filtration(tmp_path / "f.json", dim_cap=3).simplices == flag_expand(
+            random_edge_filtration(np.random.default_rng(3)), dim_cap=3).simplices
+        with pytest.raises(ValueError, match=r"f\.json: dim_cap must be in 1\.\.3 for this filtration, got 4$"):
+            load_filtration(tmp_path / "f.json", dim_cap=4)
+
+
+def refusal(path, entries):
+    """The loader's error on a file of ``entries``, (vertex list, value) pairs, without the path prefix."""
+    path.write_text(json.dumps([{"vertices": verts, "value": value} for verts, value in entries]))
+    with pytest.raises(ValueError) as exc:
+        load_filtration(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    return str(exc.value)[len(f"{path}: "):]
+
+
+TRIANGLE = [([0], 0.0), ([1], 0.0), ([2], 0.0), ([0, 1], 1.0), ([1, 2], 2.0), ([0, 2], 3.0), ([0, 1, 2], 3.0)]
+
+
+class TestLoaderContract:
+    """A file must be exactly the flag expansion of its vertex and edge entries; a defect names its entry."""
+
+    def test_the_triangle_is_accepted(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([{"vertices": verts, "value": value} for verts, value in TRIANGLE]))
+        assert load_filtration(path).simplices == [(tuple(verts), value) for verts, value in TRIANGLE]
+
+    @pytest.mark.parametrize("vertex", [-1, 2**62, 3])  # 3: a gap, since the file has 3 vertex entries
+    def test_vertex_ids_outside_the_vertex_entries_refused(self, tmp_path, vertex):
+        entries = [*TRIANGLE[:2], ([vertex], 0.0), ([0, 1], 1.0)]
+        assert refusal(tmp_path / "f.json", entries) == (
+            f"entry 2 ([{vertex}] at 0.0) is not a nonempty increasing list of vertex ids in 0..2 with a non-NaN value")
+
+    @pytest.mark.parametrize("verts", [[], [1, 0], [1, 1]])
+    def test_empty_or_unsorted_vertex_list_refused(self, tmp_path, verts):
+        entries = [*TRIANGLE[:3], (verts, 1.0), *TRIANGLE[4:]]
+        assert refusal(tmp_path / "f.json", entries).startswith(f"entry 3 ({verts} at 1.0) is not a nonempty ")
+
+    def test_duplicate_entry_refused(self, tmp_path):
+        entries = [*TRIANGLE[:5], ([1, 2], 2.0), *TRIANGLE[5:]]
+        assert refusal(tmp_path / "f.json", entries) == (
+            "entry 5 ([1, 2] at 2.0) differs from the flag expansion of the file's vertex and edge entries,"
+            " which has [0, 2] at 3.0 there")
+
+    def test_edge_below_its_vertex_refused(self, tmp_path):
+        entries = [([0], 0.0), ([1], 0.0), ([0, 1], 0.25), ([0, 2], 0.25), ([2], 0.5)]
+        assert refusal(tmp_path / "f.json", entries) == (
+            "entry 3 ([0, 2] at 0.25) is an edge valued below its vertices (0.0, 0.5)")
+
+    @pytest.mark.parametrize("value, at", [(2.0, 5), (4.0, 6)])
+    def test_simplex_not_valued_at_its_last_edge_refused(self, tmp_path, value, at):
+        # the triangle's value is below or above its last edge's 3.0; the list is sorted by it
+        entries = sorted([*TRIANGLE[:6], ([0, 1, 2], value)], key=lambda entry: (entry[1], len(entry[0])))
+        assert refusal(tmp_path / "f.json", entries).startswith(f"entry {at} ([0, 1, 2] at {value}) differs from ")
+
+    def test_expansion_past_the_entry_count_refused_unlisted(self, tmp_path):
+        # a 300-vertex clique listed with one triangle: its edges expand to 4,455,100 triangles, which
+        # would take ~0.2 GB to list; the budget of the file's own entry count refuses it first
+        n = 300
+        entries = [([v], 0.0) for v in range(n)] + [(list(e), 1.0) for e in itertools.combinations(range(n), 2)]
+        path = tmp_path / "clique.json"
+        entries.append(([0, 1, 2], 1.0))
+        path.write_text(json.dumps([{"vertices": verts, "value": value} for verts, value in entries]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                load_filtration(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"{path}: the flag expansion of its vertex and edge entries has more than its"
+                                  f" {len(entries)} entries")
+        assert peak < 48 * 2**20  # the parsed JSON itself takes ~22 MiB
+
 
 class TestFlagFiltrationDataclass:
     def test_len_and_values_cache(self):
