@@ -8,9 +8,12 @@ seconds and the process's peak RSS; for ``complex`` it counts the sizes of
 what it built, and the distances its births computed, the (witness, pair)
 entries they listed and the chunks they folded by runs (``mscan`` records
 those per m), and for ``barcode`` and ``mscan`` the reduction's columns.  Its
-``stage_seconds`` time the stages inside a step: births, expansion and
-writing for ``complex``, each m's births and the lifespan filtration for
-``mscan``.
+``stage_seconds`` time the stages inside a step: reading, the AMI and
+writing for ``ami``; reading, the AMI (next to nothing with an explicit
+``--tau``), embedding and writing for ``embed``; reading, selection and
+writing for ``landmarks``; births, expansion and writing for ``complex``;
+reading, reduction, cycles (with ``--cycles-out``) and writing for
+``barcode``; each m's births and the lifespan filtration for ``mscan``.
 The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
 arguments and seeds produce byte-identical artifacts.
@@ -114,9 +117,9 @@ _NOT_PARAMS = ("command", "func", "seed", "out_dir", "started", "artifacts")
 
 
 def _lap(stages: dict, name: str, start: float) -> float:
-    """Record the seconds since ``start`` as stage ``name``; return the time now."""
+    """Add the seconds since ``start`` to stage ``name``; return the time now."""
     now = time.perf_counter()
-    stages[name] = now - start
+    stages[name] = stages.get(name, 0.0) + now - start
     return now
 
 
@@ -234,11 +237,16 @@ def cmd_noise(args) -> int:
 
 def cmd_ami(args) -> int:
     _ami_args(args)
-    curve = ami_curve(_load_series_arg(args), tau_max=args.tau_max, bins=args.bins)
+    stages, clock = {}, time.perf_counter()
+    series = _load_series_arg(args)
+    clock = _lap(stages, "reading", clock)
+    curve = ami_curve(series, tau_max=args.tau_max, bins=args.bins)
+    clock = _lap(stages, "ami", clock)
     out = _out_path(args, args.out)
     # values stay NumPy-scalar reprs, np.float64(...), until perfbench/reference.json recounts ami.csv
     _write_table(out, ["tau,ami_bits"], np.arange(len(curve.values)), [repr(v) for v in curve.values])
-    _write_run(args, {"bins": curve.bins, "first_minimum": first_minimum(curve)})
+    _lap(stages, "writing", clock)
+    _write_run(args, {"bins": curve.bins, "first_minimum": first_minimum(curve)}, stages=stages)
     return 0
 
 
@@ -248,23 +256,33 @@ def cmd_embed(args) -> int:
     if m_anchor < args.m:
         raise ValueError(f"--m-anchor must be at least --m {args.m}, got {m_anchor}")
     _ami_args(args)
+    stages, clock = {}, time.perf_counter()
     series = _load_series_arg(args)
+    clock = _lap(stages, "reading", clock)
     tau, derived = _resolve_tau(args, series)
-    save_cloud(delay_embed(series, args.m, tau, m_anchor=m_anchor), _out_path(args, args.out))
-    _write_run(args, {"m_anchor": m_anchor, **derived})
+    clock = _lap(stages, "ami", clock)  # next to nothing with an explicit --tau
+    cloud = delay_embed(series, args.m, tau, m_anchor=m_anchor)
+    clock = _lap(stages, "embedding", clock)
+    save_cloud(cloud, _out_path(args, args.out))
+    _lap(stages, "writing", clock)
+    _write_run(args, {"m_anchor": m_anchor, **derived}, stages=stages)
     return 0
 
 
 def cmd_landmarks(args) -> int:
     count, flag = (args.every, "--every") if args.every is not None else (args.maxmin, "--maxmin")
     _count_arg(count, flag)
+    stages, clock = {}, time.perf_counter()
     cloud = load_cloud(args.input)
+    clock = _lap(stages, "reading", clock)
     if args.every is not None:
         lms, method = select_evenly_spaced(cloud, args.every), "evenly_spaced"
     else:
         lms, method = select_maxmin(cloud, args.maxmin, args.seed), "maxmin"
+    clock = _lap(stages, "selection", clock)
     save_landmarks(lms, _out_path(args, args.out))
-    _write_run(args, {"method": method, "ell_selected": lms.ell})
+    _lap(stages, "writing", clock)
+    _write_run(args, {"method": method, "ell_selected": lms.ell}, stages=stages)
     return 0
 
 
@@ -315,10 +333,13 @@ def cmd_barcode(args) -> int:
             raise ValueError(
                 f"--eps-grid needs a finite lo, a finite hi and a positive integral count, got {args.eps_grid!r}"
             )
+    stages, clock = {}, time.perf_counter()
     ff = load_filtration(args.filtration, args.dim_cap)  # up to one above the file's top dimension
     if args.cycles_out and args.cycles_k >= ff.dim_cap:  # no bar of that degree is reported
         raise ValueError(f"--cycles-k must be below the barcode's dim_cap {ff.dim_cap}, got {args.cycles_k}")
+    clock = _lap(stages, "reading", clock)
     bc = persistent_homology(ff)
+    clock = _lap(stages, "reduction", clock)
     save_barcode(bc, _out_path(args, args.out))
     derived = {"intervals": len(bc.intervals)}
     if args.eps_grid:
@@ -327,15 +348,18 @@ def cmd_barcode(args) -> int:
         betti = np.array([betti_at(bc, eps) for eps in grid.tolist()])
         _write_table(grid_out, ["epsilon," + ",".join(f"beta{k}" for k in range(bc.dim_cap))], grid, *betti.T)
         derived["eps_grid"] = [lo, hi, int(count)]
+    clock = _lap(stages, "writing", clock)  # the barcode and its grid
     if args.cycles_out:
         reps = representative_cycles(bc, args.cycles_k, args.cycles_top)
+        clock = _lap(stages, "cycles", clock)
         rows = [
             (ci, iv.k, iv.birth, iv.death, "-".join(map(str, verts)))
             for ci, (iv, simplices) in enumerate(reps)
             for verts in simplices
         ]
         _write_table(_out_path(args, args.cycles_out), ["cycle,k,birth,death,simplex"], *zip(*rows))
-    _write_run(args, derived, bc.counts)
+        _lap(stages, "writing", clock)
+    _write_run(args, derived, bc.counts, stages)
     return 0
 
 

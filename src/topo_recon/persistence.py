@@ -38,6 +38,7 @@ omitted.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -98,7 +99,11 @@ def _reduce(heads, column, track: bool = False):
     is that of an earlier column, the earlier reduced column is added.  A
     column whose pivot is free at once is kept as its key alone: its set is
     built only when a later column must add it, and a column's own set only
-    when it needs an addition.  The pivot is None for a column that vanishes.
+    when it needs an addition.  Each column being reduced keeps its rows in a
+    lazy heap, as Ripser keeps its working column: the added column's rows
+    are pushed, and rows no longer in the set are popped when they reach the
+    top, so no addition rescans the whole set for its new pivot.  The pivot
+    is None for a column that vanishes.
     With ``track`` set, ``v`` is the set of keys whose columns sum to the
     reduced one (its V column); otherwise it is None.  ``additions`` counts
     the earlier columns added to this one.
@@ -113,13 +118,19 @@ def _reduce(heads, column, track: bool = False):
                 break
             if col is None:
                 col = column(key)
+                heap = list(col)  # holds every row of col, and stale rows, which are popped when they surface
+                heapq.heapify(heap)
             if not isinstance(other, tuple):
                 other = reduced[low] = (column(other), {other} if track else None)
             col ^= other[0]
             additions += 1
             if track:
                 v ^= other[1]
-            low = min(col) if col else None
+            for row in other[0]:
+                heapq.heappush(heap, row)
+            while heap and heap[0] not in col:
+                heapq.heappop(heap)
+            low = heap[0] if heap else None
         yield key, low, v, additions
 
 

@@ -1,6 +1,11 @@
 """Lorenz trajectory generation, scalar measurement, noise injection, series I/O,
 and the one reader and writer of every CSV table.
 
+Tables are streamed: the reader keeps a file's lines only up to its first
+row and parses the rows straight from the file with ``np.loadtxt``, and the
+writer formats and writes a bounded chunk of rows at a time, so a table
+costs about its arrays, not its text.
+
 The integrator is a classical fixed-step RK4 written in plain Python floats so
 that results are bit-reproducible across platforms.  Noise uses NumPy's PCG64
 generator (``numpy.random.default_rng``), which has a fixed, documented stream
@@ -9,6 +14,7 @@ for a given seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +26,8 @@ DEFAULT_DT = 0.001
 DEFAULT_TRANSIENT = 10_000
 
 _COORD_NAMES = {"x": 0, "y": 1, "z": 2}
+
+_CHUNK_ROWS = 4096  # rows a table writer formats at once
 
 
 class IntegrationError(RuntimeError):
@@ -222,7 +230,7 @@ def load_series(path, format: str = "native", sample_interval: float | None = No
     table = _read_table(path, "x" if format == "csv" else None, finite="value")
     if format == "csv":
         return ScalarSeries(table.floats.reshape(-1), 1.0 if sample_interval is None else sample_interval)
-    m = _HEADER_RE.match(table.lines[0]) if table.lines else None
+    m = _HEADER_RE.match(table.head[0]) if table.head else None
     interval = float(m.group(1)) if m else 0.0
     if not 0 < interval < math.inf:
         raise SeriesFormatError(path, 1, "expected a '# T=<positive number>' header")
@@ -236,36 +244,67 @@ def _write_table(path, head: list, *columns) -> None:
 
     Each column is a 1-d sequence of one kind: integers (and bools) are
     written with ``%d``, floats with ``%r`` (so that ``inf`` is 'inf' and
-    every float reads back bit-exactly) and anything else with ``%s``.
+    every float reads back bit-exactly) and anything else with ``%s``.  The
+    rows are formatted and written ``_CHUNK_ROWS`` at a time, so only one
+    chunk's values are ever Python objects.
     """
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "biu" else "%r" if c.dtype.kind == "f" else "%s" for c in columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in head)
-        fh.writelines(row % values + "\n" for values in zip(*(c.tolist() for c in columns)))
+        for lo in range(0, len(columns[0]) if columns else 0, _CHUNK_ROWS):
+            chunk = zip(*(c[lo : lo + _CHUNK_ROWS].tolist() for c in columns))
+            fh.writelines(row % values + "\n" for values in chunk)
 
 
-def _data_lines(lines: list, start: int):
-    """(line_no, text) of each row in ``lines[start:]``: the text before any '#', when not blank."""
-    for line_no in range(start + 1, len(lines) + 1):
-        text = lines[line_no - 1].split("#", 1)[0].strip()
+def _data_lines(lines, line_no: int = 0):
+    """(line_no, text) of each row among ``lines``, the first of which is line ``line_no + 1``.
+
+    A row is a line's text before any '#', when that is not blank.
+    """
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        text = line.split("#", 1)[0].strip()
         if text:
             yield line_no, text
 
 
+def _next_row(fh, head: list) -> tuple:
+    """Read lines of ``fh`` into ``head`` up to the next row: (its line number, its text, the offset before it).
+
+    At the end of the file the text is None and the line number is the one
+    after the last line.
+    """
+    while True:
+        at, line = fh.tell(), fh.readline()
+        if not line:
+            return len(head) + 1, None, at
+        head.append(line)
+        text = line.split("#", 1)[0].strip()
+        if text:
+            return len(head), text, at
+
+
 @dataclass
 class _Table:
-    """A table read by :func:`_read_table`: its rows as an int and a float array, and its lines."""
+    """A table read by :func:`_read_table`: its rows as an int and a float array, and its lines up to the first row."""
 
     path: str
     ints: np.ndarray  # (rows, leading integer fields)
     floats: np.ndarray  # (rows, the other fields)
-    lines: list
-    start: int  # index of the first line after the header
+    head: list  # the file's lines up to and including its first row
+    start: int  # the number of lines before the first row
+
+    @property
+    def lines(self) -> list:
+        """Every line of the file, read again on each access."""
+        with open(self.path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
 
     def error(self, row: int, message: str) -> SeriesFormatError:
         """A SeriesFormatError located at the line of data row ``row`` (0-based)."""
-        line_no = list(_data_lines(self.lines, self.start))[row][0]
+        with open(self.path, "r", encoding="utf-8") as fh:
+            rows = _data_lines(itertools.islice(fh, self.start, None), self.start)
+            line_no = next(itertools.islice(rows, row, None))[0]
         return SeriesFormatError(self.path, line_no, message)
 
 
@@ -280,38 +319,41 @@ def _read_table(
     line.  Rows are as wide as the header, or else as the first row: their
     first ``ints`` fields are integers (``None``: all of them) and the rest
     floats, never NaN, and finite when ``finite`` names them; when
-    ``increasing`` names the first field, it must rise from row to row.  A
-    missing header, a ragged row, a bad number, a NaN, a non-finite value or
-    a non-rising index raises SeriesFormatError with the path and the line;
-    only then are the lines walked one by one.
+    ``increasing`` names the first field, it must rise from row to row.
+
+    Lines are kept only up to the first row (``_Table.head``); from there
+    ``np.loadtxt`` parses the rows straight from the file, so the table costs
+    its arrays, not its text.  A missing header, a ragged row, a bad number,
+    a NaN, a non-finite value or a non-rising index raises SeriesFormatError
+    with the path and the line; only then are the lines walked one by one.
     """
+    head: list = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    first = next(_data_lines(lines, 0), None)
-    start = first[0] - 1 if first else len(lines)
-    width = first[1].count(",") + 1 if first else 0
-    if header is not None:
-        text = first[1] if first else "end of file"
-        fixed = header.removesuffix("c0,...")
-        numbered = fixed + ",".join(f"c{k}" for k in range(width - fixed.count(",")))
-        if text != (header if fixed == header else numbered):
-            raise SeriesFormatError(path, start + 1, f"expected header {header!r}, got {text!r}")
-        start += 1
-        first = next(_data_lines(lines, start), None)
-    n_int = width if ints is None else ints
-    dtype = np.dtype([("i", np.int64, (n_int,)), ("f", np.float64, (width - n_int,))])
-    try:
-        data = np.loadtxt(lines[start:], dtype=dtype, delimiter=",", ndmin=1) if first else np.empty(0, dtype)
-    except ValueError:  # walk the rows; np.loadtxt also refuses a line of blanks, which is skipped here
-        rows = []
-        fields = f"{n_int} integer and {width - n_int} float fields"
-        for line_no, text in _data_lines(lines, start):
-            try:
-                rows.append(np.loadtxt([text], dtype=dtype, delimiter=",", ndmin=1))
-            except ValueError:
-                raise SeriesFormatError(path, line_no, f"expected {fields}, got {text!r}") from None
-        data = np.concatenate(rows)
-    table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), lines, start)
+        line_no, first, at = _next_row(fh, head)
+        width = first.count(",") + 1 if first else 0
+        if header is not None:
+            text = first or "end of file"
+            fixed = header.removesuffix("c0,...")
+            numbered = fixed + ",".join(f"c{k}" for k in range(width - fixed.count(",")))
+            if text != (header if fixed == header else numbered):
+                raise SeriesFormatError(path, line_no, f"expected header {header!r}, got {text!r}")
+            line_no, first, at = _next_row(fh, head)
+        start, n_int = line_no - 1, width if ints is None else ints
+        dtype = np.dtype([("i", np.int64, (n_int,)), ("f", np.float64, (width - n_int,))])
+        fh.seek(at)
+        try:
+            data = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1) if first else np.empty(0, dtype)
+        except ValueError:  # walk the rows; np.loadtxt also refuses a line of blanks, which is skipped here
+            rows = []
+            fields = f"{n_int} integer and {width - n_int} float fields"
+            fh.seek(at)
+            for line_no, text in _data_lines(fh, start):
+                try:
+                    rows.append(np.loadtxt([text], dtype=dtype, delimiter=",", ndmin=1))
+                except ValueError:
+                    raise SeriesFormatError(path, line_no, f"expected {fields}, got {text!r}") from None
+            data = np.concatenate(rows)
+    table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), head, start)
     good = (np.isfinite(table.floats) if finite else ~np.isnan(table.floats)).all(axis=1)
     if not good.all():
         raise table.error(int(np.argmin(good)), f"non-finite {finite}" if finite else "NaN value")

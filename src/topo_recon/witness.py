@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import SeriesFormatError, _write_table
+from .signal import _CHUNK_ROWS, SeriesFormatError, _write_table
 
 
 class ResourceLimitError(RuntimeError):
@@ -573,11 +573,17 @@ def skeleton_export(ff: FlagFiltration, epsilon: float, edges_path) -> int:
 
 
 def save_filtration(ff: FlagFiltration, path) -> None:
-    """Write the filtration as a JSON array of {vertices, value}, canonically sorted; its whole list is built."""
-    rows = zip(*(a.tolist() for a in ff.arrays()))
+    """Write the filtration as a JSON array of {vertices, value}, canonically sorted.
+
+    Its whole list is built as arrays; the entries are written ``_CHUNK_ROWS`` at a time.
+    """
+    arrays = ff.arrays()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[\n")
-        fh.write(",\n".join(json.dumps({"vertices": verts[: d + 1], "value": value}) for verts, d, value in rows))
+        for lo in range(0, len(ff), _CHUNK_ROWS):
+            rows = zip(*(a[lo : lo + _CHUNK_ROWS].tolist() for a in arrays))
+            entries = (json.dumps({"vertices": verts[: d + 1], "value": value}) for verts, d, value in rows)
+            fh.write((",\n" if lo else "") + ",\n".join(entries))
         fh.write("\n]\n" if len(ff) else "]\n")
 
 

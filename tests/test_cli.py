@@ -174,10 +174,19 @@ class TestRunRecords:
         assert 0 < counts["births_distances"] < counts["witnesses"] * counts["landmarks"]
 
     def test_complex_records_its_stage_seconds(self, pipeline):
-        (record,) = [r for r in read_run(pipeline)["previous"] if r["subcommand"] == "complex"]
-        stages = record["stage_seconds"]
-        assert sorted(stages) == ["births", "expansion", "writing"]
-        assert all(s >= 0 for s in stages.values()) and sum(stages.values()) <= record["seconds"]
+        # and so do the other steps that read, compute and write: each stage is timed inside the step's seconds
+        want = {
+            "ami": ["ami", "reading", "writing"],
+            "embed": ["ami", "embedding", "reading", "writing"],
+            "landmarks": ["reading", "selection", "writing"],
+            "complex": ["births", "expansion", "writing"],
+            "barcode": ["cycles", "reading", "reduction", "writing"],
+        }
+        for step, names in want.items():
+            (record,) = [r for r in read_run(pipeline)["previous"] if r["subcommand"] == step]
+            stages = record["stage_seconds"]
+            assert sorted(stages) == names, step
+            assert all(s >= 0 for s in stages.values()) and sum(stages.values()) <= record["seconds"]
 
     def test_barcode_records_its_reduction(self, pipeline):
         last = read_run(pipeline)

@@ -1,6 +1,7 @@
 """Integrator, measurement, noise, and series-file behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,81 @@ class TestTableRows:
         assert exc.value.path == str(path)
         assert exc.value.line_no == head.count("\n") + 2
 
+    @pytest.mark.parametrize("table", sorted(COLD_TABLES))
+    @pytest.mark.parametrize("filler", ["   \t", "# a comment: 1,2,3", "#"])
+    def test_skipped_lines_keep_rows_located(self, tmp_path, table, filler):
+        # a filler line after every line: between the header and the first row, and mid-table
+        reader, head, ragged, non_number = COLD_TABLES[table]
+        lines = head.splitlines()
+        path = tmp_path / f"{table}.csv"
+        path.write_text("".join(f"{line}\n{filler}\n" for line in lines))
+        plain = tmp_path / f"plain_{table}.csv"
+        plain.write_text(head)
+        assert repr(reader(path)) == repr(reader(plain))
+        for bad in (ragged, non_number):
+            path.write_text("".join(f"{line}\n{filler}\n" for line in lines) + bad + "\n")
+            with pytest.raises(SeriesFormatError) as exc:
+                reader(path)
+            assert (exc.value.path, exc.value.line_no) == (str(path), 2 * len(lines) + 1)
+
+    @pytest.mark.parametrize("table", sorted(COLD_TABLES))
+    def test_crlf_endings_read_the_same(self, tmp_path, table):
+        reader, head, ragged, non_number = COLD_TABLES[table]
+        crlf, plain = tmp_path / f"crlf_{table}.csv", tmp_path / f"plain_{table}.csv"
+        crlf.write_bytes(head.replace("\n", "\r\n").encode())
+        plain.write_text(head)
+        assert repr(reader(crlf)) == repr(reader(plain))
+        crlf.write_bytes((head + non_number + "\n").replace("\n", "\r\n").encode())
+        with pytest.raises(SeriesFormatError) as exc:
+            reader(crlf)
+        assert exc.value.line_no == head.count("\n") + 1
+
+    @pytest.mark.parametrize("loader", ["series", "cloud"])
+    def test_bad_number_in_the_last_of_100000_rows_is_located(self, tmp_path, loader):
+        path = tmp_path / f"{loader}.csv"
+        _write_valid_table(loader, np.random.default_rng(0), 100_000, path)
+        with open(path, "rb+") as fh:  # '1.0x' is appended to the last row's last field
+            fh.seek(-1, 2)
+            fh.write(b"1.0x\n")
+        with pytest.raises(SeriesFormatError) as exc:
+            FUZZED_LOADERS[loader][0](path)
+        assert exc.value.line_no == 100_001
+        assert exc.value.args[0].endswith("1.0x'")
+
+    def test_zero_rows_under_a_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# no bars\nk,birth,death\n\n# none\n")
+        assert load_barcode(path) == []
+        table = _read_table(path, "k,birth,death", ints=1)
+        assert table.ints.shape == (0, 1) and table.floats.shape == (0, 2)
+
+    def test_headerless_tables(self, tmp_path):
+        path = tmp_path / "lifespan.csv"
+        path.write_text("")
+        assert load_lifespan_csv(path).shape == (0, 0)
+        path.write_text("# a comment\n3,-4\n\n5,6\n")
+        assert load_lifespan_csv(path).tolist() == [[3, -4], [5, 6]]
+
+    def test_spacing_comment_after_the_header(self, tmp_path):
+        path = tmp_path / "lm.csv"
+        path.write_text("idx,t,c0\n0,0,1.0\n# spacing=7\n2,5,-1.0\n")
+        lms = load_landmarks(path)
+        assert lms.spacing == 7 and lms.indices.tolist() == [0, 2] and lms.coords.tolist() == [[1.0], [-1.0]]
+        path.write_text("idx,t,c0\n0,0,1.0\n2,5,-1.0\n# spacing=x\n")
+        with pytest.raises(SeriesFormatError) as exc:
+            load_landmarks(path)
+        assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("text", ["# a comment\n# T=0.5\n1.0\n", "\n# T=0.5\n1.0\n", "1.0\n# T=0.5\n"])
+    def test_series_interval_must_lead(self, tmp_path, text):
+        path = tmp_path / "s.txt"
+        path.write_text(text)
+        with pytest.raises(SeriesFormatError) as exc:
+            load_series(path)
+        assert exc.value.line_no == 1
+        path.write_bytes(b"# T=0.5\r\n1.0\r\n")
+        assert load_series(path).sample_interval == 0.5
+
     @pytest.mark.parametrize("table", ["barcode", "cloud", "edges", "landmarks", "series"])
     def test_missing_header_is_located(self, tmp_path, table):
         path = tmp_path / f"{table}.csv"
@@ -293,26 +369,39 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _relayout(data, path):
+    """Rewrite a written table as drawn: as it is, with CRLF endings, or a line of blanks or a comment after each line.
+
+    Each of them reads back the same values; the blanks take the row-by-row walk.
+    """
+    layout = data.draw(st.sampled_from(["as written", "crlf", "blanks", "comments"]))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    filler = {"blanks": ["  \t "], "comments": ["# 1,2,3"]}.get(layout, [])
+    newline = "\r\n" if layout == "crlf" else "\n"
+    path.write_bytes("".join(newline.join([line, *filler]) + newline for line in lines).encode())
+    return path
+
+
 def _round_trip(table: str, data, path) -> tuple:
-    """Write drawn values with a table's writer, read them back with its reader: (ints, floats) both ways."""
+    """Write drawn values with a table's writer, read them back (relaid out) by its reader: (ints, floats)."""
     times = data.draw(_TIMES)
     n = times.size
     if table == "series":
         values = data.draw(_floats(n, inf=False))
         interval = data.draw(st.floats(min_value=5e-324, max_value=1e308))
         save_series(ScalarSeries(values, interval), path)
-        back = load_series(path)
+        back = load_series(_relayout(data, path))
         return ([], values + [interval]), ([], back.values.tolist() + [back.sample_interval])
     if table in ("cloud", "landmarks"):
         m = data.draw(st.integers(1, 3))
         points = np.array(data.draw(_floats(n * m, inf=False))).reshape(n, m)
         if table == "cloud":
             save_cloud(PointCloud(points, times), path)
-            back = load_cloud(path)
+            back = load_cloud(_relayout(data, path))
             return (times.tolist(), points), (back.time_index.tolist(), back.points)
         spacing = data.draw(st.integers(0, 10**6))
         save_landmarks(LandmarkSet(times, points, times[::-1], spacing), path)
-        back = load_landmarks(path)
+        back = load_landmarks(_relayout(data, path))
         written = (times.tolist() + times[::-1].tolist() + [spacing], points)
         return written, (back.indices.tolist() + back.time_index.tolist() + [back.spacing], back.coords)
     if table == "barcode":
@@ -320,19 +409,58 @@ def _round_trip(table: str, data, path) -> tuple:
         births, deaths = data.draw(_floats(n, inf=True)), data.draw(_floats(n, inf=True))
         intervals = [Interval(k, b, d, creator=0) for k, b, d in zip(ks, births, deaths)]
         save_barcode(Barcode(intervals=intervals, dim_cap=4, filtration=None), path)
-        back_ks, back_births, back_deaths = zip(*load_barcode(path))
+        back_ks, back_births, back_deaths = zip(*load_barcode(_relayout(data, path)))
         return (ks, births + deaths), (list(back_ks), back_births + back_deaths)
     if table == "lifespan":
         matrix = np.array(data.draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n * n, max_size=n * n)))
         save_lifespan_csv(matrix.reshape(n, n), path)
-        return (matrix.tolist(), []), (load_lifespan_csv(path).ravel().tolist(), [])
+        return (matrix.tolist(), []), (load_lifespan_csv(_relayout(data, path)).ravel().tolist(), [])
     # skeleton edges: births in filtration order, read back as render_skeleton reads them
     births = sorted(data.draw(_floats(n, inf=True)))
     edges = [((i, t), b) for i, (t, b) in enumerate(zip(times.tolist(), births))]
     ff = flag_filtration(edges, dim_cap=1)
     assert skeleton_export(ff, math.inf, path) == n
-    back = _read_table(path, "i,j,birth", ints=2)
+    back = _read_table(_relayout(data, path), "i,j,birth", ints=2)
     return ([v for verts, _ in edges for v in verts], births), (back.ints.ravel().tolist(), back.floats)
+
+
+def _traced_peak(f) -> tuple:
+    """f's result and its peak of traced allocations above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableMemory:
+    """The writer holds one chunk of rows as Python objects, the reader no line past the first row."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        rng = np.random.default_rng(0)
+        n = 99_843  # the README cloud's rows
+        cloud = PointCloud(rng.standard_normal((n, 2)) * 10.0, np.arange(n) + 158)
+        return cloud, ScalarSeries(rng.standard_normal(100_000) * 10.0, 0.001)
+
+    def test_writers_hold_one_chunk(self, tmp_path, tables):
+        cloud, series = tables
+        for save, obj in ((save_cloud, cloud), (save_series, series)):
+            _, peak = _traced_peak(lambda: save(obj, tmp_path / "t.csv"))
+            assert peak <= 2**20, save.__name__
+
+    def test_readers_hold_their_arrays(self, tmp_path, tables):
+        cloud, series = tables
+        save_cloud(cloud, tmp_path / "cloud.csv")
+        back, peak = _traced_peak(lambda: load_cloud(tmp_path / "cloud.csv"))
+        assert np.array_equal(back.points, cloud.points) and np.array_equal(back.time_index, cloud.time_index)
+        assert peak <= 3 * (back.points.nbytes + back.time_index.nbytes)
+        save_series(series, tmp_path / "series.txt")
+        back, peak = _traced_peak(lambda: load_series(tmp_path / "series.txt"))
+        assert np.array_equal(back.values, series.values)
+        assert peak <= 3 * back.values.nbytes
 
 
 class TestTableRoundTrip:

@@ -1147,6 +1147,34 @@ class TestFiltrationFiles:
         with pytest.raises(ValueError, match=r"f\.json: dim_cap must be in 1\.\.3 for this filtration, got 4$"):
             load_filtration(tmp_path / "f.json", dim_cap=4)
 
+    @staticmethod
+    def _complete(n: int):
+        """n random points in the plane by distance, complete through triangles."""
+        P = np.random.default_rng(0).uniform(size=(n, 2))
+        D = np.sqrt(((P[:, None] - P[None]) ** 2).sum(axis=-1))
+        np.fill_diagonal(D, np.inf)
+        return flag_expand(EdgeFiltration(np.zeros(n), D), dim_cap=2)
+
+    def test_writer_holds_one_chunk_of_entries(self, tmp_path):
+        ff = self._complete(90)
+        assert len(ff) == 121_575
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_filtration(ff, tmp_path / "f.json")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the whole list's arrays are built, and as much again; its entries as Python objects would be ~6 times
+        assert peak <= 2 * sum(a.nbytes for a in ff.arrays())
+
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_chunks_write_the_bytes_of_the_whole_list(self, tmp_path, n):
+        ff = self._complete(n)  # 30 points: 4,525 entries, across a chunk boundary
+        save_filtration(ff, tmp_path / "f.json")
+        entries = [json.dumps({"vertices": list(verts), "value": value}) for verts, value in ff.simplices]
+        want = "[\n" + ",\n".join(entries) + ("\n]\n" if entries else "]\n")
+        assert (tmp_path / "f.json").read_bytes() == want.encode()
 
 def refusal(path, entries):
     """The loader's error on a file of ``entries``, (vertex list, value) pairs, without the path prefix."""
