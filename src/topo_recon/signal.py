@@ -14,6 +14,7 @@ for a given seed.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import re
@@ -230,7 +231,7 @@ def load_series(path, format: str = "native", sample_interval: float | None = No
     table = _read_table(path, "x" if format == "csv" else None, finite="value")
     if format == "csv":
         return ScalarSeries(table.floats.reshape(-1), 1.0 if sample_interval is None else sample_interval)
-    m = _HEADER_RE.match(table.head[0]) if table.head else None
+    m = _HEADER_RE.match(table.first_line)
     interval = float(m.group(1)) if m else 0.0
     if not 0 < interval < math.inf:
         raise SeriesFormatError(path, 1, "expected a '# T=<positive number>' header")
@@ -257,52 +258,56 @@ def _write_table(path, head: list, *columns) -> None:
             fh.writelines(row % values + "\n" for values in chunk)
 
 
-def _data_lines(lines, line_no: int = 0):
-    """(line_no, text) of each row among ``lines``, the first of which is line ``line_no + 1``.
+def _row_text(line: str) -> str:
+    """A line's row: its text before any '#', stripped; blank when the line holds no row."""
+    return line.split("#", 1)[0].strip()
 
-    A row is a line's text before any '#', when that is not blank.
-    """
+
+def _data_lines(lines, line_no: int = 0):
+    """(line_no, text) of each row among ``lines``, the first of which is line ``line_no + 1``."""
     for line_no, line in enumerate(lines, start=line_no + 1):
-        text = line.split("#", 1)[0].strip()
-        if text:
+        if text := _row_text(line):
             yield line_no, text
 
 
-def _next_row(fh, head: list) -> tuple:
-    """Read lines of ``fh`` into ``head`` up to the next row: (its line number, its text, the offset before it).
+def _next_row(fh, line_no: int) -> tuple:
+    """Read lines of ``fh`` after line ``line_no`` up to the next row: (its line number, its text, the offset before it).
 
     At the end of the file the text is None and the line number is the one
     after the last line.
     """
     while True:
         at, line = fh.tell(), fh.readline()
+        line_no += 1
         if not line:
-            return len(head) + 1, None, at
-        head.append(line)
-        text = line.split("#", 1)[0].strip()
-        if text:
-            return len(head), text, at
+            return line_no, None, at
+        if text := _row_text(line):
+            return line_no, text, at
 
 
 @dataclass
 class _Table:
-    """A table read by :func:`_read_table`: its rows as an int and a float array, and its lines up to the first row."""
+    """A table read by :func:`_read_table`: its rows as an int and a float array, and the file's first line."""
 
     path: str
     ints: np.ndarray  # (rows, leading integer fields)
     floats: np.ndarray  # (rows, the other fields)
-    head: list  # the file's lines up to and including its first row
+    first_line: str  # '' for an empty file
     start: int  # the number of lines before the first row
+    text: str | None = None  # the whole text of a file that cannot be read twice (a pipe)
+
+    def _open(self):
+        return io.StringIO(self.text) if self.text is not None else open(self.path, "r", encoding="utf-8")
 
     @property
     def lines(self) -> list:
         """Every line of the file, read again on each access."""
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with self._open() as fh:
             return fh.readlines()
 
     def error(self, row: int, message: str) -> SeriesFormatError:
         """A SeriesFormatError located at the line of data row ``row`` (0-based)."""
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with self._open() as fh:
             rows = _data_lines(itertools.islice(fh, self.start, None), self.start)
             line_no = next(itertools.islice(rows, row, None))[0]
         return SeriesFormatError(self.path, line_no, message)
@@ -321,23 +326,27 @@ def _read_table(
     floats, never NaN, and finite when ``finite`` names them; when
     ``increasing`` names the first field, it must rise from row to row.
 
-    Lines are kept only up to the first row (``_Table.head``); from there
+    Lines are read one at a time only up to the first row; from there
     ``np.loadtxt`` parses the rows straight from the file, so the table costs
-    its arrays, not its text.  A missing header, a ragged row, a bad number,
-    a NaN, a non-finite value or a non-rising index raises SeriesFormatError
+    its arrays, not its text.  A file that cannot seek (a pipe) is read into
+    memory once instead.  A missing header, a ragged row, a bad number, a
+    NaN, a non-finite value or a non-rising index raises SeriesFormatError
     with the path and the line; only then are the lines walked one by one.
     """
-    head: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        line_no, first, at = _next_row(fh, head)
+    with open(path, "r", encoding="utf-8") as file:
+        text = None if file.seekable() else file.read()
+        fh = file if text is None else io.StringIO(text)
+        first_line = fh.readline()
+        fh.seek(0)
+        line_no, first, at = _next_row(fh, 0)
         width = first.count(",") + 1 if first else 0
         if header is not None:
-            text = first or "end of file"
+            found = first or "end of file"
             fixed = header.removesuffix("c0,...")
             numbered = fixed + ",".join(f"c{k}" for k in range(width - fixed.count(",")))
-            if text != (header if fixed == header else numbered):
-                raise SeriesFormatError(path, line_no, f"expected header {header!r}, got {text!r}")
-            line_no, first, at = _next_row(fh, head)
+            if found != (header if fixed == header else numbered):
+                raise SeriesFormatError(path, line_no, f"expected header {header!r}, got {found!r}")
+            line_no, first, at = _next_row(fh, line_no)
         start, n_int = line_no - 1, width if ints is None else ints
         dtype = np.dtype([("i", np.int64, (n_int,)), ("f", np.float64, (width - n_int,))])
         fh.seek(at)
@@ -347,13 +356,13 @@ def _read_table(
             rows = []
             fields = f"{n_int} integer and {width - n_int} float fields"
             fh.seek(at)
-            for line_no, text in _data_lines(fh, start):
+            for line_no, row in _data_lines(fh, start):
                 try:
-                    rows.append(np.loadtxt([text], dtype=dtype, delimiter=",", ndmin=1))
+                    rows.append(np.loadtxt([row], dtype=dtype, delimiter=",", ndmin=1))
                 except ValueError:
-                    raise SeriesFormatError(path, line_no, f"expected {fields}, got {text!r}") from None
+                    raise SeriesFormatError(path, line_no, f"expected {fields}, got {row!r}") from None
             data = np.concatenate(rows)
-    table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), head, start)
+    table = _Table(str(path), np.ascontiguousarray(data["i"]), np.ascontiguousarray(data["f"]), first_line, start, text)
     good = (np.isfinite(table.floats) if finite else ~np.isnan(table.floats)).all(axis=1)
     if not good.all():
         raise table.error(int(np.argmin(good)), f"non-finite {finite}" if finite else "NaN value")

@@ -14,12 +14,15 @@ component count, per-edge existence sets and lifespans, the
 mutual-information curve by one ``histogram2d`` per delay, and the
 truncation of an uncapped edge filtration at a cap.  Slow, but transparently
 correct on small inputs, which makes them usable referees for the package.
+``traced_peak`` measures a call's peak of traced allocations for the
+memory bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -412,3 +415,14 @@ def edge_births_rows(witnesses, landmarks, row_block: int = 32, cap: float | Non
         births[over] = np.inf
         witness[over] = -1
     return EdgeFiltration(vertex_birth, births, witness, max_value=cap)
+
+
+def traced_peak(f) -> tuple:
+    """f's result and its peak of traced allocations above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

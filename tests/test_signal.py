@@ -1,14 +1,14 @@
 """Integrator, measurement, noise, and series-file behavior."""
 
 import math
-import tracemalloc
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import flag_filtration
+from oracles import flag_filtration, traced_peak
 from topo_recon.embed import PointCloud, load_cloud, save_cloud
 from topo_recon.landmarks import LandmarkSet, load_landmarks, save_landmarks
 from topo_recon.mscan import load_lifespan_csv, save_lifespan_csv
@@ -246,6 +246,23 @@ def _render_edges(path):
     return render_skeleton(path, lm_path)
 
 
+@pytest.fixture
+def pipe():
+    """pipe(text): a path that reads ``text`` from a pipe, which cannot seek and reads nothing a second time."""
+    ends = []
+
+    def make(text: str) -> str:
+        r, w = os.pipe()
+        ends.append(r)
+        with os.fdopen(w, "w") as fh:  # the text must fit the pipe's buffer
+            fh.write(text)
+        return f"/dev/fd/{r}"
+
+    yield make
+    for r in ends:
+        os.close(r)
+
+
 # table -> (reader, a valid head, a ragged row, a row with a non-number)
 COLD_TABLES = {
     "series": (load_series, "# T=0.5\n1.0\n# a comment\n-2.5\n", "1.0,2.0", "1.0x"),
@@ -344,6 +361,27 @@ class TestTableRows:
         path.write_bytes(b"# T=0.5\r\n1.0\r\n")
         assert load_series(path).sample_interval == 0.5
 
+    @pytest.mark.parametrize("table", sorted(set(COLD_TABLES) - {"edges"}))  # edges' reader writes a sibling file
+    def test_pipes_read_like_files(self, tmp_path, pipe, table):
+        reader, head, ragged, non_number = COLD_TABLES[table]
+        plain = tmp_path / f"{table}.csv"
+        plain.write_text(head)
+        assert repr(reader(pipe(head))) == repr(reader(plain))
+        for bad in (ragged, non_number):
+            with pytest.raises(SeriesFormatError) as exc:
+                reader(pipe(head + bad + "\n"))
+            assert exc.value.line_no == head.count("\n") + 1
+
+    def test_pipe_errors_after_the_parse_are_located(self, pipe):
+        # these are found in the parsed arrays and located by reading the lines again
+        with pytest.raises(SeriesFormatError, match="non-finite value") as exc:
+            load_series(pipe("# T=0.5\n1.0\n\n# x\nnan\n"))
+        assert exc.value.line_no == 5
+        with pytest.raises(SeriesFormatError, match="idx must be strictly increasing") as exc:
+            load_landmarks(pipe("idx,t,c0\n0,0,1.0\n# a comment\n0,5,-1.0\n"))
+        assert exc.value.line_no == 4
+        assert load_landmarks(pipe("idx,t,c0\n0,0,1.0\n# spacing=7\n2,5,-1.0\n")).spacing == 7
+
     @pytest.mark.parametrize("table", ["barcode", "cloud", "edges", "landmarks", "series"])
     def test_missing_header_is_located(self, tmp_path, table):
         path = tmp_path / f"{table}.csv"
@@ -424,17 +462,6 @@ def _round_trip(table: str, data, path) -> tuple:
     return ([v for verts, _ in edges for v in verts], births), (back.ints.ravel().tolist(), back.floats)
 
 
-def _traced_peak(f) -> tuple:
-    """f's result and its peak of traced allocations above what was allocated before it."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = f()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
 class TestTableMemory:
     """The writer holds one chunk of rows as Python objects, the reader no line past the first row."""
 
@@ -448,17 +475,17 @@ class TestTableMemory:
     def test_writers_hold_one_chunk(self, tmp_path, tables):
         cloud, series = tables
         for save, obj in ((save_cloud, cloud), (save_series, series)):
-            _, peak = _traced_peak(lambda: save(obj, tmp_path / "t.csv"))
+            _, peak = traced_peak(lambda: save(obj, tmp_path / "t.csv"))
             assert peak <= 2**20, save.__name__
 
     def test_readers_hold_their_arrays(self, tmp_path, tables):
         cloud, series = tables
         save_cloud(cloud, tmp_path / "cloud.csv")
-        back, peak = _traced_peak(lambda: load_cloud(tmp_path / "cloud.csv"))
+        back, peak = traced_peak(lambda: load_cloud(tmp_path / "cloud.csv"))
         assert np.array_equal(back.points, cloud.points) and np.array_equal(back.time_index, cloud.time_index)
         assert peak <= 3 * (back.points.nbytes + back.time_index.nbytes)
         save_series(series, tmp_path / "series.txt")
-        back, peak = _traced_peak(lambda: load_series(tmp_path / "series.txt"))
+        back, peak = traced_peak(lambda: load_series(tmp_path / "series.txt"))
         assert np.array_equal(back.values, series.values)
         assert peak <= 3 * back.values.nbytes
 

@@ -22,6 +22,7 @@ from oracles import (
     flag_filtration,
     random_edge_filtration,
     tied_edge_filtration,
+    traced_peak,
     truncate_births,
 )
 from topo_recon.embed import ami_curve, bbox_diameter, delay_embed, first_minimum
@@ -1155,16 +1156,10 @@ class TestFiltrationFiles:
         np.fill_diagonal(D, np.inf)
         return flag_expand(EdgeFiltration(np.zeros(n), D), dim_cap=2)
 
-    def test_writer_holds_one_chunk_of_entries(self, tmp_path):
+    def test_writer_peak_is_bounded_by_the_lists_arrays(self, tmp_path):
         ff = self._complete(90)
         assert len(ff) == 121_575
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            save_filtration(ff, tmp_path / "f.json")
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: save_filtration(ff, tmp_path / "f.json"))
         # the whole list's arrays are built, and as much again; its entries as Python objects would be ~6 times
         assert peak <= 2 * sum(a.nbytes for a in ff.arrays())
 
