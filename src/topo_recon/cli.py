@@ -14,6 +14,11 @@ writing for ``ami``; reading, the AMI (next to nothing with an explicit
 writing for ``landmarks``; births, expansion and writing for ``complex``;
 reading, reduction, cycles (with ``--cycles-out``) and writing for
 ``barcode``; each m's births and the lifespan filtration for ``mscan``.
+``stage_peak_rss_mb`` holds the process's peak RSS after each of those
+stages (after its last lap for a stage timed twice, and after the whole
+sweep for ``mscan``'s births); the peak never falls, so the first stage to
+read the step's highest is where it was reached.  The reduction's counts
+include the most rows one column held (``largest_column``).
 The records of earlier steps into the same directory are kept,
 oldest first, under ``previous``.  Runs are deterministic: identical
 arguments and seeds produce byte-identical artifacts.
@@ -116,14 +121,21 @@ def _previous_records(run_path: Path) -> list:
 _NOT_PARAMS = ("command", "func", "seed", "out_dir", "started", "artifacts")
 
 
-def _lap(stages: dict, name: str, start: float) -> float:
-    """Add the seconds since ``start`` to stage ``name``; return the time now."""
+def _peak_rss_mb() -> float | None:
+    """The process's peak RSS so far, in MiB; None where ``resource`` is missing."""
+    scale = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB on Linux, in bytes on macOS
+    return resource and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+
+def _lap(stages: tuple, name: str, start: float) -> float:
+    """Add the seconds since ``start`` to ``stages[0][name]``, note the peak RSS in ``stages[1]``; return the time now."""
     now = time.perf_counter()
-    stages[name] = stages.get(name, 0.0) + now - start
+    stages[0][name] = stages[0].get(name, 0.0) + now - start
+    stages[1][name] = _peak_rss_mb()
     return now
 
 
-def _write_run(args, derived: dict | None = None, counts: dict | None = None, stages: dict | None = None) -> None:
+def _write_run(args, derived: dict | None = None, counts: dict | None = None, stages: tuple | None = None) -> None:
     """Write the step's record: every flag that has a value, then the values the step ``derived``."""
     params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and v is not None}
     record = {
@@ -136,14 +148,12 @@ def _write_run(args, derived: dict | None = None, counts: dict | None = None, st
             for p in sorted(args.artifacts)
         ],
         "seconds": time.perf_counter() - args.started,
-        # ru_maxrss is in KiB on Linux, in bytes on macOS
-        "peak_rss_mb": resource and resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / (2**20 if sys.platform == "darwin" else 2**10),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     if counts is not None:
         record["counts"] = counts
     if stages is not None:
-        record["stage_seconds"] = stages
+        record["stage_seconds"], record["stage_peak_rss_mb"] = stages
     run_path = Path(args.out_dir) / "run.json"
     run_path.parent.mkdir(parents=True, exist_ok=True)
     record["previous"] = _previous_records(run_path)
@@ -237,7 +247,7 @@ def cmd_noise(args) -> int:
 
 def cmd_ami(args) -> int:
     _ami_args(args)
-    stages, clock = {}, time.perf_counter()
+    stages, clock = ({}, {}), time.perf_counter()
     series = _load_series_arg(args)
     clock = _lap(stages, "reading", clock)
     curve = ami_curve(series, tau_max=args.tau_max, bins=args.bins)
@@ -256,7 +266,7 @@ def cmd_embed(args) -> int:
     if m_anchor < args.m:
         raise ValueError(f"--m-anchor must be at least --m {args.m}, got {m_anchor}")
     _ami_args(args)
-    stages, clock = {}, time.perf_counter()
+    stages, clock = ({}, {}), time.perf_counter()
     series = _load_series_arg(args)
     clock = _lap(stages, "reading", clock)
     tau, derived = _resolve_tau(args, series)
@@ -272,7 +282,7 @@ def cmd_embed(args) -> int:
 def cmd_landmarks(args) -> int:
     count, flag = (args.every, "--every") if args.every is not None else (args.maxmin, "--maxmin")
     _count_arg(count, flag)
-    stages, clock = {}, time.perf_counter()
+    stages, clock = ({}, {}), time.perf_counter()
     cloud = load_cloud(args.input)
     clock = _lap(stages, "reading", clock)
     if args.every is not None:
@@ -294,7 +304,7 @@ def cmd_complex(args) -> int:
     _check_landmarks(args, cloud, lms)
     diam = bbox_diameter(cloud)
     eps = _scale_arg(args.xi, "--xi") * diam if args.xi is not None else _scale_arg(args.epsilon, "--epsilon")
-    stages, clock = {}, time.perf_counter()
+    stages, clock = ({}, {}), time.perf_counter()
     ef = edge_births(distance_matrix(cloud.points, lms.coords), cap=eps)
     clock = _lap(stages, "births", clock)
     ff = flag_expand(ef, dim_cap=args.dim_cap, max_value=eps, max_simplices=args.max_simplices)
@@ -333,7 +343,7 @@ def cmd_barcode(args) -> int:
             raise ValueError(
                 f"--eps-grid needs a finite lo, a finite hi and a positive integral count, got {args.eps_grid!r}"
             )
-    stages, clock = {}, time.perf_counter()
+    stages, clock = ({}, {}), time.perf_counter()
     ff = load_filtration(args.filtration, args.dim_cap)  # up to one above the file's top dimension
     if args.cycles_out and args.cycles_k >= ff.dim_cap:  # no bar of that degree is reported
         raise ValueError(f"--cycles-k must be below the barcode's dim_cap {ff.dim_cap}, got {args.cycles_k}")
@@ -374,6 +384,7 @@ def cmd_mscan(args) -> int:
     series = _load_series_arg(args)
     tau, derived = _resolve_tau(args, series)
     sw = sweep(series, tau, args.xi, args.every, args.m_max)
+    swept = _peak_rss_mb()
     if args.barcode_landmark >= sw.ell:
         raise ValueError(f"--barcode-landmark must be below the {sw.ell} landmarks, got {args.barcode_landmark}")
     matrix = lifespan_matrix(sw)
@@ -381,7 +392,7 @@ def cmd_mscan(args) -> int:
     save_existence_csv(sw, _out_path(args, "existence.csv"))
     dimbar_out = _out_path(args, f"dimension_barcode_{args.barcode_landmark}.csv")
     save_dimension_barcode_csv(sw, args.barcode_landmark, dimbar_out)
-    stages, clock = {"births_per_m": sw.births_seconds}, time.perf_counter()
+    stages, clock = ({"births_per_m": sw.births_seconds}, {"births_per_m": swept}), time.perf_counter()
     bc = dm_filtration(sw, dim_cap=args.dim_cap).barcode
     _lap(stages, "dm_filtration", clock)
     save_barcode(bc, _out_path(args, "dm_barcode.csv"))

@@ -24,7 +24,10 @@ vertices) order, so every pivot is a first-index argmin over a chunked
 (simplices x ell) value array.  Columns are built only when added, as Ripser
 computes coboundaries on demand: a column with a free pivot is kept as its
 key alone, and its cofaces are read from the adjacency only when it needs an
-addition or a later column must add it.  A coface is an integer row, its
+addition or a later column must add it.  A built column is a sorted NumPy
+array of its rows, pivot first, and an addition is one symmetric difference
+of two sorted arrays, with no heap (PHAT's sorted-vector column: Bauer,
+Kerber, Reininghaus & Wagner, 2017).  A coface is an integer row, its
 value's rank and its vertices as base-ell digits; a destroyer below the top
 dimension is found among its dimension's listed rows by one search, and the
 top dimension is never listed.  Creators and destroyers stay positions in
@@ -38,7 +41,7 @@ omitted.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,7 +51,7 @@ import numpy as np
 from .signal import _read_table, _write_table
 from .witness import FlagFiltration
 
-_COFACE_CELLS = 1 << 16  # the (simplices x ell) coface values a pass holds at once
+_COFACE_CELLS = 1 << 15  # the (simplices x ell) coface values a pass holds at once
 _ROW_BOUND = 2**63  # coface rows that could reach it are Python ints
 
 
@@ -82,7 +85,8 @@ class Barcode:
     filtration: FlagFiltration = field(repr=False)
     # sorted positions of every simplex that destroyed a class, zero-length pairs included
     destroyers: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
-    counts: dict = field(default_factory=dict, repr=False)  # columns reduced, cleared and added per k, sets built
+    # columns reduced, cleared and added per k; columns built, and the most rows one held
+    counts: dict = field(default_factory=dict, repr=False)
     # the position of each listed simplex in the whole list, ascending
     positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64), repr=False)
 
@@ -90,25 +94,27 @@ class Barcode:
         return [iv for iv in self.intervals if iv.k == k]
 
 
-def _reduce(heads, column, track: bool = False):
+def _reduce(heads, column, track: bool = False, counts: dict | None = None):
     """Reduce sparse Z/2 columns left to right, yielding (key, pivot, v, additions) per column.
 
     ``heads`` yields (key, pivot row of its unreduced column, None when it
     is empty) in reduction order, and ``column(key)`` builds that column as a
-    set of rows; a nonzero set's pivot is its smallest row.  While the pivot
-    is that of an earlier column, the earlier reduced column is added.  A
-    column whose pivot is free at once is kept as its key alone: its set is
-    built only when a later column must add it, and a column's own set only
-    when it needs an addition.  Each column being reduced keeps its rows in a
-    lazy heap, as Ripser keeps its working column: the added column's rows
-    are pushed, and rows no longer in the set are popped when they reach the
-    top, so no addition rescans the whole set for its new pivot.  The pivot
-    is None for a column that vanishes.
+    sorted NumPy array of distinct rows, whose pivot is its first.  While
+    the pivot is that of an earlier column, the earlier reduced column is
+    added: one symmetric difference of two sorted arrays, a stable sort of
+    their concatenation (a merge of its two runs) less the rows that
+    appear twice, so a column holds 8 bytes a row (PHAT's sorted-vector
+    column; Bauer, Kerber, Reininghaus & Wagner, 2017).  A column whose
+    pivot is free at once is kept as its key alone: its array is built only
+    when a later column must add it, and a column's own array only when it
+    needs an addition.  The pivot is None for a column that vanishes.
     With ``track`` set, ``v`` is the set of keys whose columns sum to the
     reduced one (its V column); otherwise it is None.  ``additions`` counts
-    the earlier columns added to this one.
+    the earlier columns added to this one.  With ``counts`` given,
+    ``counts["largest_column"]`` is raised to the most rows a column held.
     """
     reduced: dict = {}  # pivot row -> key of an unreduced column, or (reduced column, its V column)
+    largest = 0
     for key, low in heads:
         col, v, additions = None, {key} if track else None, 0
         while low is not None:
@@ -118,20 +124,21 @@ def _reduce(heads, column, track: bool = False):
                 break
             if col is None:
                 col = column(key)
-                heap = list(col)  # holds every row of col, and stale rows, which are popped when they surface
-                heapq.heapify(heap)
             if not isinstance(other, tuple):
                 other = reduced[low] = (column(other), {other} if track else None)
-            col ^= other[0]
-            additions += 1
+            largest = max(largest, col.size, other[0].size)
+            col = np.concatenate((col, other[0]))
+            col.sort(kind="stable")
+            single = np.ones(col.size + 1, dtype=bool)
+            np.not_equal(col[1:], col[:-1], out=single[1:-1])
+            col = col[single[1:] & single[:-1]]
+            largest, additions = max(largest, col.size), additions + 1
             if track:
                 v ^= other[1]
-            for row in other[0]:
-                heapq.heappush(heap, row)
-            while heap and heap[0] not in col:
-                heapq.heappop(heap)
-            low = heap[0] if heap else None
+            low = int(col[0]) if col.size else None
         yield key, low, v, additions
+    if counts is not None:
+        counts["largest_column"] = max(counts["largest_column"], largest)
 
 
 class _Rows:
@@ -176,13 +183,14 @@ class _Rows:
         return self.levels[(np.asarray(rows, dtype=self.dtype) // self.powers[0]).astype(np.int64)]
 
 
-def _coboundary(rows: _Rows, k: int, keys: list, counts: dict):
+def _coboundary(rows: _Rows, k: int, keys, counts: dict):
     """The pivots of the listed k-simplices ``keys`` and their column builder, from the adjacency.
 
     Among equal values the cofaces run by v ascending, which is their
     (value, vertices) order, so a pivot is a first-index argmin over v,
-    taken a chunk of ``_COFACE_CELLS`` values at a time.  The builder counts
-    the sets it builds in ``counts["column_sets"]``.
+    taken a chunk of ``_COFACE_CELLS`` values at a time.  The builder returns
+    a column's rows sorted and counts the columns it builds in
+    ``counts["column_sets"]``.
     """
     order, step = np.asarray(keys, dtype=np.int64), max(1, _COFACE_CELLS // max(1, rows.ell))
     pivots = np.empty(order.size, dtype=rows.dtype)
@@ -191,13 +199,13 @@ def _coboundary(rows: _Rows, k: int, keys: list, counts: dict):
         vs = block.argmin(axis=1)
         xs = block[np.arange(vs.size), vs]
         pivots[s : s + step] = np.where(xs < np.inf, rows.encode(rows.verts[order[s : s + step], : k + 1], xs, vs), -1)
-    heads = ((i, None if low < 0 else low) for i, low in zip(keys, pivots.tolist()))
+    heads = ((i, None if low < 0 else low) for i, low in zip(order.tolist(), pivots.tolist()))
 
     def column(i):
         counts["column_sets"] += 1
         xs = rows.cofaces([i], k)[0]
         vs = np.flatnonzero(xs < np.inf)
-        return set(rows.encode(rows.verts[i : i + 1, : k + 1], xs[vs], vs).tolist())
+        return np.sort(rows.encode(rows.verts[i : i + 1, : k + 1], xs[vs], vs))
 
     return heads, column
 
@@ -238,40 +246,46 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
     ``top_births`` raises ValueError.
     """
     rows, dims, values, top = _Rows(ff), ff.listed_dims, ff.listed_values, ff.dim_cap - 1
-    pairs, cleared, tops = [], set(), []  # cleared: the listed destroyers; a pass skips those of its own dimension
-    counts = {"reduced_columns": {}, "cleared_columns": {}, "column_additions": {}, "column_sets": 0}
+    cleared = np.zeros(values.size, dtype=bool)  # the listed destroyers; a pass skips those of its own dimension
+    passes = []  # per degree: its columns, and each one's destroyer as a listed index (at the top, its row), or -1
+    counts = {"reduced_columns": {}, "cleared_columns": {}, "column_additions": {}, "column_sets": 0,
+              "largest_column": 0}
     for k in range(ff.dim_cap):
-        simplices = np.flatnonzero(dims == k)[::-1].tolist()
-        keys = [i for i in simplices if i not in cleared]
-        counts["reduced_columns"][k], counts["cleared_columns"][k] = len(keys), len(simplices) - len(keys)
-        reduced = [(i, j, additions) for i, j, _, additions in _reduce(*_coboundary(rows, k, keys, counts))]
-        counts["column_additions"][k] = sum(additions for _, _, additions in reduced)
-        found = [j for _, j, _ in reduced if j is not None]
-        if k == top:
-            tops = found
-        else:  # the destroyers as listed indices, by one search over their dimension's rows; the next pass skips them
-            above = np.flatnonzero(dims == k + 1)
+        simplices = np.flatnonzero(dims == k)[::-1]
+        keys = simplices[~cleared[simplices]]
+        counts["reduced_columns"][k], counts["cleared_columns"][k] = keys.size, simplices.size - keys.size
+        lows, additions = np.full(keys.size, -1, dtype=rows.dtype), 0
+        for n, (_, low, _, added) in enumerate(_reduce(*_coboundary(rows, k, keys, counts), counts=counts)):
+            lows[n] = -1 if low is None else low
+            additions += added
+        counts["column_additions"][k] = additions
+        if k < top:  # the destroyers as listed indices, by one search over their rows; the next pass skips them
+            found, above = np.flatnonzero(lows >= 0), np.flatnonzero(dims == k + 1)
             table = rows.encode(rows.verts[above, : k + 1], values[above], rows.verts[above, k + 1])
-            found = dict(zip(found, above[np.searchsorted(table, np.asarray(found, dtype=rows.dtype))].tolist()))
-            cleared.update(found.values())
-        pairs += [(k, i, j if j is None or k == top else found[j]) for i, j, _ in reduced]
+            listed = np.full(keys.size, -1, dtype=np.int64)
+            listed[found] = above[np.searchsorted(table, lows[found])]
+            cleared[listed[found]], lows = True, listed
+        passes.append((k, keys, lows))
 
+    tops = passes[-1][2][passes[-1][2] >= 0]
     positions, top_positions = _positions(ff, rows, tops)
-    at, intervals = positions.tolist(), []
-    top_at = dict(zip(tops, zip(top_positions.tolist(), rows.value(tops).tolist())))
-    for k, i, j in pairs:
-        if j is None:
-            destroyer, death = None, math.inf
-        elif k == top:
-            destroyer, death = top_at[j]
+    bars = []  # per degree: (k, birth, death, creator, destroyer or -1) of its bars of positive length
+    for k, keys, lows in passes:
+        found = lows >= 0
+        death, destroyer = np.full(keys.size, np.inf), np.full(keys.size, -1, dtype=np.int64)
+        if k == top:
+            death[found], destroyer[found] = rows.value(tops), top_positions
         else:
-            destroyer, death = at[j], float(values[j])
-        if death > values[i]:
-            intervals.append(Interval(k=k, birth=float(values[i]), death=death, creator=at[i], destroyer=destroyer))
-    intervals.sort(key=lambda iv: (iv.k, iv.birth, iv.death, iv.creator))
-    listed = positions[np.fromiter(cleared, dtype=np.int64, count=len(cleared))]
+            death[found], destroyer[found] = values[lows[found]], positions[lows[found]]
+        alive = death > values[keys]
+        bars.append((np.full(np.count_nonzero(alive), k), values[keys[alive]], death[alive], positions[keys[alive]],
+                     destroyer[alive]))
+    k, birth, death, creator, destroyer = (np.concatenate(a) for a in zip(*bars))
+    order = np.lexsort((creator, death, birth, k))
+    intervals = [Interval(k=k, birth=b, death=d, creator=c, destroyer=None if j < 0 else j)
+                 for k, b, d, c, j in zip(*(a[order].tolist() for a in (k, birth, death, creator, destroyer)))]
     return Barcode(intervals=intervals, dim_cap=ff.dim_cap, filtration=ff, counts=counts, positions=positions,
-                   destroyers=np.sort(np.concatenate((listed, top_positions))))
+                   destroyers=np.sort(np.concatenate((positions[cleared], top_positions))))
 
 
 def betti_at(bc: Barcode, epsilon: float) -> list[int]:
@@ -299,7 +313,8 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
     the creator plus earlier k-simplices that destroyed a class, the only such
     set whose boundaries (independent) sum to the creator's.  A V-tracked pass
     over the bars' creators and the k-dimensional destroyers before the last
-    of them, rows the facets' vertex tuples, finds it.
+    of them, rows the facets' vertex tuples as base-(vertex count) digits,
+    finds it.
     """
     if k < 1 or top_n < 0:
         raise ValueError(f"representative cycles need k >= 1 and top_n >= 0, got k={k}, top_n={top_n}")
@@ -312,8 +327,11 @@ def representative_cycles(bc: Barcode, k: int, top_n: int = 2) -> list[tuple[Int
     listed = (positions[at] == bc.destroyers) & (ff.listed_dims[at] == k) & (at < max(creators))
     keys = [*at[listed].tolist(), *creators]
     rows = dict(zip(keys, ff.listed_vertices[keys, : k + 1].tolist()))
-    heads = ((key, tuple(row[:k])) for key, row in rows.items())  # a sorted row's smallest facet drops its last vertex
-    column = lambda key: set(itertools.combinations(rows[key], k))
+    base = max(map(max, rows.values())) + 1
+    dtype = np.int64 if base**k < _ROW_BOUND else object
+    digits = lambda facet: functools.reduce(lambda a, v: a * base + v, facet, 0)  # keeps the facets' tuple order
+    heads = ((key, digits(row[:k])) for key, row in rows.items())  # a sorted row's smallest facet drops its last vertex
+    column = lambda key: np.array([digits(f) for f in itertools.combinations(rows[key], k)], dtype=dtype)  # sorted
     cycles = {g: sorted(v) for g, low, v, _ in _reduce(heads, column, track=True) if low is None}
     return [(iv, [tuple(rows[p]) for p in cycles[g]]) for iv, g in zip(bars, creators)]
 

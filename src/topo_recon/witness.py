@@ -8,14 +8,15 @@ closed-form birth value
 
     birth(i, j) = min over w of ( max(||w - l_i||, ||w - l_j||) - n(w) ).
 
-Witnesses and landmarks come in as 2-d coordinate arrays.  The distances
-are computed a block of witnesses at a time inside ``edge_births``, so no
-array grows with the witness count.  Uncapped, a block is folded in runs of
-64 witnesses.  Under a cap only the distances that can fall within it are
-computed: the triangle inequality bounds the excesses of a sub-run of 16
-witnesses from its middle one, as Elkan's k-means bounds do (*Using the
-triangle inequality to accelerate k-means*, 2003), over spans of 4,096
-witnesses.  Then each witness's landmarks within the cap are listed and only
+Witnesses and landmarks come in as 2-d coordinate arrays, kept as they
+are.  The distances are computed a block of witnesses at a time inside
+``edge_births``, each block copied coordinate-major into one reused
+buffer, so no array grows with the witness count.  Uncapped, a block is
+folded in runs of 64 witnesses.  Under a cap only the distances that can
+fall within it are computed: the triangle inequality bounds the excesses
+of a sub-run of 16 witnesses from its middle one, as Elkan's k-means
+bounds do (*Using the triangle inequality to accelerate k-means*, 2003),
+over spans of 4,096 witnesses.  Then each witness's landmarks within the cap are listed and only
 the pairs it holds are folded, exact below the cap by the lazy-witness
 restriction of de Silva & Carlsson (2004); where a sub-run's witnesses hold
 the same landmarks, its held pairs are folded over the sub-run at once.
@@ -52,31 +53,43 @@ class ResourceLimitError(RuntimeError):
 class DistanceMatrix:
     """Witness-to-landmark distances, computed a block of witnesses at a time by ``rows``.
 
-    Holds the witnesses coordinate-major, (m, N), and the (ell, m) landmarks,
-    never an N x ell array.  ``entries`` (N, ell) builds the whole array on
-    every access.
+    Holds the caller's (N, m) witnesses and (ell, m) landmarks, never an
+    N x ell array.  ``entries`` (N, ell) builds the whole array on every
+    access.
     """
 
-    coords: np.ndarray
+    witnesses: np.ndarray
     landmarks: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.coords.shape[1], self.landmarks.shape[0]
+        return self.witnesses.shape[0], self.landmarks.shape[0]
 
     @property
     def entries(self) -> np.ndarray:
         return self.rows(0, self.shape[0]).T
 
-    def rows(self, s: int, e: int, out=None, scratch=None) -> np.ndarray:
+    def block(self, s: int, e: int, buffer=None) -> np.ndarray:
+        """Witnesses s..e-1 coordinate-major, (m, e - s), copied into the flat ``buffer`` when given.
+
+        Witnesses whose transpose has contiguous rows, like the sweep's ``coords[:m].T``, give a view.
+        """
+        W = self.witnesses[s:e]
+        if W.strides[0] == W.itemsize:
+            return W.T
+        out = (np.empty(W.size) if buffer is None else buffer[: W.size]).reshape(W.shape[::-1])
+        np.copyto(out, W.T)
+        return out
+
+    def rows(self, s: int, e: int, out=None, scratch=None, buffer=None) -> np.ndarray:
         """Distances from every landmark to witnesses s..e-1, landmark-major (ell, e - s), bitwise ``cdist``.
 
-        ``out`` and ``scratch``, (ell, e - s) arrays, are reused when given.
+        ``out`` and ``scratch``, (ell, e - s) arrays, and ``buffer`` for ``block`` are reused when given.
         """
         shape = (self.landmarks.shape[0], e - s)
         out = np.empty(shape) if out is None else out
         scratch = np.empty(shape) if scratch is None else scratch
-        return _distances(zip(self.coords[:, s:e], self.landmarks.T[:, :, None]), out, scratch)
+        return _distances(zip(self.block(s, e, buffer), self.landmarks.T[:, :, None]), out, scratch)
 
 
 def _distances(terms, out, scratch) -> np.ndarray:
@@ -192,7 +205,8 @@ class FlagFiltration:
 def distance_matrix(witnesses: np.ndarray, landmarks: np.ndarray) -> DistanceMatrix:
     """Check (N, m) witness and (ell, m) landmark arrays and keep them for ``DistanceMatrix.rows``.
 
-    Witnesses whose transpose is C-contiguous, like the sweep's ``coords[:m].T``, are not copied.
+    Float arrays are kept as they are; ``edge_births`` copies a block or span of witnesses at a time
+    coordinate-major (``DistanceMatrix.block``), so no (m, N) copy is made.
     """
     W, L = np.asarray(witnesses, dtype=np.float64), np.asarray(landmarks, dtype=np.float64)
     if W.ndim != 2 or L.ndim != 2:
@@ -201,7 +215,7 @@ def distance_matrix(witnesses: np.ndarray, landmarks: np.ndarray) -> DistanceMat
         raise ValueError(f"dimension mismatch: witnesses are {W.shape[1]}-d, landmarks {L.shape[1]}-d")
     if W.shape[0] == 0 or L.shape[0] == 0:
         raise ValueError("witnesses and landmarks must be nonempty")
-    return DistanceMatrix(coords=np.ascontiguousarray(W.T), landmarks=L)
+    return DistanceMatrix(witnesses=W, landmarks=L)
 
 
 def _fold(excess, s, births, witness, full) -> None:
@@ -238,15 +252,17 @@ _SPAN = 256  # sub-runs per span of the bound: 4,096 witnesses, its overhead pai
 _RUN_PAIRS = 1  # a held row pair costs about as much to fold as a witness's held pair (forced folds cross at 0.7-1.3)
 
 
-def _span_bound(dm, s, e, cap, buffers) -> tuple[np.ndarray, np.ndarray]:
+def _span_bound(dm, s, e, cap, buffers, span) -> tuple[np.ndarray, np.ndarray]:
     """Witnesses s..e-1 as (m, n_sub, 16) sub-runs, and the (n_sub, ell) mask of the landmarks their bound keeps.
 
-    The centres' distances are taken in ``buffers``.  Only a span shorter than a sub-run is padded, with
-    its last witness, so only it is copied.
+    The witnesses are taken coordinate-major into ``span`` (``DistanceMatrix.block``) and the centres'
+    distances in ``buffers``.  Only a span shorter than a sub-run is padded, with its last witness.
     """
-    m, n_l, n = dm.coords.shape[0], dm.landmarks.shape[0], e - s
+    m, n_l, n = dm.witnesses.shape[1], dm.landmarks.shape[0], e - s
     n_sub = -(-n // _SUB)
-    coords = dm.coords[:, s:e] if n % _SUB == 0 else dm.coords[:, s:e][:, np.minimum(np.arange(_SUB), n - 1)]
+    coords = dm.block(s, e, span)
+    if n % _SUB:
+        coords = coords[:, np.minimum(np.arange(_SUB), n - 1)]
     runs = coords.reshape(m, n_sub, _SUB)
     centres = runs[:, :, _SUB // 2, None]
     d_c, scratch = (buf[: n_sub * n_l].reshape(n_sub, n_l) for buf in buffers)
@@ -320,14 +336,15 @@ def _fold_pairs(vals, low, lm, first, group, births, witness, step, hold=None) -
 def _capped_births(dm, cap, width, buffers, vertex_birth, births, witness) -> tuple[int, int, int]:
     """Fold every witness's pairs within ``cap`` (see ``edge_births``); the distances, pairs listed and run chunks."""
     n_w, n_l = dm.shape
-    m, rows = dm.coords.shape[0], buffers[0].size // _SUB  # a chunk's rows: its distances fill a buffer
+    m, rows = dm.witnesses.shape[1], buffers[0].size // _SUB  # a chunk's rows: its distances fill a buffer
+    span = np.empty(m * _SUB * min(width, _SPAN))  # a span's witnesses, coordinate-major
     computed = listed = run_chunks = 0
     s = 0
     while s < n_w:
         e = min(s + _SUB * min(width, _SPAN), n_w)  # its centres' distances fit a buffer
         if e % _SUB and e - s > _SUB:  # the last, padded sub-run is a span of its own
             e -= e % _SUB
-        runs, keep = _span_bound(dm, s, e, cap, buffers)
+        runs, keep = _span_bound(dm, s, e, cap, buffers, span)
         kept = keep.sum(axis=1)
         computed += keep.size
         if kept.sum() * (m + _GATHER) > keep.size * m:  # the dense rows cost less than the gather
@@ -374,8 +391,9 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     vertex_birth[j] = min over w of (d(w, j) - n(w)) and
     births[i, j]    = min over w of (max(d(w, i), d(w, j)) - n(w)),
     with the lowest witness index achieving each edge minimum recorded.
-    Distances are computed into two (ell, block) buffers made once, so
-    memory is set by ell x block and ell^2, not by the witness count.
+    Distances are computed into two (ell, block) buffers made once, from
+    the block's (or span's) witnesses copied coordinate-major into a third,
+    so memory is set by ell x block and ell^2, not by the witness count.
     Uncapped, ``dm.rows`` computes each block of ``block`` witnesses; n(w) is
     the block's minimum over landmarks, the excesses are taken in place, and
     ``_fold`` takes the block in runs of 64 witnesses, skipping the pairs a
@@ -444,10 +462,11 @@ def edge_births(dm: DistanceMatrix, block: int = 512, cap: float | None = None) 
     else:
         iu, ju = np.triu_indices(n_l, k=1)
         full = iu, ju, iu * n_l + ju
+        coords = np.empty(dm.witnesses.shape[1] * width)  # a block's witnesses, coordinate-major
         for s in range(0, n_w, block):
             e = min(s + block, n_w)
             # excess[j] is landmark j's row over this block's witnesses
-            excess = dm.rows(s, e, *(buf[: n_l * (e - s)].reshape(n_l, e - s) for buf in buffers))
+            excess = dm.rows(s, e, *(buf[: n_l * (e - s)].reshape(n_l, e - s) for buf in buffers), coords)
             excess -= excess.min(axis=0)
             np.minimum(vertex_birth, excess.min(axis=1), out=vertex_birth)
             _fold(excess, s, births, witness, full)

@@ -187,6 +187,10 @@ class TestRunRecords:
             stages = record["stage_seconds"]
             assert sorted(stages) == names, step
             assert all(s >= 0 for s in stages.values()) and sum(stages.values()) <= record["seconds"]
+            # and the process's peak RSS after each stage, none above the step's
+            peaks = record["stage_peak_rss_mb"]
+            assert sorted(peaks) == names, step
+            assert all(0 < p <= record["peak_rss_mb"] for p in peaks.values())
 
     def test_barcode_records_its_reduction(self, pipeline):
         last = read_run(pipeline)
@@ -567,6 +571,10 @@ class TestMscan:
         assert sorted(stages) == ["births_per_m", "dm_filtration"]
         assert len(stages["births_per_m"]) == 3 and min(stages["births_per_m"]) >= 0 and stages["dm_filtration"] >= 0
         assert sum(stages["births_per_m"]) + stages["dm_filtration"] <= record["seconds"]
+        peaks = record["stage_peak_rss_mb"]  # after the whole sweep, then after the lifespan filtration's barcode
+        assert sorted(peaks) == sorted(stages)
+        assert 0 < peaks["births_per_m"] <= peaks["dm_filtration"] <= record["peak_rss_mb"]
+        assert record["counts"]["largest_column"] >= 0
 
     def test_records_the_distances_each_births_computed(self, tmp_path):
         sine_series_file(tmp_path / "s.txt")

@@ -184,9 +184,11 @@ class TestSweep:
 
         monkeypatch.setattr(mscan, "distance_matrix", recording)
         sweep(short_lorenz, tau_steps=50, xi=0.02, every=250, m_max=4)
-        assert [dm.coords.shape[0] for dm in made] == [1, 2, 3, 4]
+        assert [dm.witnesses.shape[1] for dm in made] == [1, 2, 3, 4]
         for dm in made:
-            assert np.shares_memory(dm.coords, made[-1].coords)
+            assert np.shares_memory(dm.witnesses, made[-1].witnesses)
+            # a coordinate-major block of the cloud is a view: births copy none of its witnesses
+            assert np.shares_memory(dm.block(0, 100, np.empty(400)), made[-1].witnesses)
 
     def test_m_max_is_bounded_by_the_existence_bits(self, short_lorenz):
         # existence is a uint32 bitmask: bit 32 would shift out, and every edge at m = 33 would read absent

@@ -336,12 +336,12 @@ class TestImplicitTop:
 
 
 class TestLazyColumns:
-    """A coboundary column is built as a set only when it needs an addition or must be added."""
+    """A coboundary column is built as a sorted array only when it needs an addition or must be added."""
 
     def test_free_pivots_build_no_column(self):
         built = []
         heads = [(0, 10), (1, 11), (2, None), (3, 12)]
-        got = list(_reduce(iter(heads), lambda key: built.append(key) or set(), track=True))
+        got = list(_reduce(iter(heads), lambda key: built.append(key) or np.empty(0, dtype=np.int64), track=True))
         assert got == [(0, 10, {0}, 0), (1, 11, {1}, 0), (2, None, {2}, 0), (3, 12, {3}, 0)]
         assert built == []
 
@@ -349,7 +349,7 @@ class TestLazyColumns:
         cols = {0: {10, 20}, 1: {10, 30}, 2: {10, 20, 40}, 3: {50}}
         built = []
         heads = ((key, min(col)) for key, col in cols.items())
-        got = list(_reduce(heads, lambda key: built.append(key) or set(cols[key]), track=True))
+        got = list(_reduce(heads, lambda key: built.append(key) or np.array(sorted(cols[key])), track=True))
         # column 1 adds column 0 and pivots at 20; column 2 adds the column 0 already built
         assert got == [(0, 10, {0}, 0), (1, 20, {0, 1}, 1), (2, 40, {0, 2}, 1), (3, 50, {3}, 0)]
         assert built == [1, 0, 2]
@@ -404,28 +404,52 @@ class TestReductionMemory:
             tracemalloc.stop()
         assert peak <= 2.5 * (ff.vertices.nbytes + ff.dims.nbytes + ff.values.nbytes)
 
+    def test_many_additions_hold_sorted_columns(self):
+        # the 3-d trajectory from z0 = 5.011 over 201 landmarks, read to 6 (the lorenz3d_cap6 benchmark's
+        # input 11): over a thousand H1 additions grow a column past 10,000 rows.  Columns are sorted int64
+        # arrays (8 bytes a row) and the pairs are kept in arrays, so the peak stays near 2.6 MiB; a set of
+        # Python ints per column holds ~70 bytes a row
+        traj = integrate_lorenz(ic=(5.0, 5.0, 5.011), n_steps=100_001, transient_steps=10_000)
+        lms = select_evenly_spaced(PointCloud(traj.points, np.arange(len(traj))), 500)
+        ef = edge_births(distance_matrix(traj.points, lms.coords), cap=6.0)
+        ff = flag_expand(ef, dim_cap=2, max_value=6.0)
+        persistent_homology(ff)  # the first call imports what NumPy loads lazily, ~0.5 MiB
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bc = persistent_homology(ff)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert bc.counts["column_additions"][1] > 1000 and bc.counts["largest_column"] > 10_000
+
 
 class TestReductionCounts:
     def test_counts_of_the_hollow_and_filled_square(self):
         bc = persistent_homology(flag_expand(square(), dim_cap=2))
         # positions: vertices 0-3, edges 01=4, 03=5, 12=6, 23=7.  Vertex columns, last first:
         # 3 {5, 7}, 2 {6, 7} and 1 {4, 6} pair at once; 0 {4, 5} adds the columns of 1, 3 and 2
-        # and vanishes, building its own set and those three (3 additions, 4 sets).  Of the edges,
-        # the destroyers 4, 5, 6 are cleared, and 7 is reduced and has no coface
+        # and vanishes, building its own column and those three (3 additions, 4 columns), through
+        # {5, 6} and {6, 7}, so no column holds over 2 rows.  Of the edges, the destroyers 4, 5, 6
+        # are cleared, and 7 is reduced and has no coface
         assert bc.counts == {
             "reduced_columns": {0: 4, 1: 1},
             "cleared_columns": {0: 0, 1: 3},
             "column_additions": {0: 3, 1: 0},
             "column_sets": 4,
+            "largest_column": 2,
         }
         # filled: the diagonal 02=8 and triangles 012=9, 023=10.  The vertex pass runs as
-        # above, 0 {4, 5, 8} now vanishing with 2 {6, 7, 8}; edges 8 {9, 10} and 7 {10} pair at once
+        # above, 0 {4, 5, 8} now vanishing with 2 {6, 7, 8} through {5, 6, 8} and {6, 7, 8};
+        # edges 8 {9, 10} and 7 {10} pair at once
         ef = edge_filtration(4, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (0, 3): 1.0, (0, 2): 2.0})
         assert persistent_homology(flag_expand(ef, dim_cap=2)).counts == {
             "reduced_columns": {0: 4, 1: 2},
             "cleared_columns": {0: 0, 1: 3},
             "column_additions": {0: 3, 1: 0},
             "column_sets": 4,
+            "largest_column": 3,
         }
 
     @given(seed=st.integers(0, 10_000), dim_cap=st.integers(1, 3))
@@ -452,6 +476,8 @@ class TestReductionCounts:
         assert bc.counts["column_sets"] == len(built)
         # an addition builds at most two sets: the column's own, first time, and the one it adds
         assert bc.counts["column_sets"] <= 2 * sum(bc.counts["column_additions"].values())
+        # a column is built only to add or be added, and then holds its pivot at least
+        assert (bc.counts["largest_column"] > 0) == (bc.counts["column_sets"] > 0)
 
 
 def circle_barcode(n_witness=200, stride=10, cap=1.5):

@@ -172,11 +172,35 @@ class TestDistanceMatrix:
         assert np.array_equal(np.hstack(blocks), cdist(W, L).T)
 
     def test_keeps_coordinate_major_witnesses_not_distances(self):
+        # the caller's witnesses are kept as they are; a block of them is given coordinate-major,
+        # copied into the buffer passed, or a view when the witnesses' transpose has contiguous rows
         W = np.arange(12.0).reshape(4, 3)
         dm = distance_matrix(W, W[:2])
-        assert dm.shape == (4, 2)
-        assert np.array_equal(dm.coords, W.T) and dm.coords.flags.c_contiguous
+        assert dm.shape == (4, 2) and dm.witnesses is W
         assert np.array_equal(dm.landmarks, W[:2])
+        buffer = np.full(9, np.nan)
+        block = dm.block(1, 4, buffer)
+        assert np.array_equal(block, W[1:4].T) and block.flags.c_contiguous and np.shares_memory(block, buffer)
+        coords = np.ascontiguousarray(W.T)
+        view = distance_matrix(coords.T, W[:2]).block(1, 4, buffer)
+        assert np.array_equal(view, W[1:4].T) and np.shares_memory(view, coords)
+
+    @pytest.mark.parametrize("cap", [None, 5.0])
+    def test_births_copy_no_whole_witness_array(self, cap):
+        # 200,000 3-d witnesses in C order: a coordinate-major copy of them would be 4.8 MB, while
+        # the matrix and the births hold a block (or span) of them at a time
+        rng = np.random.default_rng(1)
+        W = np.cumsum(rng.standard_normal((200_000, 3)), axis=0)
+        tracemalloc.start()
+        try:
+            dm = distance_matrix(W, W[::6250])
+            after_matrix = tracemalloc.get_traced_memory()[0]
+            ef = edge_births(dm, cap=cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(dm.witnesses, W) and after_matrix < W.nbytes / 100
+        assert np.isfinite(ef.births).any() and peak < W.nbytes / 2
 
     def test_entries_view_landmark_rows(self):
         # entries is the transpose of the landmark-major rows
