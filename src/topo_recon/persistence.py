@@ -267,7 +267,7 @@ def persistent_homology(ff: FlagFiltration) -> Barcode:
             cleared[listed[found]], lows = True, listed
         passes.append((k, keys, lows))
 
-    tops = passes[-1][2][passes[-1][2] >= 0]
+    tops = lows[lows >= 0]  # the last pass is the top dimension's: its destroyers are rows
     positions, top_positions = _positions(ff, rows, tops)
     bars = []  # per degree: (k, birth, death, creator, destroyer or -1) of its bars of positive length
     for k, keys, lows in passes:
